@@ -7,8 +7,8 @@
 #include "privim/common/timer.h"
 #include "privim/dp/rdp_accountant.h"
 #include "privim/dp/sensitivity.h"
-#include "privim/gnn/features.h"
 #include "privim/im/seed_selection.h"
+#include "privim/nn/infer/engine.h"
 #include "privim/sampling/subgraph_container.h"
 
 namespace privim {
@@ -129,10 +129,9 @@ Result<PrivImResult> RunHp(const Graph& train_graph, const Graph& eval_graph,
   if (!stats.ok()) return stats.status();
   result.train_stats = stats.value();
 
-  const GraphContext eval_ctx = GraphContext::Build(eval_graph);
-  const Tensor eval_features = BuildNodeFeatures(eval_graph, gnn.input_dim);
-  result.eval_scores =
-      model.value()->Forward(eval_ctx, Variable(eval_features)).value();
+  Result<Tensor> scores = infer::ScoreGraph(*model.value(), eval_graph);
+  if (!scores.ok()) return scores.status();
+  result.eval_scores = std::move(scores).value();
   result.seeds = TopKSeeds(result.eval_scores, options.seed_set_size);
   result.model = std::move(model).value();
   return result;

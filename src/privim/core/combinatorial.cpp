@@ -6,8 +6,8 @@
 #include "privim/common/timer.h"
 #include "privim/dp/rdp_accountant.h"
 #include "privim/dp/sensitivity.h"
-#include "privim/gnn/features.h"
 #include "privim/graph/projection.h"
+#include "privim/nn/infer/engine.h"
 #include "privim/nn/ops.h"
 #include "privim/sampling/dual_stage.h"
 #include "privim/sampling/rwr_sampler.h"
@@ -230,11 +230,9 @@ Result<MaxCutResult> RunPrivMaxCut(const Graph& train_graph,
   if (!stats.ok()) return stats.status();
   result.train_stats = stats.value();
 
-  const GraphContext eval_ctx = GraphContext::Build(eval_graph);
-  const Tensor eval_features =
-      BuildNodeFeatures(eval_graph, options.gnn.input_dim);
-  result.eval_scores =
-      model.value()->Forward(eval_ctx, Variable(eval_features)).value();
+  Result<Tensor> scores = infer::ScoreGraph(*model.value(), eval_graph);
+  if (!scores.ok()) return scores.status();
+  result.eval_scores = std::move(scores).value();
   result.assignment = DerandomizedRounding(eval_graph, result.eval_scores);
   result.cut_value = CutValue(eval_graph, result.assignment);
   return result;

@@ -5,8 +5,8 @@
 #include <deque>
 
 #include "privim/dp/rdp_accountant.h"
-#include "privim/gnn/features.h"
 #include "privim/graph/traversal.h"
+#include "privim/nn/infer/engine.h"
 #include "privim/nn/ops.h"
 #include "privim/sampling/dual_stage.h"
 
@@ -155,11 +155,9 @@ Result<NodeClassificationResult> RunPrivNodeClassification(
   if (!stats.ok()) return stats.status();
   result.train_stats = stats.value();
 
-  const GraphContext eval_ctx = GraphContext::Build(eval_graph);
-  const Tensor eval_features =
-      BuildNodeFeatures(eval_graph, options.gnn.input_dim);
-  result.eval_scores =
-      model.value()->Forward(eval_ctx, Variable(eval_features)).value();
+  Result<Tensor> scores = infer::ScoreGraph(*model.value(), eval_graph);
+  if (!scores.ok()) return scores.status();
+  result.eval_scores = std::move(scores).value();
   result.predictions.resize(eval_graph.num_nodes());
   int64_t correct = 0;
   int64_t positives = 0;

@@ -11,9 +11,9 @@
 #include "privim/common/timer.h"
 #include "privim/dp/rdp_accountant.h"
 #include "privim/dp/sensitivity.h"
-#include "privim/gnn/features.h"
 #include "privim/graph/projection.h"
 #include "privim/im/seed_selection.h"
+#include "privim/nn/infer/engine.h"
 #include "privim/obs/metrics.h"
 #include "privim/obs/trace.h"
 #include "privim/sampling/dual_stage.h"
@@ -409,11 +409,9 @@ Result<PrivImResult> RunPrivIm(const Graph& train_graph,
 
   // ---- Seed selection on the evaluation graph ---------------------------
   obs::TraceSpan selection_span("pipeline/seed_selection");
-  const GraphContext eval_ctx = GraphContext::Build(eval_graph);
-  const Tensor eval_features =
-      BuildNodeFeatures(eval_graph, options.gnn.input_dim);
-  const Variable scores = model->Forward(eval_ctx, Variable(eval_features));
-  result.eval_scores = scores.value();
+  Result<Tensor> scores = infer::ScoreGraph(*model, eval_graph);
+  if (!scores.ok()) return scores.status();
+  result.eval_scores = std::move(scores).value();
   result.seeds = TopKSeeds(result.eval_scores, options.seed_set_size);
   result.model = std::move(model);
   return result;

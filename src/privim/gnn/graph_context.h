@@ -8,6 +8,7 @@
 #ifndef PRIVIM_GNN_GRAPH_CONTEXT_H_
 #define PRIVIM_GNN_GRAPH_CONTEXT_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -17,7 +18,24 @@
 namespace privim {
 
 struct GraphContext {
+  /// The operators Build() can assemble, as bits of `parts`. Training builds
+  /// them all (the loss reads influence_adj whatever the architecture); a
+  /// compiled inference program builds only the ones it reads
+  /// (InferProgram::context_parts()).
+  enum Part : uint32_t {
+    kInfluenceAdj = 1u << 0,
+    kGcnAdj = 1u << 1,
+    kMeanInAdj = 1u << 2,
+    kSumInAdj = 1u << 3,
+    kArcLists = 1u << 4,        ///< arc_src / arc_dst
+    kAttentionLists = 1u << 5,  ///< attention_src / attention_dst
+    kAllParts = (1u << 6) - 1,
+  };
+
   int64_t num_nodes = 0;
+
+  /// The Part bits Build() assembled; the other members stay empty.
+  uint32_t parts = 0;
 
   /// A with A[v][u] = w_uv for u in N_in(v): SpMM(influence_adj, p) gives
   /// each node's incoming influence mass (Eq. 2 / Theorem 2).
@@ -44,7 +62,7 @@ struct GraphContext {
   std::vector<int32_t> attention_src;
   std::vector<int32_t> attention_dst;
 
-  static GraphContext Build(const Graph& graph);
+  static GraphContext Build(const Graph& graph, uint32_t parts = kAllParts);
 };
 
 }  // namespace privim

@@ -43,7 +43,7 @@ class GnnModel {
                            const Variable& features) const = 0;
 
   /// Validated Forward for library callers fed with external input (the
-  /// serving engine, the CLIs): checks that `features` is
+  /// inference probe, serving's tape path): checks that `features` is
   /// (ctx.num_nodes x input_dim) and returns InvalidArgument instead of
   /// tripping the shape asserts inside the ops. Hot training loops that
   /// construct their own matching features keep calling Forward directly.

@@ -87,20 +87,11 @@ class ProgramBuilder {
     return in.dst;
   }
 
-  int EdgeMessages(int alpha, int transformed, int64_t cols) {
+  int EdgeAggregate(int alpha, int transformed, int64_t cols) {
     Instr in;
-    in.op = OpCode::kEdgeMessages;
+    in.op = OpCode::kEdgeAggregate;
     in.src0 = alpha;
     in.src1 = transformed;
-    in.dst = NewBuffer(RowDomain::kEdges, cols);
-    instrs_.push_back(in);
-    return in.dst;
-  }
-
-  int SegmentSum(int messages, int64_t cols) {
-    Instr in;
-    in.op = OpCode::kSegmentSum;
-    in.src0 = messages;
     in.dst = NewBuffer(RowDomain::kNodes, cols);
     instrs_.push_back(in);
     return in.dst;
@@ -119,6 +110,9 @@ class ProgramBuilder {
 
   InferProgram Finish(int64_t input_dim, int output_slot) {
     InferProgram program;
+    for (const Instr& in : instrs_) {
+      program.context_parts_ |= ContextPart(in);
+    }
     program.instrs_ = std::move(instrs_);
     program.buffers_ = std::move(buffers_);
     program.input_dim_ = input_dim;
@@ -127,6 +121,32 @@ class ProgramBuilder {
   }
 
  private:
+  /// The GraphContext operator `in` reads, if any.
+  static uint32_t ContextPart(const Instr& in) {
+    switch (in.op) {
+      case OpCode::kSpMM:
+        switch (in.adj) {
+          case AdjKind::kGcn:
+            return GraphContext::kGcnAdj;
+          case AdjKind::kMeanIn:
+            return GraphContext::kMeanInAdj;
+          case AdjKind::kSumIn:
+            return GraphContext::kSumInAdj;
+        }
+        return 0;
+      case OpCode::kAttnScores:
+      case OpCode::kSegmentSoftmax:
+      case OpCode::kEdgeAggregate:
+        return GraphContext::kAttentionLists;
+      case OpCode::kDense:
+      case OpCode::kConcat:
+      case OpCode::kGinMix:
+      case OpCode::kBiasAct:
+        return 0;
+    }
+    return 0;
+  }
+
   std::vector<Instr> instrs_;
   std::vector<BufferSpec> buffers_;
 };
@@ -273,8 +293,7 @@ Result<InferProgram> CompileForInference(const GnnModel& model) {
         const int alpha = accum.SegmentSoftmax(
             scores, cfg.kind == GnnKind::kGrat ? SegArray::kAttentionSrc
                                                : SegArray::kAttentionDst);
-        const int messages = accum.EdgeMessages(alpha, t, hid);
-        const int agg = accum.SegmentSum(messages, hid);
+        const int agg = accum.EdgeAggregate(alpha, t, hid);
         h = accum.BiasAct(agg, b.value(), Activation::kRelu, hid);
         break;
       }

@@ -4,9 +4,10 @@
 // per-architecture emitter that checks the parameter list against the known
 // layout of that architecture (count and every shape) and emits the fused
 // instruction sequence. A model whose parameters do not match — a blob from
-// a newer or unsupported architecture — is rejected with Unimplemented, and
-// the serving layer falls back to the tape path (see serve/service.cpp and
-// the serve.infer.fallbacks counter).
+// a newer or unsupported architecture — is rejected with Unimplemented.
+// ScoreGraph (engine.h) returns that error to its caller; the serving layer
+// falls back to the tape path (see serve/assets.cpp and the
+// serve.infer.fallbacks counter).
 //
 // Structural checks cannot see an overridden Forward(), so compilation
 // alone is not proof of equivalence; InferEngine::Create (engine.h) runs a

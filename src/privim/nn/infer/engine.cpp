@@ -119,6 +119,25 @@ Status InferEngine::Forward(const GraphContext& ctx, const Tensor& features,
   return program_.Execute(ctx, features, lease.get(), out);
 }
 
+Status InferEngine::ForwardGraph(const Graph& graph, Tensor* out) const {
+  const GraphContext ctx =
+      GraphContext::Build(graph, program_.context_parts());
+  const Tensor features = BuildNodeFeatures(graph, program_.input_dim());
+  return Forward(ctx, features, out);
+}
+
+Result<Tensor> ScoreGraph(const GnnModel& model, const Graph& graph) {
+  // The engine lives only for this call, so it borrows the model through a
+  // non-owning pointer instead of sharing ownership.
+  Result<std::unique_ptr<InferEngine>> engine = InferEngine::Create(
+      std::shared_ptr<const GnnModel>(std::shared_ptr<const GnnModel>(),
+                                      &model));
+  if (!engine.ok()) return engine.status();
+  Tensor scores;
+  PRIVIM_RETURN_NOT_OK(engine.value()->ForwardGraph(graph, &scores));
+  return scores;
+}
+
 Status InferEngine::ForwardBatched(const std::vector<BatchItem>& items,
                                    std::vector<Tensor>* outs) const {
   outs->clear();
@@ -204,7 +223,8 @@ Status InferEngine::RunUnionChunk(const std::vector<BatchItem>& items,
 
   Result<Graph> stacked = builder.Build();
   if (!stacked.ok()) return stacked.status();
-  const GraphContext ctx = GraphContext::Build(stacked.value());
+  const GraphContext ctx =
+      GraphContext::Build(stacked.value(), program_.context_parts());
   const Tensor features =
       BuildNodeFeatures(stacked.value(), program_.input_dim(), &salt_ids);
 

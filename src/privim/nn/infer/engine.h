@@ -1,18 +1,20 @@
-// The serving-facing fused inference engine.
+// The fused inference engine: the one no-grad forward over a whole graph.
 //
 // An InferEngine owns a compiled InferProgram plus a pool of Scratch
-// buffers, and is the only entry point the serving layer uses: Create()
-// compiles the model AND verifies it, Forward() runs one graph, and
-// ForwardBatched() stacks many small subgraphs into block-diagonal
-// super-graphs so a whole admission batch costs a few large fused forwards
-// instead of many small tape replays.
+// buffers: Create() compiles the model AND verifies it, Forward() runs one
+// graph, and ForwardBatched() stacks many small subgraphs into
+// block-diagonal super-graphs so a whole admission batch costs a few large
+// fused forwards instead of many small tape replays. ScoreGraph() is the
+// one-shot form that the pipeline, the baselines and the CLI rank a graph
+// with after training.
 //
 // Verification: structural compilation (compile.h) checks parameter shapes
 // but cannot see an overridden Forward(). Create() therefore runs a fixed
 // probe graph through both the fused program and the model's own tape
 // forward and requires bit-exact agreement; a model that diverges is
-// rejected with FailedPrecondition and the serving layer falls back to the
-// tape path (serve.infer.fallbacks counter).
+// rejected with FailedPrecondition. ScoreGraph() returns that error to its
+// caller; the serving layer falls back to the tape path instead
+// (serve.infer.fallbacks counter).
 //
 // Batching correctness: the block-diagonal union preserves each request's
 // result bit-exactly because (a) every CSR row of the union touches only
@@ -51,6 +53,10 @@ class InferEngine {
   /// an internal pool, so concurrent calls never contend on tensors.
   Status Forward(const GraphContext& ctx, const Tensor& features,
                  Tensor* out) const;
+
+  /// Forward over the whole of `graph`: builds only the context operators
+  /// the program reads, plus the graph's own node features.
+  Status ForwardGraph(const Graph& graph, Tensor* out) const;
 
   /// One entry of a batched forward: a local graph plus the global node ids
   /// used to salt its features (null means the graph's own ids, i.e. the
@@ -93,6 +99,14 @@ class InferEngine {
   mutable std::mutex mu_;
   mutable std::vector<std::unique_ptr<Scratch>> free_scratch_;
 };
+
+/// The (n x 1) scores of every node of `graph` under `model`, computed by
+/// the compiled program without a tape and bit-identical to
+/// model.Forward() on a full GraphContext. Unimplemented when the parameter
+/// layout is not a known architecture, FailedPrecondition when the probe
+/// diverges; there is no tape fallback. Every CreateGnnModel model
+/// compiles.
+Result<Tensor> ScoreGraph(const GnnModel& model, const Graph& graph);
 
 }  // namespace infer
 }  // namespace privim

@@ -25,10 +25,8 @@ const char* OpCodeName(OpCode op) {
       return "attn_scores";
     case OpCode::kSegmentSoftmax:
       return "segment_softmax";
-    case OpCode::kEdgeMessages:
-      return "edge_messages";
-    case OpCode::kSegmentSum:
-      return "segment_sum";
+    case OpCode::kEdgeAggregate:
+      return "edge_aggregate";
     case OpCode::kBiasAct:
       return "bias_act";
   }
@@ -75,6 +73,27 @@ void BiasActSweep(const float* PRIVIM_RESTRICT bias, Activation act,
   }
 }
 
+// The attention aggregation out[adst[e]] += alpha[e] * t[asrc[e]], edges
+// ascending. The tape rounds each scaled message to float (MulColBroadcast
+// of the gathered row) and then adds the messages per destination in edge
+// order (SegmentSum); this sweep performs that multiply and that add in
+// that order, and -ffp-contract=off keeps them two roundings, so the sums
+// are bit-identical without the (edges x d) message buffer.
+PRIVIM_VEC_CLONES
+void EdgeAggregateKernel(int64_t num_edges, int64_t d,
+                         const int32_t* PRIVIM_RESTRICT asrc,
+                         const int32_t* PRIVIM_RESTRICT adst,
+                         const float* PRIVIM_RESTRICT alpha,
+                         const float* PRIVIM_RESTRICT t,
+                         float* PRIVIM_RESTRICT out) {
+  for (int64_t e = 0; e < num_edges; ++e) {
+    const float s = alpha[e];
+    const float* PRIVIM_RESTRICT trow = t + static_cast<int64_t>(asrc[e]) * d;
+    float* PRIVIM_RESTRICT orow = out + static_cast<int64_t>(adst[e]) * d;
+    for (int64_t j = 0; j < d; ++j) orow[j] += s * trow[j];
+  }
+}
+
 }  // namespace
 
 Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
@@ -91,6 +110,10 @@ Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
         "feature matrix has " + std::to_string(features.cols()) +
         " columns but the compiled model expects input_dim = " +
         std::to_string(input_dim_));
+  }
+  if ((ctx.parts & context_parts_) != context_parts_) {
+    return Status::InvalidArgument(
+        "graph context lacks operators the compiled program reads");
   }
   const int64_t n = ctx.num_nodes;
   const int64_t num_edges = static_cast<int64_t>(ctx.attention_src.size());
@@ -182,26 +205,13 @@ Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
         break;
       }
 
-      case OpCode::kEdgeMessages: {
-        // Tape: MulColBroadcast(alpha, GatherRows(t, asrc)) — alpha scales
-        // the gathered row; same multiply, no intermediate gather buffer.
-        const Tensor& alpha = slots[static_cast<size_t>(in.src0)];
+      case OpCode::kEdgeAggregate: {
         const Tensor& t = slots[static_cast<size_t>(in.src1)];
-        const int32_t* asrc = ctx.attention_src.data();
-        const int64_t d = t.cols();
-        for (int64_t e = 0; e < num_edges; ++e) {
-          const float s = alpha.at(e, 0);
-          const float* PRIVIM_RESTRICT trow =
-              t.data() + static_cast<int64_t>(asrc[e]) * d;
-          float* PRIVIM_RESTRICT orow = dst.data() + e * d;
-          for (int64_t j = 0; j < d; ++j) orow[j] = s * trow[j];
-        }
-        break;
-      }
-
-      case OpCode::kSegmentSum: {
-        SegmentSumValuesInto(slots[static_cast<size_t>(in.src0)],
-                             ctx.attention_dst.data(), &dst);
+        dst.Fill(0.0f);
+        EdgeAggregateKernel(num_edges, t.cols(), ctx.attention_src.data(),
+                            ctx.attention_dst.data(),
+                            slots[static_cast<size_t>(in.src0)].data(),
+                            t.data(), dst.data());
         break;
       }
 

@@ -16,9 +16,17 @@
 // are bit-identical to the tape under the repo-wide -ffp-contract=off
 // contract (pinned by tests/nn/infer_checker_test.cpp at exact match).
 //
+// Attention aggregation is one sweep too: the tape gathers every edge's
+// source row, scales it by alpha and segment-sums the (edges x hidden)
+// messages; kEdgeAggregate adds each scaled row straight into its
+// destination, in the same edge order, so no per-edge hidden-width buffer
+// exists. Edge-domain buffers are therefore one column wide.
+//
 // Buffers are typed by row domain — kNodes (n rows) or kEdges (one row per
 // attention edge) — with a fixed column count; actual row counts bind to
 // the GraphContext at Execute() time, so one program serves any graph.
+// A program reads only some of a context's operators (context_parts());
+// callers that build a context just to execute it build only those.
 
 #ifndef PRIVIM_NN_INFER_PROGRAM_H_
 #define PRIVIM_NN_INFER_PROGRAM_H_
@@ -42,8 +50,7 @@ enum class OpCode {
   kGinMix,          ///< dst = src0 + src1 * (1 + omega), omega = *scalar_param
   kAttnScores,      ///< dst[e] = lrelu(src0[asrc[e]] + src1[adst[e]], scalar)
   kSegmentSoftmax,  ///< dst = softmax of src0 within `segments`
-  kEdgeMessages,    ///< dst[e] = src0[e] * src1[asrc[e]] (alpha-scaled rows)
-  kSegmentSum,      ///< dst[v] = sum of src0 rows with attention_dst == v
+  kEdgeAggregate,   ///< dst[adst[e]] += src0[e] * src1[asrc[e]], e ascending
   kBiasAct,         ///< dst = act(src0 + bias row)
 };
 
@@ -106,6 +113,10 @@ class InferProgram {
                  Scratch* scratch, Tensor* out,
                  const StepObserver& observer = nullptr) const;
 
+  /// The GraphContext::Part bits Execute() reads; a context built with at
+  /// least these runs the program.
+  uint32_t context_parts() const { return context_parts_; }
+
   const std::vector<Instr>& instructions() const { return instrs_; }
   /// Slot 0 is the input feature matrix; the rest are intermediates.
   const std::vector<BufferSpec>& buffers() const { return buffers_; }
@@ -119,6 +130,7 @@ class InferProgram {
   std::vector<BufferSpec> buffers_;
   int64_t input_dim_ = 0;
   int output_slot_ = -1;
+  uint32_t context_parts_ = 0;
 };
 
 }  // namespace infer

@@ -168,19 +168,6 @@ void SegmentSoftmaxValuesInto(const Tensor& scores, const int32_t* segments,
   }
 }
 
-void SegmentSumValuesInto(const Tensor& x, const int32_t* segments,
-                          Tensor* out) {
-  assert(x.cols() == out->cols());
-  const int64_t d = x.cols();
-  out->Fill(0.0f);
-  for (int64_t e = 0; e < x.rows(); ++e) {
-    const float* PRIVIM_RESTRICT xrow = x.data() + e * d;
-    float* PRIVIM_RESTRICT orow =
-        out->data() + static_cast<int64_t>(segments[e]) * d;
-    for (int64_t j = 0; j < d; ++j) orow[j] += xrow[j];
-  }
-}
-
 Variable MatMul(const Variable& a, const Variable& b) {
   assert(a.cols() == b.rows());
   return Variable::MakeOp(
@@ -546,8 +533,16 @@ Variable SegmentSum(const Variable& x, std::span<const int32_t> segments,
                     int64_t num_segments) {
   assert(static_cast<size_t>(x.rows()) == segments.size());
   const int64_t d = x.cols();
-  Tensor out = Tensor::Uninitialized(num_segments, d);
-  SegmentSumValuesInto(x.value(), segments.data(), &out);
+  // Edges accumulate in increasing-index order; the compiled program's
+  // kEdgeAggregate (nn/infer) relies on this order for bit-identity.
+  Tensor out = Tensor::Zeros(num_segments, d);
+  const float* xdata = x.value().data();
+  for (int64_t e = 0; e < x.rows(); ++e) {
+    const float* PRIVIM_RESTRICT xrow = xdata + e * d;
+    float* PRIVIM_RESTRICT orow =
+        out.data() + static_cast<int64_t>(segments[e]) * d;
+    for (int64_t j = 0; j < d; ++j) orow[j] += xrow[j];
+  }
   return Variable::MakeOp(
       std::move(out), x, [segs = segments.data()](VariableNode* node) {
         VariableNode* parent = node->parents[0].get();

@@ -140,12 +140,6 @@ void SpMMValuesInto(const SparseMatrix& sparse, const Tensor& x, Tensor* y);
 void SegmentSoftmaxValuesInto(const Tensor& scores, const int32_t* segments,
                               int64_t num_segments, Tensor* out);
 
-/// Per-segment row sums of the (E x d) `x` into `out` (shaped
-/// num_segments x d; previous contents are overwritten). Exactly the
-/// SegmentSum forward, accumulating edges in increasing-index order.
-void SegmentSumValuesInto(const Tensor& x, const int32_t* segments,
-                          Tensor* out);
-
 // ---------------------------------------------------------------------------
 // Segment ops (edge-level attention)
 // ---------------------------------------------------------------------------

@@ -125,10 +125,7 @@ Result<Tensor> ServingAssets::Scores() const {
           "method=model top-k need --model");
     } else if (engine_ != nullptr) {
       obs::TraceSpan span("serve.forward");
-      const GraphContext ctx = GraphContext::Build(*graph_);
-      const Tensor features =
-          BuildNodeFeatures(*graph_, model_->config().input_dim);
-      const Status status = engine_->Forward(ctx, features, &scores_);
+      const Status status = engine_->ForwardGraph(*graph_, &scores_);
       if (status.ok()) {
         CountFusedForward();
       } else {

@@ -229,6 +229,10 @@ void NetServer::BeginDrain() {
   draining_ = true;
   drain_start_seconds_ = clock_.ElapsedSeconds();
   if (listen_fd_ >= 0) {
+    // A connection that completed its handshake after this round's wait
+    // sits in the accept queue, established client-side; closing the
+    // listen socket would reset it. Take the whole queue in first.
+    AcceptNewConnections();
     poller_->Remove(listen_fd_);
     ::close(listen_fd_);
     listen_fd_ = -1;

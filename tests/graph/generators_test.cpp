@@ -1,6 +1,7 @@
 #include "privim/graph/generators.h"
 
 #include <algorithm>
+#include <ostream>
 
 #include "gtest/gtest.h"
 #include "privim/graph/traversal.h"
@@ -130,6 +131,13 @@ struct GeneratorCase {
   int64_t nodes;
   int64_t param;
 };
+
+// Without this, gtest names each case by the raw bytes of the struct, and
+// the `name` pointer's bytes change with address-space randomisation on
+// every test-discovery run.
+void PrintTo(const GeneratorCase& c, std::ostream* os) {
+  *os << "nodes=" << c.nodes << " m=" << c.param;
+}
 
 class GeneratorSweepTest : public ::testing::TestWithParam<GeneratorCase> {};
 

@@ -119,6 +119,62 @@ TEST(InferCheckerTest, PerOpReportCoversEveryInstructionWithZeroDiff) {
   EXPECT_NE(report->ToString().find("end-to-end"), std::string::npos);
 }
 
+// --- Program shape: the compiled program never holds a per-edge buffer
+// wider than one column, and it names exactly the context operators it
+// reads. ------------------------------------------------------------------
+
+TEST(InferCheckerTest, NoProgramAllocatesAnEdgeByHiddenBuffer) {
+  for (const GnnKind kind : kAllKinds) {
+    const std::shared_ptr<const GnnModel> model = RandomModel(kind, 3, 5);
+    const Result<infer::InferProgram> program =
+        infer::CompileForInference(*model);
+    ASSERT_TRUE(program.ok()) << program.status().message();
+    for (const infer::BufferSpec& buffer : program.value().buffers()) {
+      if (buffer.domain == infer::RowDomain::kEdges) {
+        EXPECT_EQ(buffer.cols, 1) << GnnKindToString(kind);
+      }
+    }
+  }
+}
+
+TEST(InferCheckerTest, ContextPartsAreExactlyWhatTheProgramReads) {
+  const struct {
+    GnnKind kind;
+    uint32_t parts;
+  } kCases[] = {
+      {GnnKind::kGcn, GraphContext::kGcnAdj},
+      {GnnKind::kSage, GraphContext::kMeanInAdj},
+      {GnnKind::kGat, GraphContext::kAttentionLists},
+      {GnnKind::kGrat, GraphContext::kAttentionLists},
+      {GnnKind::kGin, GraphContext::kSumInAdj},
+  };
+  const Graph graph = RandomGraph(3);
+  const GraphContext full = GraphContext::Build(graph);
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(GnnKindToString(c.kind));
+    const std::shared_ptr<const GnnModel> model = RandomModel(c.kind, 2, 6);
+    const Result<infer::InferProgram> program =
+        infer::CompileForInference(*model);
+    ASSERT_TRUE(program.ok()) << program.status().message();
+    ASSERT_EQ(program.value().context_parts(), c.parts);
+
+    const Tensor features =
+        BuildNodeFeatures(graph, model->config().input_dim);
+    infer::Scratch scratch;
+    Tensor want, got;
+    ASSERT_TRUE(program.value().Execute(full, features, &scratch, &want).ok());
+    const GraphContext minimal = GraphContext::Build(graph, c.parts);
+    ASSERT_TRUE(
+        program.value().Execute(minimal, features, &scratch, &got).ok());
+    EXPECT_TRUE(BitEqual(got, want));
+
+    const GraphContext lacking =
+        GraphContext::Build(graph, GraphContext::kAllParts & ~c.parts);
+    EXPECT_EQ(program.value().Execute(lacking, features, &scratch, &got).code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 // --- Thread invariance: engine outputs are bitwise identical at 1/4/8
 // worker threads, sequentially and under concurrent callers. -------------
 
@@ -313,6 +369,74 @@ TEST(InferCheckerTest, CompileRejectsUnknownParameterLayout) {
       infer::InferEngine::Create(exotic);
   ASSERT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kUnimplemented);
+}
+
+/// A GCN's parameters under a config that claims two more inputs than its
+/// first weight has rows: the tape would trip MatMul's shape assert.
+class MisshapenGcn : public GnnModel {
+ public:
+  explicit MisshapenGcn(const GnnModel& base) : GnnModel(base.config()) {
+    for (const Variable& parameter : base.parameters()) {
+      params_.push_back(Variable(parameter.value()));
+    }
+    config_.input_dim = base.config().input_dim + 2;
+  }
+
+  Variable Forward(const GraphContext& ctx,
+                   const Variable& features) const override {
+    return SpMM(ctx.gcn_adj, features);
+  }
+};
+
+// --- ScoreGraph: the one-shot scorer is the tape's bytes, and reports
+// every model it cannot run as a Status. ----------------------------------
+
+TEST(InferCheckerTest, ScoreGraphMatchesTapeForwardForEveryKind) {
+  for (const GnnKind kind : kAllKinds) {
+    for (uint64_t graph_seed = 0; graph_seed < 4; ++graph_seed) {
+      const std::shared_ptr<const GnnModel> model =
+          RandomModel(kind, 3, 500 + graph_seed);
+      const Graph graph = RandomGraph(graph_seed);
+      const Result<Tensor> scores = infer::ScoreGraph(*model, graph);
+      ASSERT_TRUE(scores.ok()) << scores.status().message();
+      const GraphContext ctx = GraphContext::Build(graph);
+      const Tensor features =
+          BuildNodeFeatures(graph, model->config().input_dim);
+      const Tensor want = model->Forward(ctx, Variable(features)).value();
+      EXPECT_TRUE(BitEqual(scores.value(), want))
+          << GnnKindToString(kind) << " graph_seed=" << graph_seed;
+    }
+  }
+}
+
+TEST(InferCheckerTest, ScoreGraphRejectsDivergentForward) {
+  const std::shared_ptr<const GnnModel> base =
+      RandomModel(GnnKind::kGcn, 2, 77);
+  const TanhHeadGcn exotic(*base);
+  const Result<Tensor> scores = infer::ScoreGraph(exotic, RandomGraph(0));
+  ASSERT_FALSE(scores.ok());
+  EXPECT_EQ(scores.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(scores.status().message().find("diverged"), std::string::npos)
+      << scores.status().message();
+}
+
+TEST(InferCheckerTest, ScoreGraphRejectsUnknownParameterLayout) {
+  const std::shared_ptr<const GnnModel> base =
+      RandomModel(GnnKind::kGcn, 1, 78);
+  const ExtraParamGcn exotic(*base);
+  EXPECT_EQ(infer::ScoreGraph(exotic, RandomGraph(1)).status().code(),
+            StatusCode::kUnimplemented);
+}
+
+TEST(InferCheckerTest, ScoreGraphReportsMisshapenModelAsStatus) {
+  const std::shared_ptr<const GnnModel> base =
+      RandomModel(GnnKind::kGcn, 2, 79);
+  const MisshapenGcn misshapen(*base);
+  const Result<Tensor> scores = infer::ScoreGraph(misshapen, RandomGraph(2));
+  ASSERT_FALSE(scores.ok());
+  EXPECT_EQ(scores.status().code(), StatusCode::kUnimplemented);
+  EXPECT_NE(scores.status().message().find("expected"), std::string::npos)
+      << scores.status().message();
 }
 
 TEST(InferCheckerTest, CreateRejectsNullModel) {

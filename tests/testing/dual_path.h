@@ -164,15 +164,15 @@ inline Tensor TapeReference(const infer::Instr& in,
                             ctx.num_nodes)
           .value();
     }
-    case infer::OpCode::kEdgeMessages:
-      return MulColBroadcast(
-                 s0, GatherRows(leaf(slots[static_cast<size_t>(in.src1)]),
-                                std::span<const int32_t>(ctx.attention_src)))
-          .value();
-    case infer::OpCode::kSegmentSum:
-      return SegmentSum(s0, std::span<const int32_t>(ctx.attention_dst),
+    case infer::OpCode::kEdgeAggregate: {
+      // models.cpp: alpha-scaled source rows, summed per destination.
+      const Variable messages = MulColBroadcast(
+          s0, GatherRows(leaf(slots[static_cast<size_t>(in.src1)]),
+                         std::span<const int32_t>(ctx.attention_src)));
+      return SegmentSum(messages, std::span<const int32_t>(ctx.attention_dst),
                         ctx.num_nodes)
           .value();
+    }
     case infer::OpCode::kBiasAct: {
       Variable y = AddRowBroadcast(s0, leaf(*in.bias));
       if (in.act == infer::Activation::kRelu) y = Relu(y);

@@ -31,14 +31,13 @@
 #include "privim/core/pipeline.h"
 #include "privim/diffusion/ic_model.h"
 #include "privim/dp/rdp_accountant.h"
-#include "privim/gnn/features.h"
-#include "privim/gnn/graph_context.h"
 #include "privim/gnn/serialization.h"
 #include "privim/graph/graph_io.h"
 #include "privim/im/celf.h"
 #include "privim/im/seed_selection.h"
 #include "privim/im/sketch/sketch_index.h"
 #include "privim/im/spread_oracle.h"
+#include "privim/nn/infer/engine.h"
 #include "privim/obs/export.h"
 #include "privim/obs/trace.h"
 
@@ -268,15 +267,12 @@ int CmdSelect(const Flags& flags) {
       LoadGnnModel(flags.GetString("model", "privim.model"));
   if (!model.ok()) return Fail(model.status());
 
-  const GraphContext ctx = GraphContext::Build(graph.value());
-  const Tensor features =
-      BuildNodeFeatures(graph.value(), model.value()->config().input_dim);
-  // Run (not Forward) so a model/graph shape mismatch surfaces as a clean
-  // error message instead of an assertion failure.
-  Result<Variable> scores = model.value()->Run(ctx, features);
+  // Scoring reports every failure as a Status, so a model the compiled
+  // program cannot run surfaces as a clean error, not an assertion.
+  Result<Tensor> scores = infer::ScoreGraph(*model.value(), graph.value());
   if (!scores.ok()) return Fail(scores.status());
   const std::vector<NodeId> seeds =
-      TopKSeeds(scores->value(), flags.GetInt("k", 50));
+      TopKSeeds(scores.value(), flags.GetInt("k", 50));
   for (NodeId v : seeds) std::printf("%d\n", v);
   return 0;
 }
