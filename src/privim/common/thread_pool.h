@@ -64,7 +64,7 @@ class ThreadPool {
   /// (0 = one per worker) and runs fn(chunk, begin, end) for each. The
   /// partition depends only on `count` and `max_chunks` — never on how many
   /// workers happen to be free — so callers can key per-chunk scratch state
-  /// (RNG streams, gradient buffers, model replicas) off `chunk` and stay
+  /// (RNG streams, gradient buffers, scratch buffers) off `chunk` and stay
   /// deterministic. The calling thread executes chunk 0 itself.
   void ParallelForChunks(
       size_t count, size_t max_chunks,

@@ -14,22 +14,19 @@
 
 namespace privim {
 
-Result<Variable> MaxCutLoss(const GnnModel& model, const GraphContext& ctx,
-                            const Tensor& features) {
-  if (features.rows() != ctx.num_nodes ||
-      features.cols() != model.config().input_dim) {
-    return Status::InvalidArgument("feature matrix shape mismatch");
+Result<Variable> MaxCutLoss(const Variable& scores, const GraphContext& ctx) {
+  if (scores.rows() != ctx.num_nodes || scores.cols() != 1) {
+    return Status::InvalidArgument("score column shape mismatch");
   }
   if (ctx.num_nodes == 0) return Status::InvalidArgument("empty graph");
 
-  const Variable p = model.Forward(ctx, Variable(features));  // n x 1
   if (ctx.arc_src.empty()) {
     // No arcs: the cut is identically zero; return a zero loss that still
-    // touches p so gradients are well-defined (and zero).
-    return Affine(Sum(p), 0.0f, 0.0f);
+    // touches the scores so gradients are well-defined (and zero).
+    return Affine(Sum(scores), 0.0f, 0.0f);
   }
-  const Variable pu = GatherRows(p, ctx.arc_src);
-  const Variable pv = GatherRows(p, ctx.arc_dst);
+  const Variable pu = GatherRows(scores, ctx.arc_src);
+  const Variable pv = GatherRows(scores, ctx.arc_dst);
   const Variable crossing =
       Add(Multiply(pu, Affine(pv, -1.0f, 1.0f)),
           Multiply(pv, Affine(pu, -1.0f, 1.0f)));
@@ -221,10 +218,8 @@ Result<MaxCutResult> RunPrivMaxCut(const Graph& train_graph,
   training.clip_bound = options.clip_bound;
   training.noise_multiplier = is_private ? result.noise_multiplier : 0.0;
   training.occurrence_bound = occurrence_bound;
-  training.loss_fn = [](const GnnModel& m, const GraphContext& ctx,
-                        const Tensor& features, const Subgraph&) {
-    return MaxCutLoss(m, ctx, features);
-  };
+  training.loss_fn = [](const Variable& scores, const GraphContext& ctx,
+                        const Subgraph&) { return MaxCutLoss(scores, ctx); };
   Result<TrainStats> stats =
       TrainDpGnn(model.value().get(), container, training, &rng);
   if (!stats.ok()) return stats.status();

@@ -21,10 +21,10 @@
 
 namespace privim {
 
-/// Negated normalized expected cut of the model's assignment probabilities;
-/// training minimizes it, i.e. maximizes the expected cut.
-Result<Variable> MaxCutLoss(const GnnModel& model, const GraphContext& ctx,
-                            const Tensor& features);
+/// Negated normalized expected cut of the model's (ctx.num_nodes x 1)
+/// assignment probabilities `scores`; training minimizes it, i.e.
+/// maximizes the expected cut.
+Result<Variable> MaxCutLoss(const Variable& scores, const GraphContext& ctx);
 
 /// Number of arcs (u, v) with assignment[u] != assignment[v]. For
 /// symmetrized (undirected) graphs this counts each undirected edge twice.

@@ -4,8 +4,7 @@
 
 namespace privim {
 
-Result<Variable> InfluenceLoss(const GnnModel& model, const GraphContext& ctx,
-                               const Tensor& features,
+Result<Variable> InfluenceLoss(const Variable& scores, const GraphContext& ctx,
                                const InfluenceLossOptions& options) {
   if (options.diffusion_steps < 1) {
     return Status::InvalidArgument("diffusion_steps must be >= 1");
@@ -13,18 +12,14 @@ Result<Variable> InfluenceLoss(const GnnModel& model, const GraphContext& ctx,
   if (options.lambda < 0.0f) {
     return Status::InvalidArgument("lambda must be >= 0");
   }
-  if (features.rows() != ctx.num_nodes ||
-      features.cols() != model.config().input_dim) {
-    return Status::InvalidArgument("feature matrix shape mismatch");
+  if (scores.rows() != ctx.num_nodes || scores.cols() != 1) {
+    return Status::InvalidArgument("score column shape mismatch");
   }
   if (ctx.num_nodes == 0) {
     return Status::InvalidArgument("empty graph");
   }
 
-  const Variable feature_var{features};
-  // p_u = phi(h_u): the model's probability of selecting u as a seed.
-  const Variable seed_probs = model.Forward(ctx, feature_var);  // n x 1
-
+  // scores[u] = p_u, the model's probability of selecting u as a seed.
   // Unroll the j-step diffusion upper bound of Theorem 2 / Eq. 4, with
   // H^{(0)} = p and p_hat_i = phi(A . H^{(i-1)}).
   const auto phi = [&options](const Variable& x) {
@@ -32,7 +27,7 @@ Result<Variable> InfluenceLoss(const GnnModel& model, const GraphContext& ctx,
                                                    : Clamp(x, 0.0f, 1.0f);
   };
   Variable not_influenced(Tensor::Ones(ctx.num_nodes, 1));
-  Variable step_probs = seed_probs;
+  Variable step_probs = scores;
   for (int64_t step = 0; step < options.diffusion_steps; ++step) {
     const Variable p_hat = phi(SpMM(ctx.influence_adj, step_probs));
     not_influenced =
@@ -43,8 +38,16 @@ Result<Variable> InfluenceLoss(const GnnModel& model, const GraphContext& ctx,
   const float inv_n = 1.0f / static_cast<float>(ctx.num_nodes);
   const Variable miss_term = Affine(Sum(not_influenced), inv_n, 0.0f);
   const Variable size_term =
-      Affine(Sum(seed_probs), options.lambda * inv_n, 0.0f);
+      Affine(Sum(scores), options.lambda * inv_n, 0.0f);
   return Add(miss_term, size_term);
+}
+
+Result<Variable> InfluenceLoss(const GnnModel& model, const GraphContext& ctx,
+                               const Tensor& features,
+                               const InfluenceLossOptions& options) {
+  Result<Variable> scores = model.Run(ctx, features);
+  if (!scores.ok()) return scores.status();
+  return InfluenceLoss(scores.value(), ctx, options);
 }
 
 }  // namespace privim

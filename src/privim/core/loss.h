@@ -49,10 +49,17 @@ struct InfluenceLossOptions {
   PhiKind phi = PhiKind::kOneMinusExpNeg;
 };
 
-/// Builds the Eq. 5 loss graph on top of `model`'s forward pass. `features`
-/// must be (ctx.num_nodes x model.config().input_dim). The returned scalar
-/// is ready for Backward(). Loss is normalized by the node count so the
-/// clipping bound C is comparable across subgraph sizes.
+/// Builds the Eq. 5 loss graph over the model's (ctx.num_nodes x 1) seed
+/// probabilities `scores`. The returned scalar is ready for Backward().
+/// Loss is normalized by the node count so the clipping bound C is
+/// comparable across subgraph sizes. DP-SGD passes a leaf holding the
+/// compiled forward's scores and hands the leaf's gradient to the
+/// program's reverse pass (core/trainer.cpp).
+Result<Variable> InfluenceLoss(const Variable& scores, const GraphContext& ctx,
+                               const InfluenceLossOptions& options);
+
+/// The same loss on top of `model`'s tape forward; `features` must be
+/// (ctx.num_nodes x model.config().input_dim).
 Result<Variable> InfluenceLoss(const GnnModel& model, const GraphContext& ctx,
                                const Tensor& features,
                                const InfluenceLossOptions& options);

@@ -49,14 +49,12 @@ std::vector<uint8_t> GenerateCommunityLabels(const Graph& graph,
   return labels;
 }
 
-Result<Variable> BinaryCrossEntropyLoss(const GnnModel& model,
+Result<Variable> BinaryCrossEntropyLoss(const Variable& scores,
                                         const GraphContext& ctx,
-                                        const Tensor& features,
                                         const Subgraph& subgraph,
                                         const std::vector<uint8_t>& labels) {
-  if (features.rows() != ctx.num_nodes ||
-      features.cols() != model.config().input_dim) {
-    return Status::InvalidArgument("feature matrix shape mismatch");
+  if (scores.rows() != ctx.num_nodes || scores.cols() != 1) {
+    return Status::InvalidArgument("score column shape mismatch");
   }
   if (ctx.num_nodes == 0) return Status::InvalidArgument("empty graph");
   Tensor y(ctx.num_nodes, 1);
@@ -68,11 +66,10 @@ Result<Variable> BinaryCrossEntropyLoss(const GnnModel& model,
     y.at(local, 0) = static_cast<float>(labels[global]);
   }
 
-  const Variable p = model.Forward(ctx, Variable(features));
   const Variable y_var{y};
-  const Variable bce =
-      Add(Multiply(y_var, Log(p)),
-          Multiply(Affine(y_var, -1.0f, 1.0f), Log(Affine(p, -1.0f, 1.0f))));
+  const Variable bce = Add(
+      Multiply(y_var, Log(scores)),
+      Multiply(Affine(y_var, -1.0f, 1.0f), Log(Affine(scores, -1.0f, 1.0f))));
   return Affine(Mean(bce), -1.0f, 0.0f);
 }
 
@@ -146,9 +143,10 @@ Result<NodeClassificationResult> RunPrivNodeClassification(
   training.clip_bound = options.clip_bound;
   training.noise_multiplier = is_private ? result.noise_multiplier : 0.0;
   training.occurrence_bound = occurrence_bound;
-  training.loss_fn = [&train_labels](const GnnModel& m, const GraphContext& c,
-                                     const Tensor& f, const Subgraph& sub) {
-    return BinaryCrossEntropyLoss(m, c, f, sub, train_labels);
+  training.loss_fn = [&train_labels](const Variable& scores,
+                                     const GraphContext& ctx,
+                                     const Subgraph& sub) {
+    return BinaryCrossEntropyLoss(scores, ctx, sub, train_labels);
   };
   Result<TrainStats> stats =
       TrainDpGnn(model.value().get(), container, training, &rng);

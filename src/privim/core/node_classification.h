@@ -27,11 +27,11 @@ namespace privim {
 std::vector<uint8_t> GenerateCommunityLabels(const Graph& graph,
                                              int64_t num_anchors, Rng* rng);
 
-/// Mean binary cross-entropy of the model's sigmoid output against
-/// `labels` restricted to the subgraph's nodes (via its global ids).
-Result<Variable> BinaryCrossEntropyLoss(const GnnModel& model,
+/// Mean binary cross-entropy of the model's (ctx.num_nodes x 1) sigmoid
+/// output `scores` against `labels` restricted to the subgraph's nodes
+/// (via its global ids).
+Result<Variable> BinaryCrossEntropyLoss(const Variable& scores,
                                         const GraphContext& ctx,
-                                        const Tensor& features,
                                         const Subgraph& subgraph,
                                         const std::vector<uint8_t>& labels);
 

@@ -11,7 +11,7 @@
 #include "privim/dp/sensitivity.h"
 #include "privim/gnn/features.h"
 #include "privim/nn/arena.h"
-#include "privim/nn/ops.h"
+#include "privim/nn/infer/engine.h"
 #include "privim/nn/optimizer.h"
 #include "privim/obs/metrics.h"
 #include "privim/obs/trace.h"
@@ -29,9 +29,10 @@ struct TrainMetrics {
   obs::Gauge* noise_sigma;
   obs::Histogram* grad_norm;
   obs::Histogram* iteration_s;
-  // Arena telemetry, summed over all worker pools. buffers/bytes/node_blocks
-  // are cumulative allocation counts — flat in the steady state (the
-  // allocation-regression test pins them); acquires/recycles keep counting.
+  // Arena telemetry, summed over all worker scratch pools.
+  // buffers/bytes/node_blocks are cumulative allocation counts — flat in
+  // the steady state (the allocation-regression test pins them);
+  // acquires/recycles keep counting.
   obs::Gauge* arena_buffers;
   obs::Gauge* arena_bytes;
   obs::Gauge* arena_node_blocks;
@@ -147,38 +148,40 @@ Result<TrainStats> TrainDpGnn(GnnModel* model,
     stats.mean_loss_last = options.resume->mean_loss_last;
   }
 
-  // Per-subgraph gradients are embarrassingly parallel: each batch member's
-  // forward/backward/clip runs against its own model replica (the autograd
-  // tape accumulates into the replica's parameter nodes, so workers never
-  // share mutable state), and the clipped gradients are reduced in fixed
-  // batch order below — the summed gradient entering the DP noise step is
-  // bit-identical at any thread count.
+  // The model is differentiated through its compiled program, compiled and
+  // probe-verified against its tape Forward() once per call. The program
+  // borrows the parameter tensors, which the optimizer updates in place
+  // between batches, so it stays valid for the whole run. The engine
+  // borrows the model without owning it.
+  Result<std::unique_ptr<infer::InferEngine>> engine =
+      infer::InferEngine::Create(std::shared_ptr<const GnnModel>(
+          std::shared_ptr<const GnnModel>(), model));
+  if (!engine.ok()) return engine.status();
+  const infer::InferProgram& program = engine.value()->program();
+
+  // Per-subgraph gradients are embarrassingly parallel: workers share the
+  // read-only model, each runs its batch members' forward/objective/reverse
+  // pass/clip in its own scratch, and the clipped gradients are reduced in
+  // fixed batch order below — the summed gradient entering the DP noise
+  // step is bit-identical at any thread count.
   ThreadPool& pool = GlobalThreadPool();
   size_t max_workers = 1;
   if (options.parallel && !ThreadPool::InWorkerThread()) {
     max_workers = std::min<size_t>(pool.num_threads(),
                                    static_cast<size_t>(options.batch_size));
   }
-  std::vector<std::unique_ptr<GnnModel>> replicas;
-  if (max_workers > 1) {
-    replicas.reserve(max_workers);
-    Rng replica_rng(0);  // init values are overwritten by CopyParametersFrom
-    for (size_t w = 0; w < max_workers; ++w) {
-      Result<std::unique_ptr<GnnModel>> replica =
-          CreateGnnModel(model->config(), &replica_rng);
-      if (!replica.ok()) return replica.status();
-      replicas.push_back(std::move(replica).value());
-    }
-  }
-  // One pool set per worker replica (pools are keyed to the replica, not the
-  // OS thread, so chunk->thread placement can vary freely): each chunk's
-  // tape builds and tears down under its replica's pools, and from the
-  // second pass over a subgraph shape on, every tensor and autograd node
-  // comes off a free list.
-  std::vector<std::unique_ptr<nn::MemoryPools>> worker_pools;
-  worker_pools.reserve(std::max<size_t>(max_workers, 1));
-  for (size_t w = 0; w < std::max<size_t>(max_workers, 1); ++w) {
-    worker_pools.push_back(std::make_unique<nn::MemoryPools>());
+  // One scratch per worker chunk (keyed to the chunk, not the OS thread, so
+  // chunk->thread placement can vary freely). Program slots, reverse-pass
+  // temporaries and the objective's tape all draw from its pools, so from
+  // the second pass over a subgraph shape on nothing touches the heap.
+  struct Worker {
+    infer::Scratch scratch;
+    Tensor scores;
+  };
+  std::vector<std::unique_ptr<Worker>> workers;
+  workers.reserve(max_workers);
+  for (size_t w = 0; w < max_workers; ++w) {
+    workers.push_back(std::make_unique<Worker>());
   }
 
   const TrainMetrics& metrics = Metrics();
@@ -199,53 +202,55 @@ Result<TrainStats> TrainDpGnn(GnnModel* model,
     WallTimer setup_timer;
     for (const int64_t index : batch) ensure_context(index);
     stats.setup_seconds += setup_timer.ElapsedSeconds();
-    // per_grad entries keep their capacity across iterations;
-    // FlattenGradientsInto below overwrites them in place.
+    // per_grad entries keep their capacity across iterations; the reverse
+    // pass below overwrites them in place.
     if (per_grad.size() != batch_count) per_grad.resize(batch_count);
     per_loss.assign(batch_count, 0.0);
     per_norm.assign(batch_count, 0.0);
 
-    auto subgraph_gradient = [&](GnnModel* worker_model,
-                                 size_t pos) -> Status {
+    auto subgraph_gradient = [&](Worker* worker, size_t pos) -> Status {
       const int64_t index = batch[pos];
-      for (const Variable& p : worker_model->parameters()) {
-        const_cast<Variable&>(p).ZeroGrad();
-      }
       const GraphContext& ctx = *contexts[static_cast<size_t>(index)];
-      const Tensor& feats = features[static_cast<size_t>(index)];
-      Result<Variable> loss =
-          options.loss_fn
-              ? options.loss_fn(*worker_model, ctx, feats,
-                                container.at(index))
-              : InfluenceLoss(*worker_model, ctx, feats, options.loss);
-      if (!loss.ok()) return loss.status();
-      per_loss[pos] = loss.value().value().at(0, 0);
-      loss.value().Backward();
+      PRIVIM_RETURN_NOT_OK(program.Execute(
+          ctx, features[static_cast<size_t>(index)], &worker->scratch,
+          &worker->scores));
       std::vector<float>& grad = per_grad[pos];
-      FlattenGradientsInto(worker_model->parameters(), &grad);
+      {
+        // The objective's tape lives and dies inside the worker's pools.
+        nn::ArenaScope scope(&worker->scratch.pools);
+        const Variable scores(worker->scores, /*requires_grad=*/true);
+        Result<Variable> loss =
+            options.loss_fn
+                ? options.loss_fn(scores, ctx, container.at(index))
+                : InfluenceLoss(scores, ctx, options.loss);
+        if (!loss.ok()) return loss.status();
+        per_loss[pos] = loss.value().value().at(0, 0);
+        loss.value().Backward();
+        if (scores.node()->grad_initialized) {
+          PRIVIM_RETURN_NOT_OK(program.Backward(ctx, scores.node()->grad,
+                                                &worker->scratch, &grad));
+        } else {
+          // An objective that ignores the scores: the tape would leave
+          // every parameter gradient unset, i.e. zero.
+          grad.assign(param_count, 0.0f);
+        }
+      }
       per_norm[pos] = ClipL2(&grad, options.clip_bound);  // Alg. 2 line 6
       return Status::OK();
     };
 
     if (max_workers <= 1) {
-      nn::ArenaScope scope(worker_pools[0].get());
       for (size_t pos = 0; pos < batch_count; ++pos) {
-        PRIVIM_RETURN_NOT_OK(subgraph_gradient(model, pos));
+        PRIVIM_RETURN_NOT_OK(subgraph_gradient(workers[0].get(), pos));
       }
     } else {
       std::vector<Status> chunk_status(max_workers, Status::OK());
       pool.ParallelForChunks(
           batch_count, max_workers,
           [&](size_t chunk, size_t begin, size_t end) {
-            GnnModel* worker_model = replicas[chunk].get();
-            nn::ArenaScope scope(worker_pools[chunk].get());
-            const Status sync = worker_model->CopyParametersFrom(*model);
-            if (!sync.ok()) {
-              chunk_status[chunk] = sync;
-              return;
-            }
             for (size_t pos = begin; pos < end; ++pos) {
-              const Status status = subgraph_gradient(worker_model, pos);
+              const Status status =
+                  subgraph_gradient(workers[chunk].get(), pos);
               if (!status.ok()) {
                 chunk_status[chunk] = status;
                 return;
@@ -292,12 +297,13 @@ Result<TrainStats> TrainDpGnn(GnnModel* model,
     metrics.iteration_s->Observe(iter_timer.ElapsedSeconds());
     uint64_t arena_buffers = 0, arena_bytes = 0, arena_nodes = 0;
     uint64_t arena_acquires = 0, arena_recycles = 0;
-    for (const auto& pools : worker_pools) {
-      arena_buffers += pools->tensors.buffers_allocated();
-      arena_bytes += pools->tensors.bytes_allocated();
-      arena_nodes += pools->nodes.blocks_allocated();
-      arena_acquires += pools->tensors.acquires();
-      arena_recycles += pools->tensors.recycles();
+    for (const auto& worker : workers) {
+      const nn::MemoryPools& pools = worker->scratch.pools;
+      arena_buffers += pools.tensors.buffers_allocated();
+      arena_bytes += pools.tensors.bytes_allocated();
+      arena_nodes += pools.nodes.blocks_allocated();
+      arena_acquires += pools.tensors.acquires();
+      arena_recycles += pools.tensors.recycles();
     }
     metrics.arena_buffers->Set(static_cast<double>(arena_buffers));
     metrics.arena_bytes->Set(static_cast<double>(arena_bytes));

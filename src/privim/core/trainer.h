@@ -22,17 +22,23 @@
 
 namespace privim {
 
-/// Per-subgraph training objective. The default is the Eq. 5 influence
-/// loss; the Sec. VI extensions (max-cut, node classification) plug in
-/// their own objectives through this hook. `subgraph` provides the
-/// local->global id mapping for objectives that need per-node supervision.
+/// Per-subgraph training objective over the model's (n x 1) output
+/// `scores`. The default is the Eq. 5 influence loss; the Sec. VI
+/// extensions (max-cut, node classification) plug in their own objectives
+/// through this hook. `subgraph` provides the local->global id mapping for
+/// objectives that need per-node supervision.
+///
+/// The trainer runs the model through its compiled program, hands the hook
+/// a leaf holding the scores, calls Backward() on the returned scalar and
+/// passes the leaf's gradient to the program's reverse pass. The objective
+/// must therefore depend on the model only through `scores`.
 ///
 /// Thread safety: with `DpSgdOptions::parallel` (the default) the hook is
-/// invoked concurrently from pool workers, each with its own model replica.
-/// The hook must not mutate shared state without synchronization; captured
-/// read-only data (label tables, option structs) is fine.
+/// invoked concurrently from pool workers, each with its own scratch
+/// buffers. The hook must not mutate shared state without synchronization;
+/// captured read-only data (label tables, option structs) is fine.
 using SubgraphLossFn = std::function<Result<Variable>(
-    const GnnModel& model, const GraphContext& ctx, const Tensor& features,
+    const Variable& scores, const GraphContext& ctx,
     const Subgraph& subgraph)>;
 
 /// Noise distribution added to the summed clipped gradients. PrivIM uses
@@ -85,10 +91,11 @@ struct DpSgdOptions {
   /// When set, overrides the Eq. 5 objective (the `loss` field is ignored).
   SubgraphLossFn loss_fn;
   /// Compute the batch's per-subgraph gradients on the global thread pool
-  /// (Alg. 2 lines 4-6), one model replica per worker chunk. The clipped
-  /// per-subgraph gradients are reduced in fixed batch order before the
-  /// noise step, so the result is bit-identical to the serial path at any
-  /// thread count and the privacy accounting is unchanged.
+  /// (Alg. 2 lines 4-6), one scratch per worker chunk over the shared
+  /// read-only model. The clipped per-subgraph gradients are reduced in
+  /// fixed batch order before the noise step, so the result is
+  /// bit-identical to the serial path at any thread count and the privacy
+  /// accounting is unchanged.
   bool parallel = true;
   /// When set, called after every completed iteration (before the
   /// fault-injection hook) with the state a snapshot needs.
@@ -109,6 +116,13 @@ struct TrainStats {
 };
 
 /// Trains `model` in place on the container. Deterministic in (*rng).
+/// Each subgraph's gradient comes from the model's compiled program
+/// (nn/infer): its forward, the objective on the tape over the scores, and
+/// the program's reverse pass — byte-equal to a tape Backward() through
+/// model.Forward(). Unimplemented when the model's parameter layout is not
+/// a known architecture, FailedPrecondition when its Forward() diverges
+/// from the compiled program on the probe graph; there is no tape
+/// fallback.
 Result<TrainStats> TrainDpGnn(GnnModel* model,
                               const SubgraphContainer& container,
                               const DpSgdOptions& options, Rng* rng);

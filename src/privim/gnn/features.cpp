@@ -1,5 +1,6 @@
 #include "privim/gnn/features.h"
 
+#include <cassert>
 #include <cmath>
 
 namespace privim {
@@ -20,6 +21,8 @@ uint64_t Mix(uint64_t x) {
 Tensor BuildNodeFeatures(const Graph& graph, int64_t dim,
                          const std::vector<NodeId>* global_ids,
                          uint64_t salt) {
+  assert(global_ids == nullptr ||
+         static_cast<int64_t>(global_ids->size()) == graph.num_nodes());
   Tensor features(graph.num_nodes(), dim);
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     const uint64_t identity =

@@ -20,7 +20,8 @@ namespace privim {
 /// Channels: [0]=1, [1]=log1p(out_degree)/2, [2]=log1p(in_degree)/2,
 /// [3..]=deterministic hash noise in [-0.5, 0.5] seeded by (node_salt + id).
 /// Passing the node's *global* id as salt keeps a node's features identical
-/// in every subgraph it appears in.
+/// in every subgraph it appears in; `global_ids`, when given, holds one id
+/// per node of `graph`.
 Tensor BuildNodeFeatures(const Graph& graph, int64_t dim,
                          const std::vector<NodeId>* global_ids = nullptr,
                          uint64_t salt = 0x5bd1e995u);

@@ -1,11 +1,11 @@
 // Buffer recycling for the autograd hot loop.
 //
-// DP-SGD training (Alg. 2) replays the same forward/backward tape over each
-// subgraph for every one of T iterations. Without pooling, every op heap-
-// allocates its value tensor, its gradient tensor, and a shared_ptr autograd
-// node — hundreds of mallocs per subgraph, multiplied by batch size and
-// iteration count. This header provides the two pools that make the steady
-// state allocation-free:
+// DP-SGD training (Alg. 2) replays the same compiled forward, objective tape
+// and reverse pass over each subgraph for every one of T iterations.
+// Without pooling, every buffer and every tape op heap-allocates (a tape op
+// its value tensor, its gradient tensor, and a shared_ptr autograd node) —
+// multiplied by batch size and iteration count. This header provides the
+// two pools that make the steady state allocation-free:
 //
 //  - TensorArena: size-class-bucketed free lists of std::vector<float>
 //    buffers. A Tensor constructed while an arena is active draws its
@@ -23,8 +23,8 @@
 // Activation is scoped and thread-local: `ArenaScope scope(&pools);` routes
 // all Tensor/node allocations on the current thread through `pools` until
 // the scope ends. Pools are single-threaded by contract — one scope, one
-// thread at a time (the trainer gives each model replica its own pool set,
-// so the same pool is never entered concurrently).
+// thread at a time (the trainer gives each worker chunk's scratch its own
+// pool set, so the same pool is never entered concurrently).
 //
 // Determinism: pooling only changes where bytes live, never what is
 // computed; all kernel summation orders are fixed elsewhere.
@@ -109,8 +109,8 @@ class NodePool {
   uint64_t blocks_allocated_ = 0;
 };
 
-/// A TensorArena and NodePool that travel together: one per model replica
-/// in the trainer, one per service for the serving forward pass.
+/// A TensorArena and NodePool that travel together: one per worker
+/// scratch in the trainer, one per service for the serving forward pass.
 struct MemoryPools {
   TensorArena tensors;
   NodePool nodes;

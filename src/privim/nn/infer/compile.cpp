@@ -1,5 +1,6 @@
 #include "privim/nn/infer/compile.h"
 
+#include <cassert>
 #include <string>
 #include <utility>
 #include <vector>
@@ -108,15 +109,46 @@ class ProgramBuilder {
     return in.dst;
   }
 
-  InferProgram Finish(int64_t input_dim, int output_slot) {
+  /// Seals the program. `model` is the one whose parameters the
+  /// instructions borrow; it fixes each parameter's offset in the flat
+  /// gradient.
+  InferProgram Finish(const GnnModel& model, int64_t input_dim,
+                      int output_slot) {
+    const std::vector<Variable>& params = model.parameters();
+    const auto grad_offset = [&params](const Tensor* param) -> int64_t {
+      if (param == nullptr) return -1;
+      int64_t offset = 0;
+      for (const Variable& p : params) {
+        if (&p.value() == param) return offset;
+        offset += p.value().size();
+      }
+      return -1;
+    };
     InferProgram program;
-    for (const Instr& in : instrs_) {
+    for (Instr& in : instrs_) {
       program.context_parts_ |= ContextPart(in);
+      in.weight_grad = grad_offset(in.weight);
+      in.bias_grad = grad_offset(in.bias);
+      in.scalar_grad = grad_offset(in.scalar_param);
+      // Param() only hands out the model's own parameter tensors.
+      assert((in.weight == nullptr) == (in.weight_grad < 0));
+      assert((in.bias == nullptr) == (in.bias_grad < 0));
+      assert((in.scalar_param == nullptr) == (in.scalar_grad < 0));
+      // Like the tape's requires_grad: a parameter or a reading of a slot
+      // that has one.
+      const auto reads_grad = [this](int slot) {
+        return slot >= 0 && buffers_[static_cast<size_t>(slot)].requires_grad;
+      };
+      buffers_[static_cast<size_t>(in.dst)].requires_grad =
+          in.weight != nullptr || in.bias != nullptr ||
+          in.scalar_param != nullptr || reads_grad(in.src0) ||
+          reads_grad(in.src1);
     }
     program.instrs_ = std::move(instrs_);
     program.buffers_ = std::move(buffers_);
     program.input_dim_ = input_dim;
     program.output_slot_ = output_slot;
+    program.parameter_count_ = ParameterCount(params);
     return program;
   }
 
@@ -304,7 +336,7 @@ Result<InferProgram> CompileForInference(const GnnModel& model) {
   const int out =
       accum.Dense(h, RowDomain::kNodes, head_w.value(), head_b.value(),
                   Activation::kSigmoid);
-  return accum.Finish(in_dim, out);
+  return accum.Finish(model, in_dim, out);
 }
 
 }  // namespace infer

@@ -12,9 +12,10 @@
 // but cannot see an overridden Forward(). Create() therefore runs a fixed
 // probe graph through both the fused program and the model's own tape
 // forward and requires bit-exact agreement; a model that diverges is
-// rejected with FailedPrecondition. ScoreGraph() returns that error to its
-// caller; the serving layer falls back to the tape path instead
-// (serve.infer.fallbacks counter).
+// rejected with FailedPrecondition. ScoreGraph() and TrainDpGnn (which
+// creates an engine once per call and differentiates through program())
+// return that error to their callers; the serving layer falls back to the
+// tape path instead (serve.infer.fallbacks counter).
 //
 // Batching correctness: the block-diagonal union preserves each request's
 // result bit-exactly because (a) every CSR row of the union touches only

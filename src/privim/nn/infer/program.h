@@ -1,12 +1,12 @@
-// Compiled inference programs: a released GNN as a fixed op sequence.
+// Compiled programs: a GNN as a fixed op sequence, run forward and back.
 //
-// Serving only needs forward passes, but GnnModel::Forward builds a full
-// autograd tape per call (heap-pooled since PR 5, yet still one shared_ptr
-// node + std::function pullback per op). An InferProgram is the tape-free
-// alternative: the model's layer structure is compiled once (compile.h)
-// into a flat instruction list over numbered buffer slots, and Execute()
-// replays it on a caller-owned Scratch whose buffers are recycled through
-// the PR 5 TensorArena — zero heap allocations in the steady state.
+// GnnModel::Forward builds a full autograd tape per call (heap-pooled, yet
+// still one shared_ptr node + std::function pullback per op). An
+// InferProgram is the tape-free alternative: the model's layer structure
+// is compiled once (compile.h) into a flat instruction list over numbered
+// buffer slots, and Execute() replays it on a caller-owned Scratch whose
+// buffers are recycled through the TensorArena — zero heap allocations in
+// the steady state. Backward() differentiates it the same way (below).
 //
 // Fusion: where the tape materializes MatMul, AddRowBroadcast and Relu as
 // three ops (three tensors, three nodes), kDense runs one matmul kernel
@@ -27,6 +27,25 @@
 // the GraphContext at Execute() time, so one program serves any graph.
 // A program reads only some of a context's operators (context_parts());
 // callers that build a context just to execute it build only those.
+//
+// Reverse pass: Backward() walks the instructions last to first over the
+// slots the forward left in the Scratch and writes the model's flat
+// parameter gradient (GnnModel::parameters() order, row-major per tensor)
+// — DP-SGD's per-subgraph gradient (core/trainer.cpp). Every pullback
+// performs the tape's float operations in the tape's order, so the
+// gradient is byte-equal to a tape Backward() followed by
+// FlattenGradientsInto (pinned by tests/nn/infer_checker_test.cpp):
+//   * a slot read by several instructions takes their contributions in
+//     reverse instruction order, which is the order the tape's post-order
+//     DFS delivers them (attention t: the gathered-row scatter, then the
+//     s_dst and s_src projections; SAGE h: the concat half, then the mean
+//     SpMM^T; GIN h: the (1 + omega) self term, then the sum SpMM^T);
+//   * where the tape accumulates a gradient by const reference (Add,
+//     AddRowBroadcast) it stores 0 + d, and so does the pullback here;
+//   * dot products keep the tape's precision (the float product widened
+//     to double in MulColBroadcast and ScaleByScalar, the per-segment
+//     double in SegmentSoftmax), and LeakyReLU's derivative is taken from
+//     the pre-activation score, recomputed with the forward's float add.
 
 #ifndef PRIVIM_NN_INFER_PROGRAM_H_
 #define PRIVIM_NN_INFER_PROGRAM_H_
@@ -74,6 +93,11 @@ struct Instr {
   const Tensor* weight = nullptr;        ///< kDense
   const Tensor* bias = nullptr;          ///< kDense (optional) / kBiasAct
   const Tensor* scalar_param = nullptr;  ///< kGinMix: the 1x1 omega
+  /// Where the borrowed parameters' gradients start in Backward()'s flat
+  /// vector; -1 when the instruction borrows no such parameter.
+  int64_t weight_grad = -1;
+  int64_t bias_grad = -1;
+  int64_t scalar_grad = -1;
   Activation act = Activation::kNone;
   AdjKind adj = AdjKind::kGcn;                   ///< kSpMM
   SegArray segments = SegArray::kAttentionDst;   ///< kSegmentSoftmax
@@ -85,14 +109,21 @@ enum class RowDomain { kNodes, kEdges };
 struct BufferSpec {
   RowDomain domain = RowDomain::kNodes;
   int64_t cols = 0;
+  /// The slot depends on a parameter, so Backward() computes its gradient
+  /// (the tape's requires_grad). False for the input features and for
+  /// anything computed from them alone.
+  bool requires_grad = false;
 };
 
-/// Preallocated execution state, reusable across Execute() calls. One
-/// Scratch may only run one Execute at a time; the engine (engine.h) leases
-/// them from a pool so concurrent requests never share one.
+/// Preallocated execution state, reusable across Execute() and Backward()
+/// calls. One Scratch may only run one call at a time; the engine
+/// (engine.h) leases them from a pool and the trainer gives each worker
+/// its own, so concurrent callers never share one.
 struct Scratch {
   nn::MemoryPools pools;
   std::vector<Tensor> slots;
+  std::vector<Tensor> grads;      ///< Backward(): per-slot gradients
+  std::vector<uint8_t> has_grad;  ///< Backward(): grads[s] is set
 };
 
 /// Called after each instruction with every slot computed so far (slot 0 is
@@ -113,9 +144,22 @@ class InferProgram {
                  Scratch* scratch, Tensor* out,
                  const StepObserver& observer = nullptr) const;
 
+  /// Reverse pass of the last Execute() on `scratch`, which must have run
+  /// over the same `ctx`. `dscores` is the gradient of the objective with
+  /// respect to the (n x 1) output; *grad receives the gradient of every
+  /// model parameter, flattened in GnnModel::parameters() order and
+  /// byte-equal to a tape Backward() + FlattenGradientsInto. Keeps *grad's
+  /// capacity and draws every temporary from the scratch's pools, so a
+  /// warm call allocates nothing.
+  Status Backward(const GraphContext& ctx, const Tensor& dscores,
+                  Scratch* scratch, std::vector<float>* grad) const;
+
   /// The GraphContext::Part bits Execute() reads; a context built with at
   /// least these runs the program.
   uint32_t context_parts() const { return context_parts_; }
+
+  /// Length of Backward()'s flat gradient: the model's scalar parameters.
+  int64_t parameter_count() const { return parameter_count_; }
 
   const std::vector<Instr>& instructions() const { return instrs_; }
   /// Slot 0 is the input feature matrix; the rest are intermediates.
@@ -131,6 +175,7 @@ class InferProgram {
   int64_t input_dim_ = 0;
   int output_slot_ = -1;
   uint32_t context_parts_ = 0;
+  int64_t parameter_count_ = 0;
 };
 
 }  // namespace infer

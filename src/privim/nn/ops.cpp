@@ -122,14 +122,37 @@ void SpMMTransposeKernel(int64_t rows, int64_t d,
   }
 }
 
-void SpMMTransposeAccumulate(const SparseMatrix& sp, const Tensor& g,
-                             Tensor* y) {
-  assert(sp.rows == g.rows() && sp.cols == y->rows() && g.cols() == y->cols());
-  SpMMTransposeKernel(sp.rows, g.cols(), sp.offsets.data(), sp.indices.data(),
-                      sp.values.data(), g.data(), y->data());
+}  // namespace
+
+void SpMMTransposeValuesInto(const SparseMatrix& sparse, const Tensor& g,
+                             Tensor* dx) {
+  assert(sparse.rows == g.rows() && sparse.cols == dx->rows() &&
+         g.cols() == dx->cols());
+  dx->Fill(0.0f);  // the kernel accumulates into its output
+  SpMMTransposeKernel(sparse.rows, g.cols(), sparse.offsets.data(),
+                      sparse.indices.data(), sparse.values.data(), g.data(),
+                      dx->data());
 }
 
-}  // namespace
+void SegmentSoftmaxGradInto(const Tensor& alpha, const Tensor& dalpha,
+                            const int32_t* segments, int64_t num_segments,
+                            Tensor* dscores) {
+  assert(alpha.cols() == 1 && dalpha.SameShape(alpha) &&
+         dscores->SameShape(alpha));
+  // Reused scratch; capacity persists across calls.
+  static thread_local std::vector<double> seg_dot;
+  seg_dot.assign(static_cast<size_t>(num_segments), 0.0);
+  const int64_t edge_count = alpha.rows();
+  for (int64_t e = 0; e < edge_count; ++e) {
+    seg_dot[segments[e]] +=
+        static_cast<double>(alpha.at(e, 0)) * dalpha.at(e, 0);
+  }
+  for (int64_t e = 0; e < edge_count; ++e) {
+    dscores->at(e, 0) =
+        alpha.at(e, 0) *
+        (dalpha.at(e, 0) - static_cast<float>(seg_dot[segments[e]]));
+  }
+}
 
 void SpMMValuesInto(const SparseMatrix& sparse, const Tensor& x, Tensor* y) {
   assert(sparse.cols == x.rows() && sparse.rows == y->rows() &&
@@ -484,8 +507,9 @@ Variable SpMM(std::shared_ptr<const SparseMatrix> sparse, const Variable& x) {
       std::move(out), x, [sp = sparse.get()](VariableNode* node) {
         VariableNode* parent = node->parents[0].get();
         if (!parent->requires_grad) return;
-        Tensor dx(parent->value.rows(), parent->value.cols());
-        SpMMTransposeAccumulate(*sp, node->grad, &dx);
+        Tensor dx = Tensor::Uninitialized(parent->value.rows(),
+                                          parent->value.cols());
+        SpMMTransposeValuesInto(*sp, node->grad, &dx);
         parent->AccumulateGrad(std::move(dx));
       });
   // The pullback reads the CSR through a raw pointer (to stay inside
@@ -510,21 +534,9 @@ Variable SegmentSoftmax(const Variable& scores,
       [segs = segments.data(), num_segments](VariableNode* node) {
         VariableNode* parent = node->parents[0].get();
         if (!parent->requires_grad) return;
-        const Tensor& alpha = node->value;
-        const Tensor& dalpha = node->grad;
-        static thread_local std::vector<double> seg_dot;
-        seg_dot.assign(static_cast<size_t>(num_segments), 0.0);
-        const int64_t edge_count = alpha.rows();
-        for (int64_t e = 0; e < edge_count; ++e) {
-          seg_dot[segs[e]] +=
-              static_cast<double>(alpha.at(e, 0)) * dalpha.at(e, 0);
-        }
-        Tensor ds = Tensor::Uninitialized(edge_count, 1);
-        for (int64_t e = 0; e < edge_count; ++e) {
-          ds.at(e, 0) = alpha.at(e, 0) *
-                        (dalpha.at(e, 0) -
-                         static_cast<float>(seg_dot[segs[e]]));
-        }
+        Tensor ds = Tensor::Uninitialized(node->value.rows(), 1);
+        SegmentSoftmaxGradInto(node->value, node->grad, segs, num_segments,
+                               &ds);
         parent->AccumulateGrad(std::move(ds));
       });
 }

@@ -140,6 +140,22 @@ void SpMMValuesInto(const SparseMatrix& sparse, const Tensor& x, Tensor* y);
 void SegmentSoftmaxValuesInto(const Tensor& scores, const int32_t* segments,
                               int64_t num_segments, Tensor* out);
 
+// The compiled program's reverse pass (nn/infer) shares these pullback
+// halves with the tape in the same way.
+
+/// dx = S^T * g into a caller-owned output (dx must be shaped sp.cols x
+/// g.cols; previous contents are overwritten). Exactly the SpMM pullback.
+void SpMMTransposeValuesInto(const SparseMatrix& sparse, const Tensor& g,
+                             Tensor* dx);
+
+/// The SegmentSoftmax pullback into `dscores` (shaped E x 1): from the
+/// softmax output `alpha` and its gradient `dalpha`, dscores_e = alpha_e *
+/// (dalpha_e - sum over e' in e's segment of alpha_e' * dalpha_e'), the
+/// segment sums accumulated in double.
+void SegmentSoftmaxGradInto(const Tensor& alpha, const Tensor& dalpha,
+                            const int32_t* segments, int64_t num_segments,
+                            Tensor* dscores);
+
 // ---------------------------------------------------------------------------
 // Segment ops (edge-level attention)
 // ---------------------------------------------------------------------------

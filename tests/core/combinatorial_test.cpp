@@ -41,7 +41,8 @@ TEST(MaxCutLossTest, MatchesAnalyticExpectedCut) {
   const GraphContext ctx = GraphContext::Build(graph);
   const Tensor features = BuildNodeFeatures(graph, 4);
   auto model = MakeModel(1);
-  Result<Variable> loss = MaxCutLoss(*model, ctx, features);
+  Result<Variable> loss =
+      MaxCutLoss(model->Forward(ctx, Variable(features)), ctx);
   ASSERT_TRUE(loss.ok());
   const float value = loss->value().at(0, 0);
   EXPECT_LE(value, 0.0f);
@@ -61,7 +62,8 @@ TEST(MaxCutLossTest, GradientsFlow) {
   const GraphContext ctx = GraphContext::Build(graph.value());
   const Tensor features = BuildNodeFeatures(graph.value(), 4);
   auto model = MakeModel(3);
-  Result<Variable> loss = MaxCutLoss(*model, ctx, features);
+  Result<Variable> loss =
+      MaxCutLoss(model->Forward(ctx, Variable(features)), ctx);
   ASSERT_TRUE(loss.ok());
   loss->Backward();
   double total = 0.0;
@@ -76,7 +78,8 @@ TEST(MaxCutLossTest, ArclessGraphGivesZeroLoss) {
   const GraphContext ctx = GraphContext::Build(graph.value());
   const Tensor features = BuildNodeFeatures(graph.value(), 4);
   auto model = MakeModel(4);
-  Result<Variable> loss = MaxCutLoss(*model, ctx, features);
+  Result<Variable> loss =
+      MaxCutLoss(model->Forward(ctx, Variable(features)), ctx);
   ASSERT_TRUE(loss.ok());
   EXPECT_FLOAT_EQ(loss->value().at(0, 0), 0.0f);
 }
@@ -85,7 +88,7 @@ TEST(MaxCutLossTest, RejectsShapeMismatch) {
   const Graph graph = MakeCycle(4);
   const GraphContext ctx = GraphContext::Build(graph);
   auto model = MakeModel(5);
-  EXPECT_FALSE(MaxCutLoss(*model, ctx, Tensor(4, 9)).ok());
+  EXPECT_FALSE(MaxCutLoss(Variable(Tensor(4, 9)), ctx).ok());
 }
 
 TEST(LocalSearchMaxCutTest, LocalOptimumCutsAtLeastHalfTheArcs) {

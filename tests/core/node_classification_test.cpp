@@ -90,10 +90,8 @@ TEST(BinaryCrossEntropyLossTest, PerfectAndWorstCaseOrdering) {
     agree[v] = p.value().at(v, 0) > 0.5f;
     disagree[v] = !agree[v];
   }
-  Result<Variable> low =
-      BinaryCrossEntropyLoss(*model, ctx, features, sub, agree);
-  Result<Variable> high =
-      BinaryCrossEntropyLoss(*model, ctx, features, sub, disagree);
+  Result<Variable> low = BinaryCrossEntropyLoss(p, ctx, sub, agree);
+  Result<Variable> high = BinaryCrossEntropyLoss(p, ctx, sub, disagree);
   ASSERT_TRUE(low.ok());
   ASSERT_TRUE(high.ok());
   EXPECT_LT(low->value().at(0, 0), high->value().at(0, 0));
@@ -109,8 +107,9 @@ TEST(BinaryCrossEntropyLossTest, RejectsBadLabels) {
   sub.local = graph;
   sub.global_ids = {0, 1, 9};  // out of range for a 3-label vector
   const std::vector<uint8_t> labels = {0, 1, 1};
-  EXPECT_FALSE(
-      BinaryCrossEntropyLoss(*model, ctx, features, sub, labels).ok());
+  EXPECT_FALSE(BinaryCrossEntropyLoss(model->Forward(ctx, Variable(features)),
+                                      ctx, sub, labels)
+                   .ok());
 }
 
 struct NcFixture {

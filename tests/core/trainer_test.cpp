@@ -2,9 +2,18 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "gtest/gtest.h"
+#include "privim/common/thread_pool.h"
+#include "privim/core/combinatorial.h"
+#include "privim/core/node_classification.h"
+#include "privim/dp/mechanisms.h"
+#include "privim/dp/sensitivity.h"
+#include "privim/gnn/features.h"
 #include "privim/graph/generators.h"
+#include "privim/nn/ops.h"
 #include "privim/sampling/dual_stage.h"
 
 namespace privim {
@@ -200,15 +209,232 @@ TEST(TrainDpGnnTest, CustomLossHookIsUsed) {
   options.iterations = 3;
   // The hook runs concurrently from pool workers (see SubgraphLossFn).
   std::atomic<int> calls{0};
-  options.loss_fn = [&calls](const GnnModel& m, const GraphContext& ctx,
-                             const Tensor& f, const Subgraph& sub) {
+  options.loss_fn = [&calls](const Variable& scores, const GraphContext& ctx,
+                             const Subgraph& sub) {
     ++calls;
     EXPECT_EQ(static_cast<int64_t>(sub.global_ids.size()), ctx.num_nodes);
-    return InfluenceLoss(m, ctx, f, InfluenceLossOptions());
+    return InfluenceLoss(scores, ctx, InfluenceLossOptions());
   };
   ASSERT_TRUE(
       TrainDpGnn(fixture.model.get(), fixture.container, options, &rng).ok());
   EXPECT_EQ(calls.load(), 3 * 8);  // iterations * batch_size
+}
+
+// --- TrainDpGnn differentiates through the compiled program; its result
+// must be the tape's: Alg. 2 replayed serially with a tape Backward()
+// through model.Forward() per subgraph (the loop perfbench's traced run
+// replays) reaches the same parameter bytes. ------------------------------
+
+enum class Objective { kInfluence, kBce, kMaxCut };
+
+const char* ObjectiveName(Objective objective) {
+  switch (objective) {
+    case Objective::kInfluence:
+      return "eq5";
+    case Objective::kBce:
+      return "bce";
+    case Objective::kMaxCut:
+      return "max-cut";
+  }
+  return "?";
+}
+
+Result<Variable> ObjectiveLoss(Objective objective, const Variable& scores,
+                               const GraphContext& ctx, const Subgraph& sub,
+                               const std::vector<uint8_t>& labels) {
+  switch (objective) {
+    case Objective::kInfluence:
+      return InfluenceLoss(scores, ctx, InfluenceLossOptions());
+    case Objective::kBce:
+      return BinaryCrossEntropyLoss(scores, ctx, sub, labels);
+    case Objective::kMaxCut:
+      return MaxCutLoss(scores, ctx);
+  }
+  return Status::InvalidArgument("unknown objective");
+}
+
+// Alg. 2 on the tape, one subgraph at a time, in TrainDpGnn's float order.
+Status ReplayOnTape(GnnModel* model, const SubgraphContainer& container,
+                    const DpSgdOptions& options, Objective objective,
+                    const std::vector<uint8_t>& labels, Rng* rng) {
+  const std::vector<Variable>& params = model->parameters();
+  const size_t count = static_cast<size_t>(ParameterCount(params));
+  SgdOptimizer optimizer(params, options.learning_rate);
+  const double noise_stddev =
+      options.noise_multiplier *
+      NodeSensitivity(options.clip_bound, options.occurrence_bound);
+  std::vector<float> summed(count), mean_grad(count), grad;
+  for (int64_t t = 0; t < options.iterations; ++t) {
+    const std::vector<int64_t> batch =
+        container.SampleBatch(options.batch_size, rng);
+    std::fill(summed.begin(), summed.end(), 0.0f);
+    for (const int64_t index : batch) {
+      const Subgraph& sub = container.at(index);
+      const GraphContext ctx = GraphContext::Build(sub.local);
+      const Tensor features = BuildNodeFeatures(
+          sub.local, model->config().input_dim, &sub.global_ids);
+      for (const Variable& p : params) const_cast<Variable&>(p).ZeroGrad();
+      Result<Variable> loss =
+          ObjectiveLoss(objective, model->Forward(ctx, Variable(features)),
+                        ctx, sub, labels);
+      if (!loss.ok()) return loss.status();
+      loss.value().Backward();
+      FlattenGradientsInto(params, &grad);
+      ClipL2(&grad, options.clip_bound);
+      for (size_t i = 0; i < count; ++i) summed[i] += grad[i];
+    }
+    if (noise_stddev > 0.0) AddGaussianNoise(&summed, noise_stddev, rng);
+    const float inv_batch = 1.0f / static_cast<float>(options.batch_size);
+    for (size_t i = 0; i < count; ++i) mean_grad[i] = summed[i] * inv_batch;
+    optimizer.Step(mean_grad);
+  }
+  for (const Variable& p : params) const_cast<Variable&>(p).ZeroGrad();
+  return Status::OK();
+}
+
+bool SameParameterBytes(const GnnModel& a, const GnnModel& b) {
+  const std::vector<Variable>& pa = a.parameters();
+  const std::vector<Variable>& pb = b.parameters();
+  if (pa.size() != pb.size()) return false;
+  for (size_t i = 0; i < pa.size(); ++i) {
+    const Tensor& x = pa[i].value();
+    const Tensor& y = pb[i].value();
+    if (!x.SameShape(y) ||
+        std::memcmp(x.data(), y.data(),
+                    static_cast<size_t>(x.size()) * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(TrainDpGnnTest, MatchesASerialTapeReplayForEveryKindAndObjective) {
+  for (const GnnKind kind : {GnnKind::kGcn, GnnKind::kSage, GnnKind::kGat,
+                             GnnKind::kGrat, GnnKind::kGin}) {
+    const TrainFixture fixture = MakeFixture(40, kind);
+    std::vector<uint8_t> labels;
+    for (NodeId v = 0; v < fixture.graph.num_nodes(); ++v) {
+      labels.push_back(static_cast<uint8_t>(v % 3 == 0));
+    }
+    for (const Objective objective :
+         {Objective::kInfluence, Objective::kBce, Objective::kMaxCut}) {
+      DpSgdOptions options = FastOptions();
+      options.iterations = 4;
+      options.noise_multiplier = 0.5;
+      if (objective != Objective::kInfluence) {
+        options.loss_fn = [objective, &labels](const Variable& scores,
+                                               const GraphContext& ctx,
+                                               const Subgraph& sub) {
+          return ObjectiveLoss(objective, scores, ctx, sub, labels);
+        };
+      }
+      Rng init_rng(0);
+      std::unique_ptr<GnnModel> replay =
+          CreateGnnModel(fixture.model->config(), &init_rng).value();
+      ASSERT_TRUE(replay->CopyParametersFrom(*fixture.model).ok());
+      Rng replay_rng(41);
+      ASSERT_TRUE(ReplayOnTape(replay.get(), fixture.container, options,
+                               objective, labels, &replay_rng)
+                      .ok());
+      ASSERT_FALSE(SameParameterBytes(*replay, *fixture.model));
+
+      for (const size_t threads : {size_t{1}, size_t{4}}) {
+        SetGlobalThreadPoolSize(threads);
+        std::unique_ptr<GnnModel> trained =
+            CreateGnnModel(fixture.model->config(), &init_rng).value();
+        ASSERT_TRUE(trained->CopyParametersFrom(*fixture.model).ok());
+        Rng rng(41);
+        const Result<TrainStats> stats =
+            TrainDpGnn(trained.get(), fixture.container, options, &rng);
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        EXPECT_TRUE(SameParameterBytes(*trained, *replay))
+            << GnnKindToString(kind) << " " << ObjectiveName(objective)
+            << " at " << threads << " threads";
+      }
+    }
+  }
+  SetGlobalThreadPoolSize(0);
+}
+
+// An objective that does not read the scores leaves the leaf without a
+// gradient; the tape would leave every parameter gradient unset, so every
+// step is zero and, without noise, the model does not move.
+TEST(TrainDpGnnTest, ObjectiveIgnoringTheScoresGivesZeroGradients) {
+  const TrainFixture fixture = MakeFixture(46);
+  Rng init_rng(0);
+  std::unique_ptr<GnnModel> before =
+      CreateGnnModel(fixture.model->config(), &init_rng).value();
+  ASSERT_TRUE(before->CopyParametersFrom(*fixture.model).ok());
+  DpSgdOptions options = FastOptions();
+  options.iterations = 2;
+  options.loss_fn = [](const Variable&, const GraphContext&,
+                       const Subgraph&) -> Result<Variable> {
+    return Variable(Tensor::Scalar(0.25f));
+  };
+  Rng rng(47);
+  const Result<TrainStats> stats =
+      TrainDpGnn(fixture.model.get(), fixture.container, options, &rng);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_FLOAT_EQ(static_cast<float>(stats->mean_loss_last), 0.25f);
+  EXPECT_TRUE(SameParameterBytes(*fixture.model, *before));
+}
+
+/// A GCN's parameter layout with a tanh head: it compiles, but its Forward
+/// is not the compiled program, which only the probe forward can see.
+class TanhHeadGcn : public GnnModel {
+ public:
+  explicit TanhHeadGcn(const GnnModel& base) : GnnModel(base.config()) {
+    for (const Variable& parameter : base.parameters()) {
+      params_.push_back(Variable(parameter.value(), /*requires_grad=*/true));
+    }
+  }
+
+  Variable Forward(const GraphContext& ctx,
+                   const Variable& features) const override {
+    Variable h = features;
+    for (int64_t l = 0; l < config_.num_layers; ++l) {
+      h = Relu(AddRowBroadcast(
+          MatMul(SpMM(ctx.gcn_adj, h), params_[static_cast<size_t>(2 + 2 * l)]),
+          params_[static_cast<size_t>(3 + 2 * l)]));
+    }
+    return Tanh(AddRowBroadcast(MatMul(h, params_[0]), params_[1]));
+  }
+};
+
+/// One parameter more than any known architecture has.
+class ExtraParamGcn : public GnnModel {
+ public:
+  explicit ExtraParamGcn(const GnnModel& base) : GnnModel(base.config()) {
+    for (const Variable& parameter : base.parameters()) {
+      params_.push_back(Variable(parameter.value(), /*requires_grad=*/true));
+    }
+    params_.push_back(Variable(Tensor::Ones(3, 3), /*requires_grad=*/true));
+  }
+
+  Variable Forward(const GraphContext& ctx,
+                   const Variable& features) const override {
+    return SpMM(ctx.gcn_adj, features);
+  }
+};
+
+TEST(TrainDpGnnTest, RejectsAModelWhoseForwardDivergesFromItsProgram) {
+  const TrainFixture fixture = MakeFixture(42, GnnKind::kGcn);
+  TanhHeadGcn exotic(*fixture.model);
+  Rng rng(43);
+  const Result<TrainStats> stats =
+      TrainDpGnn(&exotic, fixture.container, FastOptions(), &rng);
+  EXPECT_EQ(stats.status().code(), StatusCode::kFailedPrecondition)
+      << stats.status().ToString();
+}
+
+TEST(TrainDpGnnTest, RejectsAnUnknownParameterLayout) {
+  const TrainFixture fixture = MakeFixture(44, GnnKind::kGcn);
+  ExtraParamGcn exotic(*fixture.model);
+  Rng rng(45);
+  const Result<TrainStats> stats =
+      TrainDpGnn(&exotic, fixture.container, FastOptions(), &rng);
+  EXPECT_EQ(stats.status().code(), StatusCode::kUnimplemented)
+      << stats.status().ToString();
 }
 
 }  // namespace

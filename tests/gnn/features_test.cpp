@@ -46,8 +46,8 @@ TEST(FeaturesTest, GlobalIdsGiveStableFeaturesAcrossSubgraphs) {
   const Graph graph = MakeStar(10);
   // Node 7 appears at local position 0 in one "subgraph" and position 2 in
   // another; with global ids passed, its hash channels must match.
-  const std::vector<NodeId> ids_a = {7, 1, 2};
-  const std::vector<NodeId> ids_b = {3, 4, 7};
+  const std::vector<NodeId> ids_a = {7, 1, 2, 0, 3, 4, 5, 6, 8, 9};
+  const std::vector<NodeId> ids_b = {3, 4, 7, 0, 1, 2, 5, 6, 8, 9};
   const Tensor fa = BuildNodeFeatures(graph, 8, &ids_a);
   const Tensor fb = BuildNodeFeatures(graph, 8, &ids_b);
   for (int64_t c = 3; c < 8; ++c) {

@@ -1,9 +1,11 @@
 // Checker harness for the fused inference engine (tests/testing/dual_path.h):
 // seeded randomized model/graph configurations driven down the compiled and
-// tape paths with per-op comparison, thread-count invariance for the
-// engine's forward passes, bit-identity of block-diagonal batching against
-// solo execution, and the engine's rejection of models it cannot prove
-// equivalent (exotic Forward overrides, unknown parameter layouts).
+// tape paths with per-op comparison, the reverse pass's gradients against a
+// tape Backward() for every objective DP-SGD trains, thread-count
+// invariance for the engine's forward passes, bit-identity of
+// block-diagonal batching against solo execution, and the engine's
+// rejection of models it cannot prove equivalent (exotic Forward
+// overrides, unknown parameter layouts).
 
 #include <cstring>
 #include <memory>
@@ -15,6 +17,9 @@
 #include "gtest/gtest.h"
 #include "privim/common/rng.h"
 #include "privim/common/thread_pool.h"
+#include "privim/core/combinatorial.h"
+#include "privim/core/loss.h"
+#include "privim/core/node_classification.h"
 #include "privim/gnn/features.h"
 #include "privim/gnn/graph_context.h"
 #include "privim/gnn/models.h"
@@ -117,6 +122,133 @@ TEST(InferCheckerTest, PerOpReportCoversEveryInstructionWithZeroDiff) {
   }
   EXPECT_EQ(report->MaxAbsDiff(), 0.0f) << report->ToString();
   EXPECT_NE(report->ToString().find("end-to-end"), std::string::npos);
+}
+
+// --- The reverse pass: per-subgraph DP-SGD gradients through the program
+// are the tape's bytes for every kind, depth, graph and objective. --------
+
+testing::ScoreObjective InfluenceObjective(
+    const InfluenceLossOptions& options) {
+  return [options](const Variable& scores, const GraphContext& ctx) {
+    return InfluenceLoss(scores, ctx, options);
+  };
+}
+
+TEST(InferCheckerTest, SixtyRandomizedConfigsHaveTheTapesGradients) {
+  int configs = 0;
+  for (const GnnKind kind : kAllKinds) {
+    for (int64_t layers = 1; layers <= 3; ++layers) {
+      for (uint64_t graph_seed = 0; graph_seed < 4; ++graph_seed) {
+        const uint64_t model_seed =
+            static_cast<uint64_t>(kind) * 100 +
+            static_cast<uint64_t>(layers) * 10 + graph_seed;
+        const std::shared_ptr<const GnnModel> model =
+            RandomModel(kind, layers, model_seed);
+        Result<testing::GradientReport> report = testing::RunGradientDualPath(
+            *model, RandomGraph(graph_seed),
+            InfluenceObjective(InfluenceLossOptions()));
+        ASSERT_TRUE(report.ok()) << report.status().message();
+        EXPECT_TRUE(report->exact && report->loss_exact)
+            << "kind=" << GnnKindToString(kind) << " layers=" << layers
+            << " graph_seed=" << graph_seed << "\n"
+            << report->ToString();
+        ++configs;
+      }
+    }
+  }
+  EXPECT_EQ(configs, 60);
+}
+
+TEST(InferCheckerTest, EveryObjectiveHasTheTapesGradients) {
+  struct Objective {
+    std::string name;
+    testing::ScoreObjective fn;
+  };
+  std::vector<Objective> objectives;
+  for (const int64_t steps : {int64_t{1}, int64_t{3}}) {
+    for (const PhiKind phi : {PhiKind::kOneMinusExpNeg, PhiKind::kClamp}) {
+      InfluenceLossOptions options;
+      options.diffusion_steps = steps;
+      options.phi = phi;
+      objectives.push_back(
+          {"eq5 j=" + std::to_string(steps) +
+               (phi == PhiKind::kClamp ? " clamp" : " 1-exp"),
+           InfluenceObjective(options)});
+    }
+  }
+  objectives.push_back(
+      {"bce", [](const Variable& scores, const GraphContext& ctx) {
+         Subgraph identity;
+         std::vector<uint8_t> labels;
+         for (NodeId v = 0; v < ctx.num_nodes; ++v) {
+           identity.global_ids.push_back(v);
+           labels.push_back(static_cast<uint8_t>(v % 3 == 0));
+         }
+         return BinaryCrossEntropyLoss(scores, ctx, identity, labels);
+       }});
+  objectives.push_back(
+      {"max-cut", [](const Variable& scores, const GraphContext& ctx) {
+         return MaxCutLoss(scores, ctx);
+       }});
+
+  GraphBuilder arcless_builder(9);
+  const Graph arcless = arcless_builder.Build().value();
+  const Graph graphs[] = {RandomGraph(1), RandomGraph(2), arcless};
+  for (const GnnKind kind : kAllKinds) {
+    for (size_t g = 0; g < 3; ++g) {
+      const std::shared_ptr<const GnnModel> model =
+          RandomModel(kind, 3, 900 + static_cast<uint64_t>(kind) * 10 + g);
+      for (const Objective& objective : objectives) {
+        Result<testing::GradientReport> report =
+            testing::RunGradientDualPath(*model, graphs[g], objective.fn);
+        ASSERT_TRUE(report.ok()) << report.status().message();
+        EXPECT_TRUE(report->exact && report->loss_exact)
+            << "kind=" << GnnKindToString(kind) << " graph=" << g
+            << " objective=" << objective.name << "\n"
+            << report->ToString();
+      }
+    }
+  }
+}
+
+// Backward() differentiates the forward its scratch holds; a scratch from
+// another graph (or none), a score gradient of the wrong shape and a context
+// without the program's operators are Status errors, not out-of-bounds
+// reads.
+TEST(InferCheckerTest, BackwardRejectsInputsThatDoNotMatchItsForward) {
+  const std::shared_ptr<const GnnModel> model =
+      RandomModel(GnnKind::kGat, 2, 31);
+  const Result<infer::InferProgram> program =
+      infer::CompileForInference(*model);
+  ASSERT_TRUE(program.ok()) << program.status().message();
+  const Graph graph = RandomGraph(1);
+  const GraphContext ctx = GraphContext::Build(graph);
+  const Tensor features = BuildNodeFeatures(graph, model->config().input_dim);
+  const Tensor dscores = Tensor::Ones(graph.num_nodes(), 1);
+  std::vector<float> grad;
+
+  infer::Scratch fresh;
+  EXPECT_EQ(program.value().Backward(ctx, dscores, &fresh, &grad).code(),
+            StatusCode::kFailedPrecondition);
+
+  infer::Scratch scratch;
+  Tensor out;
+  ASSERT_TRUE(program.value().Execute(ctx, features, &scratch, &out).ok());
+  const GraphContext other = GraphContext::Build(RandomGraph(2));
+  EXPECT_EQ(program.value().Backward(other, dscores, &scratch, &grad).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(program.value()
+                .Backward(ctx, Tensor::Ones(graph.num_nodes(), 2), &scratch,
+                          &grad)
+                .code(),
+            StatusCode::kInvalidArgument);
+  const GraphContext lacking =
+      GraphContext::Build(graph, GraphContext::kGcnAdj);
+  EXPECT_EQ(program.value().Backward(lacking, dscores, &scratch, &grad).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(program.value().Backward(ctx, dscores, &scratch, &grad).ok());
+  EXPECT_EQ(static_cast<int64_t>(grad.size()),
+            program.value().parameter_count());
 }
 
 // --- Program shape: the compiled program never holds a per-edge buffer
@@ -319,6 +451,11 @@ class TanhHeadGcn : public GnnModel {
       params_.push_back(Variable(parameter.value()));
     }
   }
+  /// Takes `params` as its parameters (e.g. trainable copies).
+  TanhHeadGcn(const GnnModel& base, std::vector<Variable> params)
+      : GnnModel(base.config()) {
+    params_ = std::move(params);
+  }
 
   Variable Forward(const GraphContext& ctx,
                    const Variable& features) const override {
@@ -359,6 +496,25 @@ TEST(InferCheckerTest, ProbeRejectsStructurallyValidButDivergentForward) {
   EXPECT_EQ(engine.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(engine.status().message().find("diverged"), std::string::npos)
       << engine.status().message();
+}
+
+// The gradient harness names where the two paths part: with a tanh head
+// the tape's gradient differs from the program's (sigmoid) one first in
+// the head weight, parameter 0.
+TEST(InferCheckerTest, GradientReportNamesTheFirstDifferingParameter) {
+  const std::shared_ptr<const GnnModel> base =
+      RandomModel(GnnKind::kGcn, 2, 77);
+  std::vector<Variable> trainable;
+  for (const Variable& p : base->parameters()) {
+    trainable.emplace_back(p.value(), /*requires_grad=*/true);
+  }
+  const TanhHeadGcn exotic(*base, trainable);
+  Result<testing::GradientReport> report = testing::RunGradientDualPath(
+      exotic, RandomGraph(1), InfluenceObjective(InfluenceLossOptions()));
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_FALSE(report->exact);
+  EXPECT_EQ(report->first_difference.rfind("parameter 0 (7x1) index ", 0), 0u)
+      << report->ToString();
 }
 
 TEST(InferCheckerTest, CompileRejectsUnknownParameterLayout) {

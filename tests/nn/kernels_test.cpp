@@ -1,7 +1,12 @@
 // Randomized correctness checks for the dense/sparse kernel specializations
 // (MatMulATB, MatMulABT, and the transposed-SpMM pullback) against naive
-// references, plus central-difference parity for the MatMul/SpMM pullbacks.
+// references — byte for byte at every register-panel width, including
+// zeros opposite non-finite entries — plus central-difference parity for
+// the MatMul/SpMM pullbacks.
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -117,6 +122,144 @@ TEST(KernelsTest, MatMulATBHandlesSparseInput) {
   }
   const Tensor b = RandomTensor(19, 13, 42);
   ExpectTensorsNear(MatMulATB(a, b), NaiveATB(a, b), 1e-6f);
+}
+
+// --- Byte-exact checks at every register-panel width. The kernels reduce
+// each output in fixed-width panels (and 8 outputs at a time for a
+// one-column product); the naive references above sum in the same order,
+// so the results must agree to the byte. Widths 1, 8, 16, 32 and 64 hit
+// each panel form; 21 = 16 + 1 x 5 leaves a tail no panel covers. --------
+
+bool SameBytes(const Tensor& got, const Tensor& want) {
+  return got.rows() == want.rows() && got.cols() == want.cols() &&
+         std::memcmp(got.data(), want.data(),
+                     static_cast<size_t>(want.size()) * sizeof(float)) == 0;
+}
+
+// ReLU-style sparsity: negative entries become +0, and every fifth entry
+// becomes -0 (a zero from a negative product), which must contribute
+// nothing either.
+Tensor SparseTensor(int64_t rows, int64_t cols, uint64_t seed) {
+  Tensor t = RandomTensor(rows, cols, seed);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    float& v = t.data()[i];
+    if (v < 0.0f) v = 0.0f;
+    if (i % 5 == 0) v = -0.0f;
+  }
+  return t;
+}
+
+const int64_t kPanelWidths[] = {1, 8, 16, 32, 64, 21};
+
+TEST(KernelsTest, MatMulValuesIsByteEqualToNaiveAtEveryPanelWidth) {
+  for (const int64_t width : kPanelWidths) {
+    for (const int64_t inner : {int64_t{1}, int64_t{9}, int64_t{32}}) {
+      const Tensor a = SparseTensor(19, inner, 100 + width);
+      const Tensor b = RandomTensor(inner, width, 200 + inner);
+      EXPECT_TRUE(SameBytes(MatMulValues(a, b), NaiveMatMul(a, b)))
+          << "width " << width << " inner " << inner;
+      Tensor into(a.rows(), width, 7.0f);  // stale contents are overwritten
+      MatMulValuesInto(a, b, &into);
+      EXPECT_TRUE(SameBytes(into, NaiveMatMul(a, b)));
+    }
+  }
+}
+
+TEST(KernelsTest, MatMulATBIsByteEqualToNaiveAtEveryPanelWidth) {
+  for (const int64_t width : kPanelWidths) {
+    for (const int64_t acols : {int64_t{1}, int64_t{8}, int64_t{19}}) {
+      const Tensor a = SparseTensor(23, acols, 300 + width);
+      const Tensor b = RandomTensor(23, width, 400 + acols);
+      EXPECT_TRUE(SameBytes(MatMulATB(a, b), NaiveATB(a, b)))
+          << "width " << width << " acols " << acols;
+    }
+  }
+}
+
+TEST(KernelsTest, MatMulABTIsByteEqualToNaiveAtEveryPanelWidth) {
+  for (const int64_t width : kPanelWidths) {
+    for (const int64_t inner : {int64_t{1}, int64_t{32}}) {
+      const Tensor a = SparseTensor(19, inner, 500 + width);
+      const Tensor b = RandomTensor(width, inner, 600 + inner);
+      EXPECT_TRUE(SameBytes(MatMulABT(a, b), NaiveABT(a, b)))
+          << "width " << width << " inner " << inner;
+    }
+  }
+}
+
+// A zero in `a` contributes nothing even where the opposite `b` entry is
+// inf or NaN (0 * inf would be NaN): exactly what skipping the zero gives.
+// A NaN in `a` still reaches its outputs.
+TEST(KernelsTest, ZeroOppositeNonFiniteContributesNothingAndNaNPropagates) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const auto zero_skip_matmul = [](const Tensor& a, const Tensor& b) {
+    Tensor c(a.rows(), b.cols());
+    for (int64_t i = 0; i < a.rows(); ++i) {
+      for (int64_t j = 0; j < b.cols(); ++j) {
+        float sum = 0.0f;
+        for (int64_t k = 0; k < a.cols(); ++k) {
+          if (a.at(i, k) == 0.0f) continue;
+          sum += a.at(i, k) * b.at(k, j);
+        }
+        c.at(i, j) = sum;
+      }
+    }
+    return c;
+  };
+  const auto zero_skip_atb = [](const Tensor& a, const Tensor& b) {
+    Tensor c(a.cols(), b.cols());
+    for (int64_t j = 0; j < a.cols(); ++j) {
+      for (int64_t l = 0; l < b.cols(); ++l) {
+        float sum = 0.0f;
+        for (int64_t i = 0; i < a.rows(); ++i) {
+          if (a.at(i, j) == 0.0f) continue;
+          sum += a.at(i, j) * b.at(i, l);
+        }
+        c.at(j, l) = sum;
+      }
+    }
+    return c;
+  };
+
+  for (const int64_t width : kPanelWidths) {
+    // a * b: row 3 of a is zero (+0 and -0) where b's rows carry inf/NaN.
+    Tensor a = SparseTensor(17, 6, 700 + width);
+    Tensor b = RandomTensor(6, width, 800 + width);
+    for (int64_t j = 0; j < width; ++j) {
+      b.at(2, j) = j % 2 == 0 ? inf : nan;
+      b.at(4, j) = -inf;
+    }
+    for (int64_t i = 0; i < a.rows(); ++i) {
+      a.at(i, 2) = i % 2 == 0 ? 0.0f : -0.0f;
+      a.at(i, 4) = 0.0f;
+    }
+    a.at(5, 1) = nan;
+    const Tensor c = MatMulValues(a, b);
+    EXPECT_TRUE(SameBytes(c, zero_skip_matmul(a, b))) << "width " << width;
+    for (int64_t j = 0; j < width; ++j) {
+      EXPECT_TRUE(std::isnan(c.at(5, j))) << "width " << width;
+      EXPECT_FALSE(std::isnan(c.at(6, j))) << "width " << width;
+    }
+
+    // a^T * b: column 1 of a is zero where b's rows carry inf/NaN.
+    Tensor at = SparseTensor(12, 9, 900 + width);
+    Tensor bt = RandomTensor(12, width, 1000 + width);
+    for (int64_t i = 0; i < at.rows(); i += 3) {
+      at.at(i, 1) = i % 2 == 0 ? 0.0f : -0.0f;
+      for (int64_t l = 0; l < width; ++l) bt.at(i, l) = l % 2 ? inf : nan;
+      for (int64_t j = 0; j < at.cols(); ++j) {
+        if (j != 1) at.at(i, j) = 0.0f;
+      }
+    }
+    at.at(1, 7) = nan;
+    const Tensor ct = MatMulATB(at, bt);
+    EXPECT_TRUE(SameBytes(ct, zero_skip_atb(at, bt))) << "width " << width;
+    for (int64_t l = 0; l < width; ++l) {
+      EXPECT_TRUE(std::isnan(ct.at(7, l))) << "width " << width;
+      EXPECT_FALSE(std::isnan(ct.at(1, l))) << "width " << width;
+    }
+  }
 }
 
 TEST(KernelsTest, TransposedSpMMPullbackMatchesNaive) {

@@ -16,6 +16,13 @@
 // contract is exact = true everywhere (shared kernels, -ffp-contract=off);
 // the tolerance fields exist so a failure report is quantitative — "step 3
 // dense diverged by 3e-7" reads very differently from "by 40.0".
+//
+// RunGradientDualPath() does the same for the reverse pass: one objective
+// over the model's scores, differentiated on the tape through
+// model.Forward() and through the program (Execute, the objective over a
+// leaf holding the scores, InferProgram::Backward), exactly as DP-SGD does.
+// The flat gradients and the losses must be byte-equal; a failure names the
+// first differing parameter and index.
 
 #ifndef PRIVIM_TESTS_TESTING_DUAL_PATH_H_
 #define PRIVIM_TESTS_TESTING_DUAL_PATH_H_
@@ -23,6 +30,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <span>
@@ -34,6 +42,7 @@
 #include "privim/gnn/graph_context.h"
 #include "privim/gnn/models.h"
 #include "privim/graph/graph.h"
+#include "privim/nn/autograd.h"
 #include "privim/nn/infer/compile.h"
 #include "privim/nn/infer/program.h"
 #include "privim/nn/ops.h"
@@ -221,6 +230,117 @@ inline Result<DualPathReport> RunDualPath(const GnnModel& model,
   internal::CompareTensors(fused, tape.value().value(),
                            &report.end_to_end_max_abs_diff,
                            &report.end_to_end_exact);
+  return report;
+}
+
+/// An objective over a model's (n x 1) scores, in the shape DP-SGD applies
+/// it (core/trainer.h's SubgraphLossFn without the subgraph).
+using ScoreObjective = std::function<Result<Variable>(
+    const Variable& scores, const GraphContext& ctx)>;
+
+struct GradientReport {
+  bool loss_exact = false;  ///< the two objective values are bitwise equal
+  bool exact = false;       ///< the two flat gradients are bitwise equal
+  float max_abs_diff = 0.0f;
+  /// "parameter P (RxC) index I: program X, tape Y" for the first
+  /// differing entry; empty when exact.
+  std::string first_difference;
+
+  std::string ToString() const {
+    std::ostringstream out;
+    out << "loss exact=" << (loss_exact ? "yes" : "NO")
+        << "  gradient exact=" << (exact ? "yes" : "NO")
+        << "  max_abs_diff=" << max_abs_diff;
+    if (!first_difference.empty()) out << "  first: " << first_difference;
+    return out.str();
+  }
+};
+
+/// Differentiates `objective` over `model` on `graph` down both paths and
+/// compares the flat parameter gradients and the losses bitwise. Errors
+/// from compilation, execution or the objective propagate.
+inline Result<GradientReport> RunGradientDualPath(
+    const GnnModel& model, const Graph& graph,
+    const ScoreObjective& objective) {
+  Result<infer::InferProgram> program = infer::CompileForInference(model);
+  if (!program.ok()) return program.status();
+  const GraphContext ctx = GraphContext::Build(graph);
+  const Tensor features = BuildNodeFeatures(graph, model.config().input_dim);
+  const std::vector<Variable>& params = model.parameters();
+  const auto zero_grads = [&params] {
+    for (const Variable& p : params) const_cast<Variable&>(p).ZeroGrad();
+  };
+
+  // The tape: the model's own Forward, the objective, Backward, flatten.
+  std::vector<float> want;
+  float tape_loss = 0.0f;
+  {
+    zero_grads();
+    Result<Variable> scores = model.Run(ctx, features);
+    if (!scores.ok()) return scores.status();
+    Result<Variable> loss = objective(scores.value(), ctx);
+    if (!loss.ok()) return loss.status();
+    tape_loss = loss.value().value().at(0, 0);
+    loss.value().Backward();
+    FlattenGradientsInto(params, &want);
+    zero_grads();
+  }
+
+  // The program: forward into a scratch, the objective over a leaf, and
+  // the reverse pass from the leaf's gradient.
+  std::vector<float> got;
+  float program_loss = 0.0f;
+  {
+    infer::Scratch scratch;
+    Tensor out;
+    PRIVIM_RETURN_NOT_OK(program.value().Execute(ctx, features, &scratch,
+                                                 &out));
+    const Variable leaf(out, /*requires_grad=*/true);
+    Result<Variable> loss = objective(leaf, ctx);
+    if (!loss.ok()) return loss.status();
+    program_loss = loss.value().value().at(0, 0);
+    loss.value().Backward();
+    if (leaf.node()->grad_initialized) {
+      PRIVIM_RETURN_NOT_OK(program.value().Backward(
+          ctx, leaf.node()->grad, &scratch, &got));
+    } else {
+      got.assign(want.size(), 0.0f);
+    }
+  }
+
+  GradientReport report;
+  report.loss_exact =
+      std::memcmp(&tape_loss, &program_loss, sizeof(float)) == 0;
+  report.exact = got.size() == want.size() &&
+                 std::memcmp(got.data(), want.data(),
+                             want.size() * sizeof(float)) == 0;
+  if (got.size() != want.size()) {
+    report.max_abs_diff = std::numeric_limits<float>::infinity();
+    report.first_difference = "program gradient has " +
+                              std::to_string(got.size()) +
+                              " entries, tape " + std::to_string(want.size());
+    return report;
+  }
+  size_t offset = 0;
+  for (size_t p = 0; p < params.size(); ++p) {
+    const Tensor& value = params[p].value();
+    for (int64_t i = 0; i < value.size(); ++i) {
+      const size_t at = offset + static_cast<size_t>(i);
+      const float diff = std::fabs(got[at] - want[at]);
+      if (diff > report.max_abs_diff || std::isnan(diff)) {
+        report.max_abs_diff = diff;
+      }
+      if (report.first_difference.empty() &&
+          std::memcmp(&got[at], &want[at], sizeof(float)) != 0) {
+        std::ostringstream first;
+        first << "parameter " << p << " (" << value.rows() << "x"
+              << value.cols() << ") index " << i << ": program " << got[at]
+              << ", tape " << want[at];
+        report.first_difference = first.str();
+      }
+    }
+    offset += static_cast<size_t>(value.size());
+  }
   return report;
 }
 
