@@ -2,54 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "privim/common/timer.h"
 #include "privim/dp/rdp_accountant.h"
-#include "privim/graph/traversal.h"
 #include "privim/im/seed_selection.h"
 #include "privim/nn/infer/engine.h"
-#include "privim/sampling/subgraph_container.h"
+#include "privim/sampling/random_walk.h"
 
 namespace privim {
-namespace {
 
-// Unconstrained RWR: uniform neighbor choice, no hop limit, no frequency
-// control — EGN's original subgraph sampling.
-Result<SubgraphContainer> SampleUnconstrained(const Graph& graph,
-                                              const EgnOptions& options,
-                                              double sampling_rate, Rng* rng) {
+Result<SubgraphContainer> SampleUnconstrainedWalks(const Graph& graph,
+                                                   const EgnOptions& options,
+                                                   double sampling_rate,
+                                                   Rng* rng) {
   SubgraphContainer container;
-  std::vector<NodeId> walk_nodes;
+  const WalkShape shape{options.subgraph_size, options.restart_probability,
+                        options.walk_length};
+  WalkScratch scratch;
+  WalkCounts counts;  // EGN reports no sampler counters
   for (NodeId v0 = 0; v0 < graph.num_nodes(); ++v0) {
     if (!rng->NextBernoulli(sampling_rate)) continue;
     if (graph.OutDegree(v0) + graph.InDegree(v0) == 0) continue;
-    walk_nodes.assign(1, v0);
-    std::unordered_set<NodeId> visited{v0};
-    NodeId current = v0;
-    for (int64_t step = 0; step < options.walk_length; ++step) {
-      if (rng->NextBernoulli(options.restart_probability)) current = v0;
-      const std::vector<NodeId> neighbors =
-          UndirectedNeighbors(graph, current);
-      if (neighbors.empty()) {
-        current = v0;
-        continue;
-      }
-      const NodeId next = neighbors[rng->NextBounded(neighbors.size())];
-      current = next;
-      if (visited.insert(next).second) walk_nodes.push_back(next);
-      if (static_cast<int64_t>(walk_nodes.size()) == options.subgraph_size) {
-        Result<Subgraph> sub = InducedSubgraph(graph, walk_nodes);
-        if (!sub.ok()) return sub.status();
-        container.Add(std::move(sub).value());
-        break;
-      }
+    if (!WalkWithRestart(graph, v0, shape, [](NodeId) { return true; }, rng,
+                         &scratch, &counts)) {
+      continue;
     }
+    Result<Subgraph> sub = InducedSubgraph(graph, scratch.nodes);
+    if (!sub.ok()) return sub.status();
+    container.Add(std::move(sub).value());
   }
   return container;
 }
-
-}  // namespace
 
 Result<PrivImResult> RunEgn(const Graph& train_graph, const Graph& eval_graph,
                             const EgnOptions& options, uint64_t seed) {
@@ -64,7 +47,7 @@ Result<PrivImResult> RunEgn(const Graph& train_graph, const Graph& eval_graph,
 
   WallTimer sampling_timer;
   Result<SubgraphContainer> sampled =
-      SampleUnconstrained(train_graph, options, q, &rng);
+      SampleUnconstrainedWalks(train_graph, options, q, &rng);
   if (!sampled.ok()) return sampled.status();
   SubgraphContainer container = std::move(sampled).value();
   result.sampling_seconds = sampling_timer.ElapsedSeconds();

@@ -12,6 +12,7 @@
 #define PRIVIM_BASELINES_EGN_H_
 
 #include "privim/core/pipeline.h"
+#include "privim/sampling/subgraph_container.h"
 
 namespace privim {
 
@@ -32,6 +33,16 @@ struct EgnOptions {
   double delta = 0.0;    ///< <= 0: 1 / |V_train|
   int64_t seed_set_size = 50;
 };
+
+/// EGN's original subgraph sampling: each node starts a walk with
+/// probability `sampling_rate` (one draw of `rng` per node, in id order),
+/// and the walk runs with restart on the undirected structure with a
+/// uniform neighbour choice, no hop limit and no frequency control. Walks
+/// draw from `rng` too, so they run serially.
+Result<SubgraphContainer> SampleUnconstrainedWalks(const Graph& graph,
+                                                   const EgnOptions& options,
+                                                   double sampling_rate,
+                                                   Rng* rng);
 
 /// Trains EGN on `train_graph`, scores and selects seeds on `eval_graph`.
 Result<PrivImResult> RunEgn(const Graph& train_graph, const Graph& eval_graph,

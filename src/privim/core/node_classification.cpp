@@ -36,12 +36,12 @@ std::vector<uint8_t> GenerateCommunityLabels(const Graph& graph,
   while (!queue.empty()) {
     const NodeId u = queue.front();
     queue.pop_front();
-    for (NodeId v : UndirectedNeighbors(graph, u)) {
-      if (distance[v] != -1) continue;
+    ForEachUndirectedNeighbor(graph, u, [&](NodeId v) {
+      if (distance[v] != -1) return;
       distance[v] = distance[u] + 1;
       labels[v] = labels[u];
       queue.push_back(v);
-    }
+    });
   }
   for (NodeId v = 0; v < n; ++v) {
     if (distance[v] == -1) labels[v] = rng->NextBernoulli(0.5);

@@ -52,9 +52,10 @@ Status PrivImOptions::Validate() const {
     return Status::InvalidArgument(
         "restart_probability (tau) must be in (0, 1]");
   }
-  if (sampling_rate > 1.0) {
+  if (!std::isfinite(sampling_rate) || sampling_rate > 1.0) {
     return Status::InvalidArgument(
-        "sampling_rate (q) must be <= 1 (<= 0 selects the 256/|V| default)");
+        "sampling_rate (q) must be finite and <= 1 (<= 0 selects the 256/|V| "
+        "default)");
   }
   if (walk_length < 1) {
     return Status::InvalidArgument("walk_length must be >= 1");

@@ -10,17 +10,22 @@
 
 namespace privim {
 
-Graph GraphBuilder::FromParts(int64_t num_nodes, bool undirected,
-                              graph_internal::CsrParts parts) {
+Graph Graph::FromCsr(int64_t num_nodes, graph_internal::CsrParts parts) {
   Graph graph;
   graph.num_nodes_ = num_nodes;
-  graph.undirected_ = undirected;
   graph.out_offsets_ = std::move(parts.out_offsets);
   graph.out_neighbors_ = std::move(parts.out_neighbors);
   graph.out_weights_ = std::move(parts.out_weights);
   graph.in_offsets_ = std::move(parts.in_offsets);
   graph.in_neighbors_ = std::move(parts.in_neighbors);
   graph.in_weights_ = std::move(parts.in_weights);
+  return graph;
+}
+
+Graph GraphBuilder::FromParts(int64_t num_nodes, bool undirected,
+                              graph_internal::CsrParts parts) {
+  Graph graph = Graph::FromCsr(num_nodes, std::move(parts));
+  graph.undirected_ = undirected;
   graph_internal::RecordBuildMetrics(
       static_cast<int64_t>(graph.out_neighbors_.size() * sizeof(NodeId) * 2 +
                            graph.out_weights_.size() * sizeof(float) * 2 +

@@ -98,6 +98,15 @@ class Graph {
   /// caller only iterates; this materializes a new vector per call.
   std::vector<Edge> ToEdgeList() const;
 
+  /// Adopts a finished CSR as a directed Graph, for code that writes both
+  /// directions itself (InducedSubgraph). Nothing is sorted, deduplicated,
+  /// validated or recorded in the build metrics, so `parts` must be what
+  /// GraphBuilder::Build() would produce from its arcs: offsets of
+  /// num_nodes + 1 entries, each out-row sorted by target with no duplicate
+  /// and no self-loop, and the in-CSR holding the same arcs and weights,
+  /// each in-row sorted by source.
+  static Graph FromCsr(int64_t num_nodes, graph_internal::CsrParts parts);
+
  private:
   friend class GraphBuilder;
 

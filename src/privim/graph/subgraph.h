@@ -25,7 +25,9 @@ struct Subgraph {
 
 /// Builds the subgraph of `graph` induced by `nodes` (duplicates ignored,
 /// order of first occurrence preserved). Arcs are kept when both endpoints
-/// are in the node set, weights carried over.
+/// are in the node set, weights carried over. The local graph is directed,
+/// with the CSR bytes GraphBuilder would build from those arcs. Costs
+/// O(|nodes| + the members' out-arcs): no sort, no GraphBuilder.
 Result<Subgraph> InducedSubgraph(const Graph& graph,
                                  const std::vector<NodeId>& nodes);
 

@@ -1,6 +1,5 @@
 #include "privim/graph/traversal.h"
 
-#include <algorithm>
 #include <deque>
 
 namespace privim {
@@ -27,20 +26,6 @@ std::vector<NodeId> RHopBall(const Graph& graph, NodeId source, int r) {
   return ball;
 }
 
-std::vector<NodeId> UndirectedNeighbors(const Graph& graph, NodeId v) {
-  const auto out = graph.OutNeighbors(v);
-  const auto in = graph.InNeighbors(v);
-  std::vector<NodeId> neighbors(out.begin(), out.end());
-  // Both spans are sorted; merge in the in-neighbors that are not already
-  // out-neighbors.
-  for (NodeId u : in) {
-    if (!std::binary_search(out.begin(), out.end(), u)) {
-      neighbors.push_back(u);
-    }
-  }
-  return neighbors;
-}
-
 std::vector<NodeId> UndirectedRHopBall(const Graph& graph, NodeId source,
                                        int r) {
   std::vector<NodeId> ball;
@@ -60,8 +45,7 @@ std::vector<NodeId> UndirectedRHopBall(const Graph& graph, NodeId source,
     const NodeId u = queue.front();
     queue.pop_front();
     if (distance[u] >= r) continue;
-    for (NodeId v : graph.OutNeighbors(u)) visit(u, v);
-    for (NodeId v : graph.InNeighbors(u)) visit(u, v);
+    ForEachUndirectedNeighbor(graph, u, [&](NodeId v) { visit(u, v); });
   }
   return ball;
 }
@@ -86,8 +70,7 @@ std::vector<NodeId> UndirectedRHopBall(const Graph& graph, NodeId source,
     queue.pop_front();
     const int32_t du = visits->Get(u);
     if (du >= r) continue;
-    for (NodeId v : graph.OutNeighbors(u)) visit(du, v);
-    for (NodeId v : graph.InNeighbors(u)) visit(du, v);
+    ForEachUndirectedNeighbor(graph, u, [&](NodeId v) { visit(du, v); });
   }
   return ball;
 }
@@ -122,16 +105,11 @@ ComponentInfo WeaklyConnectedComponents(const Graph& graph) {
     while (!queue.empty()) {
       const NodeId u = queue.front();
       queue.pop_front();
-      for (NodeId v : graph.OutNeighbors(u)) {
-        if (info.label[v] != -1) continue;
+      ForEachUndirectedNeighbor(graph, u, [&](NodeId v) {
+        if (info.label[v] != -1) return;
         info.label[v] = component;
         queue.push_back(v);
-      }
-      for (NodeId v : graph.InNeighbors(u)) {
-        if (info.label[v] != -1) continue;
-        info.label[v] = component;
-        queue.push_back(v);
-      }
+      });
     }
   }
   return info;

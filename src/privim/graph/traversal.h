@@ -4,6 +4,7 @@
 #ifndef PRIVIM_GRAPH_TRAVERSAL_H_
 #define PRIVIM_GRAPH_TRAVERSAL_H_
 
+#include <span>
 #include <vector>
 
 #include "privim/graph/graph.h"
@@ -31,9 +32,25 @@ std::vector<NodeId> UndirectedRHopBall(const Graph& graph, NodeId source,
 std::vector<NodeId> UndirectedRHopBall(const Graph& graph, NodeId source,
                                        int r, ShardedVisitMap* visits);
 
-/// Concatenated out- and in-neighbors of v, deduplicated for nodes that are
-/// both (i.e. reciprocal arcs contribute once).
-std::vector<NodeId> UndirectedNeighbors(const Graph& graph, NodeId v);
+/// Calls fn(u) for each neighbour u of v in the underlying undirected
+/// structure: the out-neighbours in CSR order, then each in-neighbour that
+/// is not also an out-neighbour (reciprocal arcs contribute once). Both
+/// lists are sorted, so one forward cursor over the out-list finds those
+/// in-neighbours without allocating. On a graph built undirected every
+/// in-neighbour is an out-neighbour (GraphBuilder inserts the reverse of
+/// every arc), so only the out-list is read.
+template <typename Fn>
+void ForEachUndirectedNeighbor(const Graph& graph, NodeId v, Fn&& fn) {
+  const std::span<const NodeId> out = graph.OutNeighbors(v);
+  for (NodeId u : out) fn(u);
+  if (graph.undirected()) return;
+  size_t cursor = 0;
+  for (NodeId u : graph.InNeighbors(v)) {
+    while (cursor < out.size() && out[cursor] < u) ++cursor;
+    if (cursor < out.size() && out[cursor] == u) continue;
+    fn(u);
+  }
+}
 
 /// BFS hop distance from `source` along out-arcs; -1 for unreachable nodes.
 std::vector<int> BfsDistances(const Graph& graph, NodeId source);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "privim/graph/subgraph.h"
 #include "privim/obs/metrics.h"
 #include "privim/obs/trace.h"
 
@@ -56,7 +55,11 @@ Result<DualStageResult> DualStageSampling(const Graph& graph,
     return result;
   }
 
-  // Stage 2: Boundary-Enhanced Sampling on the graph of unsaturated nodes.
+  // Stage 2: Boundary-Enhanced Sampling on the nodes stage 1 left
+  // unsaturated. Saturated nodes have e_v = 0 (Eq. 9), so the walks run on
+  // the parent graph and never enter them; the frequencies carry each node's
+  // stage-1 count, so the global cap of M occurrences holds across both
+  // stages.
   std::vector<NodeId> remaining;
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     if (result.frequency[v] < options.stage1.frequency_threshold) {
@@ -68,35 +71,15 @@ Result<DualStageResult> DualStageSampling(const Graph& graph,
     return result;
   }
 
-  Result<Subgraph> boundary = InducedSubgraph(graph, remaining);
-  if (!boundary.ok()) return boundary.status();
-  const Subgraph& boundary_graph = boundary.value();
-
-  // f* carries each remaining node's stage-1 count so the global cap of M
-  // occurrences still holds across both stages.
-  std::vector<int64_t> boundary_frequency(boundary_graph.num_nodes());
-  for (int64_t local = 0; local < boundary_graph.num_nodes(); ++local) {
-    boundary_frequency[local] =
-        result.frequency[boundary_graph.global_ids[local]];
-  }
-
   FreqSamplingOptions stage2 = options.stage1;
   stage2.subgraph_size = std::max<int64_t>(
       2, options.stage1.subgraph_size / options.boundary_divisor);
-  Result<std::vector<Subgraph>> stage2_subgraphs = FreqSampling(
-      boundary_graph.local, stage2, &boundary_frequency, rng);
+  Result<std::vector<Subgraph>> stage2_subgraphs = BoundaryFreqSampling(
+      graph, remaining, stage2, &result.frequency, rng);
   if (!stage2_subgraphs.ok()) return stage2_subgraphs.status();
-
-  // Remap stage-2 subgraphs from boundary-local ids to parent-graph ids and
-  // fold the stage-2 counts back into the global frequency vector.
-  for (Subgraph& sub : stage2_subgraphs.value()) {
-    for (NodeId& id : sub.global_ids) {
-      id = boundary_graph.global_ids[id];
-    }
-    for (NodeId global : sub.global_ids) ++result.frequency[global];
-    ++result.stage2_subgraphs;
-    result.container.Add(std::move(sub));
-  }
+  result.stage2_subgraphs =
+      static_cast<int64_t>(stage2_subgraphs.value().size());
+  result.container.Append(std::move(stage2_subgraphs).value());
   RecordDualStageMetrics(result, static_cast<int64_t>(remaining.size()));
   return result;
 }

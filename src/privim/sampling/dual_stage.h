@@ -3,11 +3,13 @@
 // Stage 1 — Sensitivity-Constrained Sampling (SCS): FreqSampling on the
 // full graph caps every node's occurrence count at M, replacing Lemma 1's
 // exponential N_g with N_g* = M.
-// Stage 2 — Boundary-Enhanced Sampling (BES): saturated nodes (f_v = M) are
-// removed, the remaining boundary graph G_re is rebuilt, and FreqSampling
-// runs again with subgraph size n/s. The combined container keeps the same
-// occurrence bound M, so BES adds structural signal at zero additional
-// privacy cost.
+// Stage 2 — Boundary-Enhanced Sampling (BES): FreqSampling runs again with
+// subgraph size n/s, on the boundary graph G_re of the nodes stage 1 left
+// unsaturated. G_re is never built: a saturated node (f_v = M) has Eq. 9's
+// zero weight, so walks on the full graph already exclude it, and G_re
+// survives only as the rank order that keys the stage-2 streams. The
+// combined container keeps the same occurrence bound M, so BES adds
+// structural signal at zero additional privacy cost.
 
 #ifndef PRIVIM_SAMPLING_DUAL_STAGE_H_
 #define PRIVIM_SAMPLING_DUAL_STAGE_H_

@@ -2,23 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <numeric>
 
 #include "privim/common/thread_pool.h"
-#include "privim/graph/traversal.h"
 #include "privim/obs/metrics.h"
 #include "privim/obs/trace.h"
+#include "privim/sampling/random_walk.h"
 
 namespace privim {
 namespace {
-
-// Alg. 3 observability tallies for one walk attempt. Task-local; folded
-// into the global counters in wave-commit order so totals are identical at
-// every thread count.
-struct FreqWalkTally {
-  int64_t restarts = 0;         // tau-restarts
-  int64_t saturated_steps = 0;  // steps where every neighbor hit the M cap
-};
 
 // Start nodes are processed in fixed-width waves; walks inside a wave run in
 // parallel against the frequencies committed before the wave. The width is a
@@ -26,59 +18,69 @@ struct FreqWalkTally {
 // the sampler's output, is identical at every thread count.
 constexpr int64_t kWaveWidth = 32;
 
-// One adaptive-frequency walk attempt from v0 (Alg. 3 inner loop). Reads
-// `frequency` but never writes it; returns the collected node set when the
-// walk reached `subgraph_size` unique nodes, empty otherwise.
-std::vector<NodeId> TryFreqWalk(const Graph& graph,
-                                const FreqSamplingOptions& options,
-                                const std::vector<int64_t>& frequency,
-                                NodeId v0, Rng* rng, FreqWalkTally* tally) {
-  // e_v of Eq. 9: inverse-polynomial in the running frequency, 0 once the
-  // node saturates the threshold M.
-  auto eligibility = [&](NodeId v) -> double {
-    const int64_t f = frequency[v];
-    if (f >= options.frequency_threshold) return 0.0;
-    return 1.0 / std::pow(static_cast<double>(f) + 1.0, options.decay);
-  };
-
-  std::vector<NodeId> walk_nodes{v0};
-  std::unordered_set<NodeId> visited{v0};
-  std::vector<NodeId> candidates;
-  std::vector<double> weights;
-  NodeId current = v0;
-  for (int64_t step = 0; step < options.walk_length; ++step) {
-    if (rng->NextBernoulli(options.restart_probability)) {
-      current = v0;
-      ++tally->restarts;
+// e_v of Eq. 9, which depends on f_v only through min(f_v, M): 1/(f+1)^mu
+// below the cap M, 0 from it on. One byte per node holds that level and a
+// table holds e at each level, so a walk step reads a byte and a table entry
+// instead of calling std::pow. A byte stops at kExactLevel: a node whose
+// level reaches it (possible only when M >= 255) reads its own e from
+// exact_, sized on first need. Every e comes from the same expression, so
+// each weight is the double the formula gives.
+class Eligibility {
+ public:
+  Eligibility(const std::vector<int64_t>& frequency, int64_t threshold,
+              double decay)
+      : threshold_(threshold), decay_(decay), level_(frequency.size()) {
+    table_.resize(std::min<int64_t>(threshold, kExactLevel - 1) + 1);
+    for (size_t f = 0; f < table_.size(); ++f) {
+      table_[f] = Of(static_cast<int64_t>(f));
     }
-    candidates.clear();
-    weights.clear();
-    // Walk the underlying undirected structure (see rwr_sampler.cpp).
-    for (NodeId u : UndirectedNeighbors(graph, current)) {
-      const double e = eligibility(u);
-      if (e > 0.0) {
-        candidates.push_back(u);
-        weights.push_back(e);
-      }
-    }
-    if (candidates.empty()) {
-      current = v0;  // every neighbor saturated: restart
-      ++tally->saturated_steps;
-      continue;
-    }
-    const size_t pick = rng->NextDiscrete(weights);
-    if (pick >= candidates.size()) {
-      current = v0;
-      continue;
-    }
-    const NodeId next = candidates[pick];
-    current = next;
-    if (visited.insert(next).second) walk_nodes.push_back(next);
-    if (static_cast<int64_t>(walk_nodes.size()) == options.subgraph_size) {
-      return walk_nodes;
+    for (size_t v = 0; v < frequency.size(); ++v) {
+      Set(static_cast<NodeId>(v), frequency[v]);
     }
   }
-  return {};
+
+  double operator()(NodeId v) const {
+    const uint8_t level = level_[v];
+    return level < kExactLevel ? table_[level] : exact_[v];
+  }
+
+  // Records that v's frequency is now f. Call only while no walk reads.
+  void Set(NodeId v, int64_t f) {
+    const int64_t level = std::min(f, threshold_);
+    if (level < kExactLevel) {
+      level_[v] = static_cast<uint8_t>(level);
+      return;
+    }
+    if (exact_.empty()) exact_.resize(level_.size());
+    level_[v] = kExactLevel;
+    exact_[v] = Of(f);
+  }
+
+ private:
+  static constexpr uint8_t kExactLevel = 255;
+
+  double Of(int64_t f) const {
+    if (f >= threshold_) return 0.0;
+    return 1.0 / std::pow(static_cast<double>(f) + 1.0, decay_);
+  }
+
+  int64_t threshold_;
+  double decay_;
+  std::vector<uint8_t> level_;
+  std::vector<double> table_;
+  std::vector<double> exact_;
+};
+
+// True when a neighbour of v lies in `nodes` (ascending ids).
+bool HasNeighborIn(const Graph& graph, NodeId v,
+                   std::span<const NodeId> nodes) {
+  const auto in_nodes = [nodes](NodeId u) {
+    return std::binary_search(nodes.begin(), nodes.end(), u);
+  };
+  const auto out = graph.OutNeighbors(v);
+  const auto in = graph.InNeighbors(v);
+  return std::any_of(out.begin(), out.end(), in_nodes) ||
+         std::any_of(in.begin(), in.end(), in_nodes);
 }
 
 }  // namespace
@@ -87,11 +89,13 @@ Status FreqSamplingOptions::Validate() const {
   if (subgraph_size < 2) {
     return Status::InvalidArgument("subgraph_size must be >= 2");
   }
-  if (restart_probability < 0.0 || restart_probability >= 1.0) {
+  if (!(restart_probability >= 0.0 && restart_probability < 1.0)) {
     return Status::InvalidArgument("restart_probability must be in [0, 1)");
   }
-  if (decay < 0.0) return Status::InvalidArgument("decay must be >= 0");
-  if (sampling_rate <= 0.0 || sampling_rate > 1.0) {
+  if (!(decay >= 0.0) || !std::isfinite(decay)) {
+    return Status::InvalidArgument("decay must be finite and >= 0");
+  }
+  if (!(sampling_rate > 0.0 && sampling_rate <= 1.0)) {
     return Status::InvalidArgument("sampling_rate must be in (0, 1]");
   }
   if (walk_length < 1) {
@@ -107,55 +111,100 @@ Result<std::vector<Subgraph>> FreqSampling(const Graph& graph,
                                            const FreqSamplingOptions& options,
                                            std::vector<int64_t>* frequency,
                                            Rng* rng) {
+  // Every node is a start, keyed by its own id.
+  std::vector<NodeId> every_node(static_cast<size_t>(graph.num_nodes()));
+  std::iota(every_node.begin(), every_node.end(), NodeId{0});
+  return BoundaryFreqSampling(graph, every_node, options, frequency, rng);
+}
+
+Result<std::vector<Subgraph>> BoundaryFreqSampling(
+    const Graph& graph, std::span<const NodeId> boundary,
+    const FreqSamplingOptions& options, std::vector<int64_t>* frequency,
+    Rng* rng) {
   PRIVIM_RETURN_NOT_OK(options.Validate());
   if (static_cast<int64_t>(frequency->size()) != graph.num_nodes()) {
     return Status::InvalidArgument("frequency vector size mismatch");
   }
+  if (std::any_of(frequency->begin(), frequency->end(),
+                  [](int64_t f) { return f < 0; })) {
+    return Status::InvalidArgument("frequency entries must be >= 0");
+  }
   obs::TraceSpan span("sampling/freq_sampling");
-  FreqWalkTally total;
+  const int64_t threshold = options.frequency_threshold;
+  Eligibility eligibility(*frequency, threshold, options.decay);
+  const WalkShape shape{options.subgraph_size, options.restart_probability,
+                        options.walk_length};
+  // One walk attempt from v0 (Alg. 3 inner loop) against the committed
+  // frequencies; true when it reached n unique nodes.
+  const auto walk = [&](NodeId v0, Rng* walk_rng, WalkScratch* scratch,
+                        WalkCounts* tally) {
+    return WalkWithRestart(
+        graph, v0, shape, [&](NodeId u) { return eligibility(u); }, walk_rng,
+        scratch, tally);
+  };
+  // Walk tallies are task-local and folded in wave-commit order, so the
+  // totals are identical at every thread count. A walk's dead ends are the
+  // steps where every neighbour hit the M cap.
+  WalkCounts total;
   int64_t walks_started = 0, saturated_starts = 0, stale_walks = 0,
           reruns = 0;
 
-  // Per-start-node RNG streams (see rwr_sampler.cpp): walks inside a wave
-  // are independent of scheduling, and the commit phase below runs in start
+  // Per-start RNG streams (see rwr_sampler.cpp): walks inside a wave are
+  // independent of scheduling, and the commit phase below runs in start
   // order, so the output is bit-identical at every thread count.
   const uint64_t select_seed = rng->Next();
   const uint64_t walk_seed = rng->Next();
   const uint64_t rerun_seed = rng->Next();
 
+  struct Start {
+    NodeId node;
+    uint64_t rank;
+  };
   std::vector<Subgraph> subgraphs;
-  std::vector<NodeId> starts;
+  std::vector<Start> starts;
   std::vector<std::vector<NodeId>> walks;
-  for (int64_t wave_begin = 0; wave_begin < graph.num_nodes();
+  std::vector<WalkCounts> tallies;
+  // One scratch per pool chunk, reused across waves; chunk 0 (the calling
+  // thread) also serves the serial reruns.
+  std::vector<WalkScratch> scratch(
+      std::max<size_t>(1, GlobalThreadPool().num_threads()));
+  const int64_t num_starts = static_cast<int64_t>(boundary.size());
+  for (int64_t wave_begin = 0; wave_begin < num_starts;
        wave_begin += kWaveWidth) {
-    const int64_t wave_end =
-        std::min(graph.num_nodes(), wave_begin + kWaveWidth);
+    const int64_t wave_end = std::min(num_starts, wave_begin + kWaveWidth);
     starts.clear();
-    for (NodeId v0 = static_cast<NodeId>(wave_begin); v0 < wave_end; ++v0) {
-      Rng select = SplitRng(select_seed, static_cast<uint64_t>(v0));
+    for (int64_t rank = wave_begin; rank < wave_end; ++rank) {
+      const NodeId v0 = boundary[rank];
+      Rng select = SplitRng(select_seed, static_cast<uint64_t>(rank));
       if (!select.NextBernoulli(options.sampling_rate)) continue;
-      if ((*frequency)[v0] >= options.frequency_threshold) {
+      if ((*frequency)[v0] >= threshold) {
         ++saturated_starts;  // SCS cap hit before the walk even started
         continue;
       }
-      if (graph.OutDegree(v0) + graph.InDegree(v0) == 0) continue;
-      starts.push_back(v0);
+      if (!HasNeighborIn(graph, v0, boundary)) continue;
+      starts.push_back({v0, static_cast<uint64_t>(rank)});
     }
     if (starts.empty()) continue;
     walks_started += static_cast<int64_t>(starts.size());
 
     // Frequencies are frozen for the duration of the wave: tasks only read
-    // the vector, commits happen after the join.
+    // them, commits happen after the join.
     walks.assign(starts.size(), {});
-    std::vector<FreqWalkTally> tallies(starts.size());
-    GlobalThreadPool().ParallelFor(starts.size(), [&](size_t i) {
-      Rng task_rng = SplitRng(walk_seed, static_cast<uint64_t>(starts[i]));
-      walks[i] = TryFreqWalk(graph, options, *frequency, starts[i], &task_rng,
-                             &tallies[i]);
-    });
-    for (const FreqWalkTally& tally : tallies) {
+    tallies.assign(starts.size(), {});
+    GlobalThreadPool().ParallelForChunks(
+        starts.size(), scratch.size(),
+        [&](size_t chunk, size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            Rng task_rng = SplitRng(walk_seed, starts[i].rank);
+            if (walk(starts[i].node, &task_rng, &scratch[chunk],
+                     &tallies[i])) {
+              walks[i] = scratch[chunk].nodes;
+            }
+          }
+        });
+    for (const WalkCounts& tally : tallies) {
       total.restarts += tally.restarts;
-      total.saturated_steps += tally.saturated_steps;
+      total.dead_ends += tally.dead_ends;
     }
 
     // Commit in start order. The SCS cap (Sec. IV-A) stays hard: a walk is
@@ -167,24 +216,23 @@ Result<std::vector<Subgraph>> FreqSampling(const Graph& graph,
       if (walks[i].empty()) continue;
       bool fresh = true;
       for (NodeId v : walks[i]) {
-        if ((*frequency)[v] >= options.frequency_threshold) {
+        if ((*frequency)[v] >= threshold) {
           fresh = false;
           break;
         }
       }
       if (!fresh) {
         ++stale_walks;
-        if ((*frequency)[starts[i]] >= options.frequency_threshold) continue;
+        if ((*frequency)[starts[i].node] >= threshold) continue;
         ++reruns;
-        Rng rerun_rng = SplitRng(rerun_seed, static_cast<uint64_t>(starts[i]));
-        walks[i] = TryFreqWalk(graph, options, *frequency, starts[i],
-                               &rerun_rng, &total);
-        if (walks[i].empty()) continue;
+        Rng rerun_rng = SplitRng(rerun_seed, starts[i].rank);
+        if (!walk(starts[i].node, &rerun_rng, &scratch[0], &total)) continue;
+        walks[i] = scratch[0].nodes;
       }
       Result<Subgraph> sub = InducedSubgraph(graph, walks[i]);
       if (!sub.ok()) return sub.status();
       // Alg. 3 line 26: frequencies update only for completed subgraphs.
-      for (NodeId v : walks[i]) ++(*frequency)[v];
+      for (NodeId v : walks[i]) eligibility.Set(v, ++(*frequency)[v]);
       subgraphs.push_back(std::move(sub).value());
     }
   }
@@ -208,7 +256,7 @@ Result<std::vector<Subgraph>> FreqSampling(const Graph& graph,
   committed->Increment(subgraphs.size());
   restarts->Increment(static_cast<uint64_t>(total.restarts));
   saturated_steps_counter->Increment(
-      static_cast<uint64_t>(total.saturated_steps));
+      static_cast<uint64_t>(total.dead_ends));
   saturated_starts_counter->Increment(static_cast<uint64_t>(saturated_starts));
   stale->Increment(static_cast<uint64_t>(stale_walks));
   rerun_counter->Increment(static_cast<uint64_t>(reruns));

@@ -9,6 +9,7 @@
 #ifndef PRIVIM_SAMPLING_FREQ_SAMPLER_H_
 #define PRIVIM_SAMPLING_FREQ_SAMPLER_H_
 
+#include <span>
 #include <vector>
 
 #include "privim/common/rng.h"
@@ -29,12 +30,26 @@ struct FreqSamplingOptions {
 };
 
 /// Runs FreqSampling(f, G, n). `frequency` must have graph.num_nodes()
-/// entries and is updated in place as subgraphs complete (Alg. 3 line 26).
-/// The returned subgraphs carry node ids of `graph`.
+/// entries, none negative, and is updated in place as subgraphs complete
+/// (Alg. 3 line 26). The returned subgraphs carry node ids of `graph`.
 Result<std::vector<Subgraph>> FreqSampling(const Graph& graph,
                                            const FreqSamplingOptions& options,
                                            std::vector<int64_t>* frequency,
                                            Rng* rng);
+
+/// FreqSampling on the boundary graph G_re of Alg. 3 (BES), run on `graph`
+/// itself. `boundary` lists, ascending, the nodes whose frequency was below
+/// M when stage 1 ended; every other node must be saturated. A saturated
+/// node has e_v = 0, so each step sees G_re's candidates in G_re's order,
+/// and the output is what FreqSampling on G_re would return, remapped to
+/// `graph` ids. A node's rank in `boundary` is its G_re id: it keys the
+/// node's select, walk and rerun streams and its wave. A start with no
+/// neighbour in `boundary` (degree 0 in G_re) is skipped. FreqSampling is
+/// this with every node in `boundary`.
+Result<std::vector<Subgraph>> BoundaryFreqSampling(
+    const Graph& graph, std::span<const NodeId> boundary,
+    const FreqSamplingOptions& options, std::vector<int64_t>* frequency,
+    Rng* rng);
 
 }  // namespace privim
 

@@ -1,7 +1,6 @@
 #include "privim/sampling/rwr_sampler.h"
 
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "privim/common/thread_pool.h"
@@ -9,6 +8,7 @@
 #include "privim/graph/traversal.h"
 #include "privim/obs/metrics.h"
 #include "privim/obs/trace.h"
+#include "privim/sampling/random_walk.h"
 
 namespace privim {
 namespace {
@@ -17,18 +17,17 @@ namespace {
 // the global counters on the calling thread after the join — the totals are
 // therefore identical at every thread count, like the sampler output itself.
 struct WalkTally {
-  int64_t restarts = 0;        // explicit tau-restarts
-  int64_t dead_ends = 0;       // forced restarts (no in-ball neighbor)
+  WalkCounts walk;             // tau-restarts, dead ends (no in-ball node)
   int64_t shards_touched = 0;  // shards the r-hop ball entered
   bool ball_too_small = false;
   bool completed = false;
 };
 
 // Walks are grouped into this many fixed chunks so each chunk can reuse one
-// ShardedVisitMap across its walks (an epoch bump per walk instead of an
-// O(num_nodes) distance clear). The count is independent of the pool size,
-// and walk results are keyed by start index anyway, so the container stays
-// bit-identical at every thread count.
+// ShardedVisitMap and one WalkScratch across its walks (an epoch bump per
+// walk instead of an O(num_nodes) distance clear). The count is independent
+// of the pool size, and walk results are keyed by start index anyway, so the
+// container stays bit-identical at every thread count.
 constexpr size_t kWalkChunks = 64;
 
 }  // namespace
@@ -37,10 +36,10 @@ Status RwrSamplerOptions::Validate() const {
   if (subgraph_size < 2) {
     return Status::InvalidArgument("subgraph_size must be >= 2");
   }
-  if (restart_probability < 0.0 || restart_probability >= 1.0) {
+  if (!(restart_probability >= 0.0 && restart_probability < 1.0)) {
     return Status::InvalidArgument("restart_probability must be in [0, 1)");
   }
-  if (sampling_rate <= 0.0 || sampling_rate > 1.0) {
+  if (!(sampling_rate > 0.0 && sampling_rate <= 1.0)) {
     return Status::InvalidArgument("sampling_rate must be in (0, 1]");
   }
   if (walk_length < 1) {
@@ -74,7 +73,10 @@ Result<SubgraphContainer> ExtractSubgraphsRwr(const Graph& graph,
   std::vector<std::optional<Subgraph>> extracted(starts.size());
   std::vector<std::optional<Status>> errors(starts.size());
   std::vector<WalkTally> tallies(starts.size());
-  const auto run_walk = [&](size_t task, ShardedVisitMap* visits) {
+  const WalkShape shape{options.subgraph_size, options.restart_probability,
+                        options.walk_length};
+  const auto run_walk = [&](size_t task, ShardedVisitMap* visits,
+                            WalkScratch* scratch) {
     const NodeId v0 = starts[task];
     WalkTally& tally = tallies[task];
     Rng task_rng = SplitRng(walk_seed, static_cast<uint64_t>(v0));
@@ -92,37 +94,16 @@ Result<SubgraphContainer> ExtractSubgraphsRwr(const Graph& graph,
       return;
     }
 
-    std::vector<NodeId> walk_nodes{v0};
-    std::unordered_set<NodeId> visited{v0};
-    NodeId current = v0;
-    std::vector<NodeId> candidates;
-    for (int64_t step = 0; step < options.walk_length; ++step) {
-      if (task_rng.NextBernoulli(options.restart_probability)) {
-        current = v0;
-        ++tally.restarts;
-      }
-      candidates.clear();
-      for (NodeId u : UndirectedNeighbors(graph, current)) {
-        if (visits->Get(u) != -1) candidates.push_back(u);
-      }
-      if (candidates.empty()) {
-        current = v0;  // dead end inside the ball: restart
-        ++tally.dead_ends;
-        continue;
-      }
-      const NodeId next = candidates[task_rng.NextBounded(candidates.size())];
-      current = next;
-      if (visited.insert(next).second) walk_nodes.push_back(next);
-      if (static_cast<int64_t>(walk_nodes.size()) == options.subgraph_size) {
-        Result<Subgraph> sub = InducedSubgraph(graph, walk_nodes);
-        if (sub.ok()) {
-          extracted[task].emplace(std::move(sub).value());
-          tally.completed = true;
-        } else {
-          errors[task] = sub.status();
-        }
-        return;
-      }
+    const bool complete = WalkWithRestart(
+        graph, v0, shape, [visits](NodeId u) { return visits->Get(u) != -1; },
+        &task_rng, scratch, &tally.walk);
+    if (!complete) return;
+    Result<Subgraph> sub = InducedSubgraph(graph, scratch->nodes);
+    if (sub.ok()) {
+      extracted[task].emplace(std::move(sub).value());
+      tally.completed = true;
+    } else {
+      errors[task] = sub.status();
     }
   };
   const ShardLayout layout = ShardLayout::For(graph.num_nodes());
@@ -130,8 +111,9 @@ Result<SubgraphContainer> ExtractSubgraphsRwr(const Graph& graph,
       starts.size(), std::min(starts.size(), kWalkChunks),
       [&](size_t /*chunk*/, size_t begin, size_t end) {
         ShardedVisitMap visits(layout);
+        WalkScratch scratch;
         for (size_t task = begin; task < end; ++task) {
-          run_walk(task, &visits);
+          run_walk(task, &visits, &scratch);
         }
       });
 
@@ -140,8 +122,8 @@ Result<SubgraphContainer> ExtractSubgraphsRwr(const Graph& graph,
   SubgraphContainer container;
   for (size_t task = 0; task < starts.size(); ++task) {
     if (errors[task].has_value()) return *errors[task];
-    total.restarts += tallies[task].restarts;
-    total.dead_ends += tallies[task].dead_ends;
+    total.walk.restarts += tallies[task].walk.restarts;
+    total.walk.dead_ends += tallies[task].walk.dead_ends;
     total.shards_touched += tallies[task].shards_touched;
     completed += tallies[task].completed ? 1 : 0;
     rejected_ball += tallies[task].ball_too_small ? 1 : 0;
@@ -164,8 +146,8 @@ Result<SubgraphContainer> ExtractSubgraphsRwr(const Graph& graph,
   walks->Increment(starts.size());
   shards_touched->Increment(static_cast<uint64_t>(total.shards_touched));
   walks_completed->Increment(static_cast<uint64_t>(completed));
-  restarts->Increment(static_cast<uint64_t>(total.restarts));
-  dead_ends->Increment(static_cast<uint64_t>(total.dead_ends));
+  restarts->Increment(static_cast<uint64_t>(total.walk.restarts));
+  dead_ends->Increment(static_cast<uint64_t>(total.walk.dead_ends));
   ball_rejections->Increment(static_cast<uint64_t>(rejected_ball));
   return container;
 }

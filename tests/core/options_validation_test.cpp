@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "privim/core/pipeline.h"
@@ -56,6 +57,16 @@ TEST(OptionsValidationTest, RejectsBadSamplingParameters) {
   options = PrivImOptions();
   options.theta = 0;
   EXPECT_FALSE(options.Validate().ok());
+
+  // NaN passes "q > 1" and "q > 0" alike, so it used to fall through to the
+  // 256/|V| default; -inf would select the default the same way.
+  for (double q : {std::nan(""), -std::numeric_limits<double>::infinity()}) {
+    options = PrivImOptions();
+    options.sampling_rate = q;
+    const Status status = options.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.ToString().find("sampling_rate"), std::string::npos);
+  }
 }
 
 TEST(OptionsValidationTest, RejectsBadTrainingParameters) {

@@ -4,6 +4,7 @@
 
 #include "gtest/gtest.h"
 #include "testing/graph_fixtures.h"
+#include "testing/reference_extraction.h"
 
 namespace privim {
 namespace {
@@ -12,6 +13,14 @@ using testing::MakeCycle;
 using testing::MakeGraph;
 using testing::MakePath;
 using testing::MakeStar;
+
+// What ForEachUndirectedNeighbor yields, in order.
+std::vector<NodeId> UndirectedNeighbors(const Graph& graph, NodeId v) {
+  std::vector<NodeId> neighbors;
+  ForEachUndirectedNeighbor(graph, v,
+                            [&](NodeId u) { neighbors.push_back(u); });
+  return neighbors;
+}
 
 TEST(RHopBallTest, PathGraph) {
   const Graph path = MakePath(10);
@@ -106,6 +115,49 @@ TEST(UndirectedNeighborsTest, IsolatedNodeHasNone) {
   EXPECT_TRUE(UndirectedNeighbors(graph, 2).empty());
 }
 
+TEST(UndirectedNeighborsTest, VisitsOutListThenNewInNeighborsInOrder) {
+  // Random directed graphs with one-way and reciprocal arcs: the visitor
+  // must yield the merged list's exact order, node by node.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    std::vector<Edge> edges;
+    for (int i = 0; i < 600; ++i) {
+      const NodeId u = static_cast<NodeId>(rng.NextBounded(60));
+      const NodeId v = static_cast<NodeId>(rng.NextBounded(60));
+      if (u != v) edges.push_back({u, v, 1.0f});
+    }
+    const Graph graph = MakeGraph(60, edges);
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      EXPECT_EQ(UndirectedNeighbors(graph, v),
+                testing::ReferenceUndirectedNeighbors(graph, v))
+          << "seed " << seed << " node " << v;
+    }
+  }
+}
+
+TEST(UndirectedNeighborsTest, UndirectedGraphYieldsTheOutList) {
+  // An undirected build stores both arcs, so the out-list alone is the
+  // merged order, and a directed copy of the same arcs visits the same.
+  Rng rng(7);
+  std::vector<Edge> edges;
+  for (int i = 0; i < 300; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.NextBounded(40));
+    const NodeId v = static_cast<NodeId>(rng.NextBounded(40));
+    if (u != v) edges.push_back({u, v, 1.0f});
+  }
+  const Graph undirected = MakeGraph(40, edges, /*undirected=*/true);
+  ASSERT_TRUE(undirected.undirected());
+  const Graph directed_copy = WithUniformWeights(undirected, 1.0f);
+  ASSERT_FALSE(directed_copy.undirected());
+  for (NodeId v = 0; v < undirected.num_nodes(); ++v) {
+    const auto out = undirected.OutNeighbors(v);
+    EXPECT_EQ(UndirectedNeighbors(undirected, v),
+              std::vector<NodeId>(out.begin(), out.end()));
+    EXPECT_EQ(UndirectedNeighbors(directed_copy, v),
+              testing::ReferenceUndirectedNeighbors(undirected, v));
+  }
+}
+
 TEST(UndirectedRHopBallTest, IgnoresArcDirection) {
   // Directed path 0 -> 1 -> 2 -> 3: the undirected 2-ball of node 3
   // includes 1, 2, 3 even though no out-arcs leave node 3.
@@ -126,6 +178,30 @@ TEST(UndirectedRHopBallTest, MatchesDirectedBallOnSymmetricGraphs) {
   ASSERT_TRUE(sym.ok());
   EXPECT_EQ(UndirectedRHopBall(cycle, 0, 2).size(),
             RHopBall(sym.value(), 0, 2).size());
+}
+
+TEST(UndirectedRHopBallTest, BothFormsMatchTheOutThenInBall) {
+  // The balls visit through ForEachUndirectedNeighbor; they must list the
+  // same nodes in the same order as a BFS over out-arcs then in-arcs.
+  Rng rng(11);
+  std::vector<Edge> edges;
+  for (int i = 0; i < 400; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.NextBounded(120));
+    const NodeId v = static_cast<NodeId>(rng.NextBounded(120));
+    if (u != v) edges.push_back({u, v, 1.0f});
+  }
+  const Graph graph = MakeGraph(120, edges);
+  ShardedVisitMap reference_visits(ShardLayout::For(graph.num_nodes()));
+  ShardedVisitMap visits(ShardLayout::For(graph.num_nodes()));
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    for (int r = 0; r <= 3; ++r) {
+      const std::vector<NodeId> expected =
+          testing::reference_internal::UndirectedRHopBall(graph, v, r,
+                                                          &reference_visits);
+      EXPECT_EQ(UndirectedRHopBall(graph, v, r), expected);
+      EXPECT_EQ(UndirectedRHopBall(graph, v, r, &visits), expected);
+    }
+  }
 }
 
 TEST(UndirectedRHopBallTest, InvalidInputsEmpty) {

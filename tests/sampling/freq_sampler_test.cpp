@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "privim/graph/generators.h"
@@ -35,6 +37,42 @@ TEST(FreqSamplerTest, ValidatesOptions) {
   options.frequency_threshold = 0;
   EXPECT_FALSE(options.Validate().ok());
   EXPECT_TRUE(DefaultOptions().Validate().ok());
+
+  // Non-finite values fail every range check by comparison, so each must
+  // be rejected explicitly, naming its field.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected = [](const FreqSamplingOptions& bad,
+                                  const std::string& field) {
+    const Status status = bad.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(status.ToString().find(field), std::string::npos)
+        << status.ToString();
+  };
+  options = DefaultOptions();
+  options.decay = nan;
+  expect_rejected(options, "decay");
+  options.decay = inf;
+  expect_rejected(options, "decay");
+  options = DefaultOptions();
+  options.restart_probability = nan;
+  expect_rejected(options, "restart_probability");
+  options = DefaultOptions();
+  options.sampling_rate = nan;
+  expect_rejected(options, "sampling_rate");
+}
+
+TEST(FreqSamplerTest, NegativeFrequencyFails) {
+  // Eq. 9 at f = -1 would weigh the node 1/pow(0, mu) = +inf.
+  const Graph graph = MakeTestGraph(15);
+  std::vector<int64_t> freq(graph.num_nodes(), 0);
+  freq[7] = -1;
+  const std::vector<int64_t> before = freq;
+  Rng rng(16);
+  Result<std::vector<Subgraph>> subgraphs =
+      FreqSampling(graph, DefaultOptions(), &freq, &rng);
+  EXPECT_EQ(subgraphs.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(freq, before);
 }
 
 TEST(FreqSamplerTest, FrequencyVectorSizeMismatchFails) {

@@ -1,5 +1,7 @@
 #include "privim/sampling/rwr_sampler.h"
 
+#include <cmath>
+#include <string>
 #include <unordered_set>
 
 #include "gtest/gtest.h"
@@ -38,6 +40,17 @@ TEST(RwrSamplerTest, ValidatesOptions) {
   options.hop_limit = 0;
   EXPECT_FALSE(options.Validate().ok());
   EXPECT_TRUE(DefaultOptions().Validate().ok());
+
+  options = DefaultOptions();
+  options.restart_probability = std::nan("");
+  Status status = options.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("restart_probability"), std::string::npos);
+  options = DefaultOptions();
+  options.sampling_rate = std::nan("");
+  status = options.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("sampling_rate"), std::string::npos);
 }
 
 TEST(RwrSamplerTest, SubgraphsHaveExactRequestedSize) {
