@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <string_view>
 #include <system_error>
 
 #include "privim/ckpt/io.h"
@@ -16,7 +17,7 @@ namespace privim {
 namespace ckpt {
 namespace {
 
-constexpr char kMagic[8] = {'P', 'R', 'I', 'V', 'I', 'M', 'C', 'K'};
+constexpr std::string_view kMagic = "PRIVIMCK";
 constexpr char kSnapshotSuffix[] = ".privim";
 
 void EncodeRng(const RngState& state, ByteWriter* writer) {
@@ -148,50 +149,16 @@ Result<std::string> EncodeSnapshot(const SnapshotRefs& refs) {
   payload.WriteU64(refs.train_iterations_counter);
   payload.WriteU64(refs.grads_clipped_counter);
 
-  const std::string& body = payload.bytes();
-  std::string bytes(kMagic, sizeof(kMagic));
-  ByteWriter header;
-  header.WriteU32(kFormatVersion);
-  header.WriteU64(body.size());
-  header.WriteU32(Crc32(body));
-  bytes += header.bytes();
-  bytes += body;
-  return bytes;
+  return Frame(kMagic, kFormatVersion, payload.bytes());
 }
 
 Result<LoadedSnapshot> DecodeSnapshot(std::string_view bytes) {
-  constexpr size_t kHeaderSize = sizeof(kMagic) + 4 + 8 + 4;
-  if (bytes.size() < kHeaderSize) {
-    return Status::IOError("truncated snapshot: shorter than its header");
-  }
-  if (bytes.compare(0, sizeof(kMagic),
-                    std::string_view(kMagic, sizeof(kMagic))) != 0) {
-    return Status::IOError("not a PrivIM checkpoint (bad magic)");
-  }
-  ByteReader header(bytes.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  uint32_t expected_crc = 0;
-  PRIVIM_RETURN_NOT_OK(header.ReadU32(&version));
-  PRIVIM_RETURN_NOT_OK(header.ReadU64(&payload_size));
-  PRIVIM_RETURN_NOT_OK(header.ReadU32(&expected_crc));
-  if (version != kFormatVersion) {
-    return Status::IOError("unsupported checkpoint format version " +
-                           std::to_string(version) + " (expected " +
-                           std::to_string(kFormatVersion) + ")");
-  }
-  const std::string_view body = bytes.substr(kHeaderSize);
-  if (body.size() != payload_size) {
-    return Status::IOError(
-        "truncated snapshot: payload has " + std::to_string(body.size()) +
-        " bytes, header promises " + std::to_string(payload_size));
-  }
-  if (Crc32(body) != expected_crc) {
-    return Status::IOError("corrupt snapshot: CRC mismatch");
-  }
+  Result<std::string_view> body =
+      Unframe(bytes, kMagic, kFormatVersion, "checkpoint");
+  if (!body.ok()) return body.status();
 
   LoadedSnapshot snapshot;
-  ByteReader reader(body);
+  ByteReader reader(body.value());
   PRIVIM_RETURN_NOT_OK(reader.ReadU64(&snapshot.config_fingerprint));
   PRIVIM_RETURN_NOT_OK(reader.ReadI64(&snapshot.next_iteration));
   PRIVIM_RETURN_NOT_OK(reader.ReadI64(&snapshot.total_iterations));

@@ -40,6 +40,54 @@ uint32_t Crc32(std::string_view data) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+std::string Frame(std::string_view magic, uint32_t version,
+                  std::string_view payload) {
+  ByteWriter header;
+  header.WriteU32(version);
+  header.WriteU64(payload.size());
+  header.WriteU32(Crc32(payload));
+  std::string bytes(magic);
+  bytes += header.bytes();
+  bytes += payload;
+  return bytes;
+}
+
+Result<std::string_view> Unframe(std::string_view bytes,
+                                 std::string_view magic, uint32_t version,
+                                 const std::string& what) {
+  const size_t header_size = magic.size() + 4 + 8 + 4;
+  if (bytes.size() < header_size) {
+    return Status::IOError("truncated " + what + ": shorter than its header");
+  }
+  if (bytes.compare(0, magic.size(), magic) != 0) {
+    return Status::IOError("not a PrivIM " + what + " (bad magic)");
+  }
+  ByteReader header(
+      bytes.substr(magic.size(), header_size - magic.size()));
+  uint32_t found_version = 0;
+  uint64_t payload_size = 0;
+  uint32_t expected_crc = 0;
+  PRIVIM_RETURN_NOT_OK(header.ReadU32(&found_version));
+  PRIVIM_RETURN_NOT_OK(header.ReadU64(&payload_size));
+  PRIVIM_RETURN_NOT_OK(header.ReadU32(&expected_crc));
+  if (found_version != version) {
+    return Status::IOError("unsupported " + what + " format version " +
+                           std::to_string(found_version) + " (expected " +
+                           std::to_string(version) + ")");
+  }
+  const std::string_view payload = bytes.substr(header_size);
+  if (payload.size() != payload_size) {
+    return Status::IOError("truncated " + what + ": payload has " +
+                           std::to_string(payload.size()) +
+                           " bytes, header promises " +
+                           std::to_string(payload_size));
+  }
+  if (Crc32(payload) != expected_crc) {
+    return Status::IOError("corrupt " + what + ": CRC mismatch");
+  }
+  return payload;
+}
+
 uint64_t Fnv1a64(std::string_view data, uint64_t seed) {
   uint64_t hash = seed;
   for (const char c : data) {

@@ -43,6 +43,21 @@ uint64_t FingerprintGraph(const Graph& graph);
 /// value for every choice (tests/ckpt/io_test.cpp pins this invariance).
 uint64_t FingerprintGraph(const Graph& graph, int64_t num_shards);
 
+/// The file frame that checkpoints and sketch indexes share: `magic`, the
+/// u32 format `version`, the u64 payload size, the payload's CRC-32, then
+/// the payload.
+std::string Frame(std::string_view magic, uint32_t version,
+                  std::string_view payload);
+
+/// Checks a Frame and returns its payload (a view into `bytes`). In order:
+/// a header shorter than its fixed size ("truncated"), another magic ("bad
+/// magic"), another version ("format version"), a payload of another size
+/// ("truncated") and a CRC mismatch each fail with an IOError naming `what`,
+/// the file kind.
+Result<std::string_view> Unframe(std::string_view bytes,
+                                 std::string_view magic, uint32_t version,
+                                 const std::string& what);
+
 /// Appends little-endian primitives to a byte string.
 class ByteWriter {
  public:

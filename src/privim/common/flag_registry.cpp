@@ -28,32 +28,26 @@ FlagRegistry& FlagRegistry::Add(FlagSpec spec) {
 }
 
 FlagRegistry& FlagRegistry::AddBool(const std::string& name, bool def,
-                                    const std::string& help,
-                                    const std::string& deprecated_alias) {
-  return Add({name, FlagType::kBool, def ? "true" : "false", help,
-              deprecated_alias});
+                                    const std::string& help) {
+  return Add({name, FlagType::kBool, def ? "true" : "false", help});
 }
 
 FlagRegistry& FlagRegistry::AddInt(const std::string& name, int64_t def,
-                                   const std::string& help,
-                                   const std::string& deprecated_alias) {
-  return Add({name, FlagType::kInt, std::to_string(def), help,
-              deprecated_alias});
+                                   const std::string& help) {
+  return Add({name, FlagType::kInt, std::to_string(def), help});
 }
 
 FlagRegistry& FlagRegistry::AddDouble(const std::string& name, double def,
-                                      const std::string& help,
-                                      const std::string& deprecated_alias) {
+                                      const std::string& help) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%g", def);
-  return Add({name, FlagType::kDouble, buf, help, deprecated_alias});
+  return Add({name, FlagType::kDouble, buf, help});
 }
 
 FlagRegistry& FlagRegistry::AddString(const std::string& name,
                                       const std::string& def,
-                                      const std::string& help,
-                                      const std::string& deprecated_alias) {
-  return Add({name, FlagType::kString, def, help, deprecated_alias});
+                                      const std::string& help) {
+  return Add({name, FlagType::kString, def, help});
 }
 
 FlagRegistry& FlagRegistry::Include(const FlagRegistry& other) {
@@ -61,18 +55,9 @@ FlagRegistry& FlagRegistry::Include(const FlagRegistry& other) {
   return *this;
 }
 
-const FlagSpec* FlagRegistry::FindCanonical(const std::string& name) const {
+const FlagSpec* FlagRegistry::Find(const std::string& name) const {
   for (const FlagSpec& spec : specs_) {
     if (spec.name == name) return &spec;
-  }
-  return nullptr;
-}
-
-const FlagSpec* FlagRegistry::FindAlias(const std::string& name) const {
-  for (const FlagSpec& spec : specs_) {
-    if (!spec.deprecated_alias.empty() && spec.deprecated_alias == name) {
-      return &spec;
-    }
   }
   return nullptr;
 }
@@ -154,14 +139,7 @@ Result<ParsedFlags> FlagRegistry::Parse(int argc, char** argv) const {
       name = std::string(arg);
     }
 
-    const FlagSpec* spec = FindCanonical(name);
-    if (spec == nullptr) {
-      if (const FlagSpec* aliased = FindAlias(name)) {
-        parsed.warnings.push_back("--" + name + " is deprecated; use --" +
-                                  aliased->name);
-        spec = aliased;
-      }
-    }
+    const FlagSpec* spec = Find(name);
     if (spec == nullptr) {
       return Status::InvalidArgument("unknown flag --" + name +
                                      " (see --help)");
@@ -207,11 +185,7 @@ std::string FlagRegistry::HelpText(const std::string& usage_line) const {
     if (!spec.default_value.empty()) {
       out += ", default " + spec.default_value;
     }
-    out += "]";
-    if (!spec.deprecated_alias.empty()) {
-      out += " (deprecated alias: --" + spec.deprecated_alias + ")";
-    }
-    out += '\n';
+    out += "]\n";
   }
   return out;
 }

@@ -3,21 +3,18 @@
 // The Flags class (flags.h) is a permissive token-to-string map: it cannot
 // reject a typo'd flag, type-check a value, or generate help text. Front
 // ends (privim_cli, privim_serve) therefore declare their flags in a
-// FlagRegistry — name, type, default, help line, optional deprecated
-// alias — and parse through it:
+// FlagRegistry — name, type, default, help line — and parse through it:
 //
 //   FlagRegistry registry;
 //   registry.AddString("graph", "", "edge-list file to load")
-//           .AddInt("subgraph-size", 25, "RWR subgraph size n", "n")
+//           .AddInt("subgraph-size", 25, "RWR subgraph size n")
 //           .AddBool("undirected", false, "treat edges as undirected");
 //   Result<ParsedFlags> parsed = registry.Parse(argc, argv);
 //
-// Parse rewrites deprecated aliases to their canonical spelling (so
-// `--n 25` still works, with a warning collected in ParsedFlags::warnings),
-// rejects unknown flags and malformed values with InvalidArgument, and
-// yields a plain Flags view keyed by canonical names. HelpText() renders
-// the registry as the `--help` output, so the docs can never drift from
-// the parser.
+// Every flag has one spelling. Parse rejects unknown flags and malformed
+// values with InvalidArgument and yields a plain Flags view keyed by flag
+// name. HelpText() renders the registry as the `--help` output, so the
+// docs can never drift from the parser.
 
 #ifndef PRIVIM_COMMON_FLAG_REGISTRY_H_
 #define PRIVIM_COMMON_FLAG_REGISTRY_H_
@@ -37,19 +34,16 @@ const char* FlagTypeToString(FlagType type);
 
 /// One declared flag.
 struct FlagSpec {
-  std::string name;              ///< canonical spelling, without "--"
+  std::string name;           ///< spelling without "--"
   FlagType type = FlagType::kString;
-  std::string default_value;     ///< rendered in help; "" = no default shown
-  std::string help;              ///< one-line description
-  std::string deprecated_alias;  ///< old spelling that still parses; "" = none
+  std::string default_value;  ///< rendered in help; "" = no default shown
+  std::string help;           ///< one-line description
 };
 
 /// Outcome of FlagRegistry::Parse.
 struct ParsedFlags {
-  /// Values keyed by canonical flag names (aliases already rewritten).
+  /// Values keyed by flag name.
   Flags flags;
-  /// One message per deprecated alias the caller used.
-  std::vector<std::string> warnings;
   /// True when --help / -h was given; callers should print HelpText()
   /// and exit 0 without looking at other flags.
   bool help_requested = false;
@@ -58,17 +52,13 @@ struct ParsedFlags {
 class FlagRegistry {
  public:
   FlagRegistry& AddBool(const std::string& name, bool def,
-                        const std::string& help,
-                        const std::string& deprecated_alias = "");
+                        const std::string& help);
   FlagRegistry& AddInt(const std::string& name, int64_t def,
-                       const std::string& help,
-                       const std::string& deprecated_alias = "");
+                       const std::string& help);
   FlagRegistry& AddDouble(const std::string& name, double def,
-                          const std::string& help,
-                          const std::string& deprecated_alias = "");
+                          const std::string& help);
   FlagRegistry& AddString(const std::string& name, const std::string& def,
-                          const std::string& help,
-                          const std::string& deprecated_alias = "");
+                          const std::string& help);
 
   /// Merges every spec of `other` into this registry (shared flag blocks:
   /// threads/metrics-out/seed are declared once and reused).
@@ -83,13 +73,12 @@ class FlagRegistry {
   Result<ParsedFlags> Parse(int argc, char** argv) const;
 
   /// Generated usage text: one aligned row per flag with type, default and
-  /// help, plus a deprecated-alias footnote.
+  /// help.
   std::string HelpText(const std::string& usage_line) const;
 
  private:
   FlagRegistry& Add(FlagSpec spec);
-  const FlagSpec* FindCanonical(const std::string& name) const;
-  const FlagSpec* FindAlias(const std::string& name) const;
+  const FlagSpec* Find(const std::string& name) const;
 
   std::vector<FlagSpec> specs_;
 };

@@ -103,18 +103,6 @@ Result<std::string> Flags::MetricsOutPath() const {
   return it->second;
 }
 
-int64_t Flags::Threads() const {
-  int64_t def = 0;
-  const std::string env = GetEnv("PRIVIM_THREADS", "");
-  if (!env.empty()) {
-    char* end = nullptr;
-    const int64_t value = std::strtoll(env.c_str(), &end, 10);
-    if (end && *end == '\0' && value >= 0) def = value;
-  }
-  const int64_t threads = GetInt("threads", def);
-  return threads >= 0 ? threads : def;
-}
-
 std::string Flags::GetEnv(const std::string& name, const std::string& def) {
   const char* value = std::getenv(name.c_str());
   return value ? value : def;

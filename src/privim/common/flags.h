@@ -35,21 +35,17 @@ class Flags {
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def) const;
 
-  /// Worker-thread count for the global thread pool: `--threads N`, falling
-  /// back to the PRIVIM_THREADS environment variable. 0 (the default) means
-  /// hardware concurrency; 1 selects the serial path (every ParallelFor runs
-  /// inline). Pass the result to SetGlobalThreadPoolSize at startup.
-  /// Lenient: malformed or negative values silently fall back; front ends
-  /// should prefer ValidatedThreads().
-  int64_t Threads() const;
-
   /// Strict variant of GetInt: a present-but-malformed value is an
   /// InvalidArgument error naming the flag and the offending text, instead
   /// of silently falling back to the default.
   Result<int64_t> GetValidatedInt(const std::string& name, int64_t def) const;
 
-  /// Strict Threads(): rejects non-numeric or negative `--threads` (and a
-  /// non-numeric/negative PRIVIM_THREADS) with a clear error.
+  /// Worker-thread count for the global thread pool: `--threads N`, falling
+  /// back to the PRIVIM_THREADS environment variable. 0 (the default) means
+  /// hardware concurrency; 1 selects the serial path (every ParallelFor runs
+  /// inline). Pass the result to SetGlobalThreadPoolSize at startup.
+  /// Rejects non-numeric or negative `--threads` (and a non-numeric or
+  /// negative PRIVIM_THREADS) with a clear error.
   Result<int64_t> ValidatedThreads() const;
 
   /// Path given to `--metrics-out`. Returns "" when the flag is absent;

@@ -29,8 +29,7 @@ Graph GraphBuilder::FromParts(int64_t num_nodes, bool undirected,
   graph_internal::RecordBuildMetrics(
       static_cast<int64_t>(graph.out_neighbors_.size() * sizeof(NodeId) * 2 +
                            graph.out_weights_.size() * sizeof(float) * 2 +
-                           graph.out_offsets_.size() * sizeof(int64_t) * 2),
-      /*parallel=*/true);
+                           graph.out_offsets_.size() * sizeof(int64_t) * 2));
   return graph;
 }
 

@@ -50,15 +50,13 @@ bool EdgeSameEndpoints(const Edge& a, const Edge& b) {
 
 }  // namespace
 
-void RecordBuildMetrics(int64_t csr_bytes, bool parallel) {
+void RecordBuildMetrics(int64_t csr_bytes) {
   obs::MetricsRegistry& metrics = obs::GlobalMetrics();
   static obs::Gauge* csr = metrics.GetGauge("graph.mem.csr_bytes");
-  static obs::Counter* serial_builds =
-      metrics.GetCounter("graph.build.serial_builds");
   static obs::Counter* parallel_builds =
       metrics.GetCounter("graph.build.parallel_builds");
   csr->Set(static_cast<double>(csr_bytes));
-  (parallel ? parallel_builds : serial_builds)->Increment(1);
+  parallel_builds->Increment(1);
   // Resident high-water from the kernel: the linear-memory evidence the
   // large-graph CI smoke asserts on (graph.mem.hwm_bytes).
   UpdateGraphMemGauges();

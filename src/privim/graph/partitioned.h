@@ -98,9 +98,10 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
                                   std::span<const std::span<const Edge>> tasks,
                                   bool expand_reverse, bool validate);
 
-/// Publishes graph.mem.csr_bytes / graph.build.* metrics and refreshes the
-/// resident high-water gauges after a build of `csr_bytes` bytes.
-void RecordBuildMetrics(int64_t csr_bytes, bool parallel);
+/// Publishes graph.mem.csr_bytes / graph.build.parallel_builds and
+/// refreshes the resident high-water gauges after a sharded build of
+/// `csr_bytes` bytes.
+void RecordBuildMetrics(int64_t csr_bytes);
 
 }  // namespace graph_internal
 

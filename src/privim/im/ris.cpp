@@ -1,7 +1,9 @@
 #include "privim/im/ris.h"
 
-#include <algorithm>
-#include <queue>
+#include <limits>
+#include <utility>
+
+#include "privim/im/sketch/sketch_index.h"
 
 namespace privim {
 
@@ -9,41 +11,44 @@ Status RisOptions::Validate() const {
   if (num_rr_sets < 1) {
     return Status::InvalidArgument("num_rr_sets must be >= 1");
   }
+  if (num_rr_sets > std::numeric_limits<int32_t>::max()) {
+    return Status::InvalidArgument("num_rr_sets must fit in 32 bits");
+  }
   return Status::OK();
 }
 
-std::vector<NodeId> SampleReverseReachableSet(const Graph& graph,
-                                              int64_t max_steps, Rng* rng) {
-  std::vector<NodeId> rr_set;
-  if (graph.num_nodes() == 0) return rr_set;
-  const NodeId target = static_cast<NodeId>(rng->NextBounded(graph.num_nodes()));
-
-  // Reverse IC: node u influences the target chain if the arc u -> v fired,
-  // which happens with probability w_uv; walk in-arcs breadth-first.
-  std::vector<uint8_t> reached(graph.num_nodes(), 0);
-  std::vector<NodeId> frontier{target};
+void AppendReverseReachable(const Graph& graph, NodeId target,
+                            int64_t max_steps, Rng* rng,
+                            ReverseReachScratch* scratch,
+                            std::vector<NodeId>* out) {
+  std::vector<uint8_t>& reached = scratch->reached;
+  std::vector<NodeId>& frontier = scratch->frontier;
+  std::vector<NodeId>& next_frontier = scratch->next_frontier;
+  const size_t begin = out->size();
+  out->push_back(target);
   reached[target] = 1;
-  rr_set.push_back(target);
-  std::vector<NodeId> next_frontier;
+  frontier.assign(1, target);
   for (int64_t step = 0;
        !frontier.empty() && (max_steps < 0 || step < max_steps); ++step) {
     next_frontier.clear();
-    for (NodeId v : frontier) {
+    for (const NodeId v : frontier) {
       const auto sources = graph.InNeighbors(v);
       const auto weights = graph.InWeights(v);
       for (size_t i = 0; i < sources.size(); ++i) {
         const NodeId u = sources[i];
         if (reached[u]) continue;
-        if (weights[i] >= 1.0f || rng->NextBernoulli(weights[i])) {
+        if (rng == nullptr || weights[i] >= 1.0f ||
+            rng->NextBernoulli(weights[i])) {
           reached[u] = 1;
           next_frontier.push_back(u);
-          rr_set.push_back(u);
+          out->push_back(u);
         }
       }
     }
     frontier.swap(next_frontier);
   }
-  return rr_set;
+  // Reset only the touched bytes, so one scratch serves every walk.
+  for (size_t i = begin; i < out->size(); ++i) reached[(*out)[i]] = 0;
 }
 
 Result<RisResult> RisSeedSelection(const Graph& graph, int64_t k,
@@ -52,63 +57,24 @@ Result<RisResult> RisSeedSelection(const Graph& graph, int64_t k,
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   const int64_t n = graph.num_nodes();
   if (n == 0) return Status::InvalidArgument("empty graph");
-  k = std::min(k, n);
 
-  // Inverted index: which RR sets each node appears in.
-  std::vector<std::vector<int32_t>> node_to_sets(n);
-  int64_t total_sets = 0;
+  // Each set draws its target, then its coin flips, from the caller's rng.
+  std::vector<std::vector<NodeId>> pool;
+  ReverseReachScratch scratch(n);
   for (int64_t s = 0; s < options.num_rr_sets; ++s) {
-    const std::vector<NodeId> rr_set =
-        SampleReverseReachableSet(graph, options.max_steps, rng);
-    for (NodeId v : rr_set) {
-      node_to_sets[v].push_back(static_cast<int32_t>(s));
-    }
-    ++total_sets;
+    const NodeId target = static_cast<NodeId>(
+        rng->NextBounded(static_cast<uint64_t>(n)));
+    AppendReverseReachable(graph, target, options.max_steps, rng, &scratch,
+                           &pool.emplace_back());
   }
 
-  // Lazy greedy max-coverage over RR sets.
-  struct LazyGain {
-    int64_t gain;
-    NodeId node;
-    int64_t round;
-    bool operator<(const LazyGain& other) const { return gain < other.gain; }
-  };
-  std::priority_queue<LazyGain> heap;
-  for (NodeId v = 0; v < n; ++v) {
-    heap.push({static_cast<int64_t>(node_to_sets[v].size()), v, 0});
-  }
-
+  Result<SketchTopKResult> top =
+      SketchIndex::FromPool(n, options.max_steps, pool)->TopK(k);
+  if (!top.ok()) return top.status();
   RisResult result;
-  result.rr_sets_generated = total_sets;
-  std::vector<uint8_t> covered(total_sets, 0);
-  int64_t covered_count = 0;
-  auto fresh_gain = [&](NodeId v) {
-    int64_t gain = 0;
-    for (int32_t s : node_to_sets[v]) gain += !covered[s];
-    return gain;
-  };
-
-  while (static_cast<int64_t>(result.seeds.size()) < k && !heap.empty()) {
-    LazyGain top = heap.top();
-    heap.pop();
-    const int64_t round = static_cast<int64_t>(result.seeds.size());
-    if (top.round != round) {
-      top.gain = fresh_gain(top.node);
-      top.round = round;
-      heap.push(top);
-      continue;
-    }
-    result.seeds.push_back(top.node);
-    for (int32_t s : node_to_sets[top.node]) {
-      if (!covered[s]) {
-        covered[s] = 1;
-        ++covered_count;
-      }
-    }
-  }
-  result.estimated_spread = static_cast<double>(n) *
-                            static_cast<double>(covered_count) /
-                            static_cast<double>(total_sets);
+  result.seeds = std::move(top->seeds);
+  result.estimated_spread = top->spread;
+  result.rr_sets_generated = options.num_rr_sets;
   return result;
 }
 

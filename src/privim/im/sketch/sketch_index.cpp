@@ -11,6 +11,7 @@
 #include "privim/common/thread_pool.h"
 #include "privim/common/timer.h"
 #include "privim/diffusion/ic_model.h"
+#include "privim/im/ris.h"
 #include "privim/obs/metrics.h"
 #include "privim/obs/trace.h"
 
@@ -29,46 +30,6 @@ obs::Gauge* SketchCountGauge() {
 obs::Gauge* SketchBytesGauge() {
   static obs::Gauge* g = obs::GlobalMetrics().GetGauge("im.sketch.bytes");
   return g;
-}
-
-/// One reverse-reachable sketch: every node with a (live) path to `target`
-/// of at most `max_steps` arcs, target included. `rng` null means every arc
-/// fires (the exhaustive w = 1 mode); otherwise arc u -> v joins with
-/// probability w_uv, exactly the reverse-IC semantics of im/ris.
-///
-/// `reached` is caller-owned all-zero scratch of num_nodes bytes; it is
-/// reset to all-zero before returning (touched entries only), so one
-/// allocation serves a whole chunk of sketches.
-void AppendReverseReachable(const Graph& graph, NodeId target,
-                            int64_t max_steps, Rng* rng,
-                            std::vector<uint8_t>* reached,
-                            std::vector<NodeId>* frontier,
-                            std::vector<NodeId>* next_frontier,
-                            std::vector<NodeId>* out) {
-  out->clear();
-  out->push_back(target);
-  (*reached)[target] = 1;
-  frontier->assign(1, target);
-  for (int64_t step = 0;
-       !frontier->empty() && (max_steps < 0 || step < max_steps); ++step) {
-    next_frontier->clear();
-    for (const NodeId v : *frontier) {
-      const auto sources = graph.InNeighbors(v);
-      const auto weights = graph.InWeights(v);
-      for (size_t i = 0; i < sources.size(); ++i) {
-        const NodeId u = sources[i];
-        if ((*reached)[u]) continue;
-        if (rng == nullptr || weights[i] >= 1.0f ||
-            rng->NextBernoulli(weights[i])) {
-          (*reached)[u] = 1;
-          next_frontier->push_back(u);
-          out->push_back(u);
-        }
-      }
-    }
-    frontier->swap(*next_frontier);
-  }
-  for (const NodeId v : *out) (*reached)[v] = 0;
 }
 
 }  // namespace
@@ -109,8 +70,7 @@ Result<std::unique_ptr<SketchIndex>> SketchIndex::Build(
   // the encoding canonical: equal graphs give byte-equal indexes no matter
   // which seed the builder was configured with.
   index->seed_ = index->exhaustive_ ? 0 : options.seed;
-  index->num_sketches_ = index->exhaustive_ ? n : options.num_sketches;
-  const int64_t num_sketches = index->num_sketches_;
+  const int64_t num_sketches = index->exhaustive_ ? n : options.num_sketches;
 
   // Sample the pool. Slot s is written by exactly one chunk, and its
   // content depends only on (graph, options, s) — per-sketch SplitRng
@@ -122,53 +82,61 @@ Result<std::unique_ptr<SketchIndex>> SketchIndex::Build(
   GlobalThreadPool().ParallelForChunks(
       static_cast<size_t>(num_sketches), 0,
       [&](size_t /*chunk*/, size_t begin, size_t end) {
-        std::vector<uint8_t> reached(static_cast<size_t>(n), 0);
-        std::vector<NodeId> frontier;
-        std::vector<NodeId> next_frontier;
+        ReverseReachScratch scratch(n);
         for (size_t s = begin; s < end; ++s) {
           if (index->exhaustive_) {
             AppendReverseReachable(graph, static_cast<NodeId>(s),
                                    options.max_steps, /*rng=*/nullptr,
-                                   &reached, &frontier, &next_frontier,
-                                   &sketches[s]);
+                                   &scratch, &sketches[s]);
           } else {
             Rng rng = SplitRng(options.seed, static_cast<uint64_t>(s));
             const NodeId target = static_cast<NodeId>(
                 rng.NextBounded(static_cast<uint64_t>(n)));
             AppendReverseReachable(graph, target, options.max_steps, &rng,
-                                   &reached, &frontier, &next_frontier,
-                                   &sketches[s]);
+                                   &scratch, &sketches[s]);
           }
         }
       });
-
-  // Fixed-order CSR merge: counting pass, prefix sum, then fill by
-  // ascending sketch id so every node's posting list is sorted. The merge
-  // order is a function of nothing but the pool, so the serialized index
-  // cannot depend on the thread count either.
-  index->offsets_.assign(static_cast<size_t>(n) + 1, 0);
-  int64_t total_entries = 0;
-  for (const std::vector<NodeId>& sketch : sketches) {
-    total_entries += static_cast<int64_t>(sketch.size());
-    for (const NodeId v : sketch) ++index->offsets_[static_cast<size_t>(v) + 1];
-  }
-  for (size_t v = 0; v < static_cast<size_t>(n); ++v) {
-    index->offsets_[v + 1] += index->offsets_[v];
-  }
-  index->sketch_ids_.resize(static_cast<size_t>(total_entries));
-  std::vector<int64_t> cursor(index->offsets_.begin(),
-                              index->offsets_.end() - 1);
-  for (size_t s = 0; s < sketches.size(); ++s) {
-    for (const NodeId v : sketches[s]) {
-      index->sketch_ids_[static_cast<size_t>(cursor[v]++)] =
-          static_cast<int32_t>(s);
-    }
-  }
+  index->IndexPool(sketches);
 
   BuildSecondsGauge()->Set(timer.ElapsedSeconds());
   SketchCountGauge()->Set(static_cast<double>(num_sketches));
   SketchBytesGauge()->Set(static_cast<double>(index->SizeBytes()));
   return index;
+}
+
+std::unique_ptr<SketchIndex> SketchIndex::FromPool(
+    int64_t num_nodes, int64_t max_steps,
+    const std::vector<std::vector<NodeId>>& pool) {
+  std::unique_ptr<SketchIndex> index(new SketchIndex());
+  index->num_nodes_ = num_nodes;
+  index->max_steps_ = max_steps;
+  index->IndexPool(pool);
+  return index;
+}
+
+void SketchIndex::IndexPool(const std::vector<std::vector<NodeId>>& pool) {
+  // Counting pass, prefix sum, then fill by ascending sketch id so every
+  // node's posting list is sorted. The merge order is a function of nothing
+  // but the pool, so the serialized index cannot depend on the thread count
+  // that sampled it.
+  num_sketches_ = static_cast<int64_t>(pool.size());
+  offsets_.assign(static_cast<size_t>(num_nodes_) + 1, 0);
+  int64_t total_entries = 0;
+  for (const std::vector<NodeId>& sketch : pool) {
+    total_entries += static_cast<int64_t>(sketch.size());
+    for (const NodeId v : sketch) ++offsets_[static_cast<size_t>(v) + 1];
+  }
+  for (size_t v = 0; v < static_cast<size_t>(num_nodes_); ++v) {
+    offsets_[v + 1] += offsets_[v];
+  }
+  sketch_ids_.resize(static_cast<size_t>(total_entries));
+  std::vector<int64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (size_t s = 0; s < pool.size(); ++s) {
+    for (const NodeId v : pool[s]) {
+      sketch_ids_[static_cast<size_t>(cursor[v]++)] = static_cast<int32_t>(s);
+    }
+  }
 }
 
 int64_t SketchIndex::SizeBytes() const {
@@ -196,22 +164,9 @@ const std::vector<SketchIndex::HeapEntry>& SketchIndex::InitialHeap() const {
   return initial_heap_;
 }
 
-Status SketchTopKOptions::Validate() const {
-  if (parallel_grain < 1) {
-    return Status::InvalidArgument("parallel_grain must be >= 1");
-  }
-  return Status::OK();
-}
-
 Result<SketchTopKResult> SketchIndex::TopK(int64_t k) const {
-  return TopK(k, SketchTopKOptions{});
-}
-
-Result<SketchTopKResult> SketchIndex::TopK(
-    int64_t k, const SketchTopKOptions& options) const {
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   if (num_nodes_ == 0) return Status::InvalidArgument("empty sketch index");
-  PRIVIM_RETURN_NOT_OK(options.Validate());
   k = std::min(k, num_nodes_);
 
   // Per-query state: a copy of the cached initial heap (memcpy of POD
@@ -239,7 +194,7 @@ Result<SketchTopKResult> SketchIndex::TopK(
   const auto fresh_gain = [&](NodeId v) {
     const int64_t begin = offsets_[static_cast<size_t>(v)];
     const int64_t end = offsets_[static_cast<size_t>(v) + 1];
-    if (end - begin < options.parallel_grain) return range_gain(begin, end);
+    if (end - begin < kParallelGrain) return range_gain(begin, end);
     std::array<int64_t, kSweepChunks> partial{};
     GlobalThreadPool().ParallelForChunks(
         static_cast<size_t>(end - begin), kSweepChunks,
@@ -266,7 +221,7 @@ Result<SketchTopKResult> SketchIndex::TopK(
   const auto mark_covered = [&](NodeId v) {
     const int64_t begin = offsets_[static_cast<size_t>(v)];
     const int64_t end = offsets_[static_cast<size_t>(v) + 1];
-    if (end - begin < options.parallel_grain) return mark_range(begin, end);
+    if (end - begin < kParallelGrain) return mark_range(begin, end);
     std::array<int64_t, kSweepChunks> partial{};
     GlobalThreadPool().ParallelForChunks(
         static_cast<size_t>(end - begin), kSweepChunks,

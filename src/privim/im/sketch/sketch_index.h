@@ -31,10 +31,12 @@
 //
 // Build parallelizes over sketches on the global ThreadPool with per-chunk
 // scratch; the CSR merge iterates sketches in fixed ascending order, so the
-// serialized index is byte-identical at 1, 4 or 8 threads.
+// serialized index is byte-identical at 1, 4 or 8 threads. Each sketch is
+// one walk of im/ris's AppendReverseReachable, and RIS ranks the pool it
+// samples from its caller's Rng through FromPool and the same TopK sweep.
 //
-// Persistence uses the checkpoint framing recipe (magic, version, payload
-// CRC-32) and common/atomic_file, and embeds the structural fingerprint of
+// Persistence uses the checkpoint frame (ckpt::Frame: magic, version,
+// payload CRC-32) and common/atomic_file, and embeds the structural fingerprint of
 // the graph it was built from: loading an index against a different graph
 // is refused, so a stale index can never serve wrong seeds.
 
@@ -70,22 +72,6 @@ struct SketchIndexOptions {
   Status Validate() const;
 };
 
-/// Tuning for one top-k sweep. The sweep's *selection* never changes with
-/// these knobs — only how the work is scheduled.
-struct SketchTopKOptions {
-  /// Posting lists at least this long have their lazy-gain recount and
-  /// cover-marking sharded across the global ThreadPool in fixed sketch
-  /// ranges, with integer partial sums folded in chunk order — so the
-  /// recomputed gains, the heap replay and the selected seeds stay
-  /// bit-identical to the serial sweep at every thread count. Lists below
-  /// the grain run serially (the common case for serving-sized pools);
-  /// this is what keeps k in the hundreds fast on RR pools whose hub
-  /// posting lists dominate the sweep.
-  int64_t parallel_grain = int64_t{1} << 16;
-
-  Status Validate() const;
-};
-
 /// One top-k sweep outcome.
 struct SketchTopKResult {
   std::vector<NodeId> seeds;
@@ -100,19 +86,33 @@ struct SketchTopKResult {
 /// threads may run TopK concurrently on a shared index.
 class SketchIndex {
  public:
+  /// Posting lists at least this long have their lazy-gain recount and
+  /// cover-marking sharded across the global ThreadPool in fixed sketch
+  /// ranges, with integer partial sums folded in chunk order — so the
+  /// recomputed gains, the heap replay and the selected seeds stay
+  /// bit-identical to the serial sweep at every thread count. Lists below
+  /// the grain run serially (the common case for serving-sized pools);
+  /// this is what keeps k in the hundreds fast on RR pools whose hub
+  /// posting lists dominate the sweep.
+  static constexpr int64_t kParallelGrain = int64_t{1} << 16;
+
   /// Samples the pool over the global ThreadPool and builds the CSR index.
   /// Deterministic: the result is byte-identical at every thread count.
   static Result<std::unique_ptr<SketchIndex>> Build(
       const Graph& graph, const SketchIndexOptions& options);
 
+  /// Indexes a pool the caller has already sampled (RIS): pool[s] holds
+  /// the distinct nodes of set s, each in [0, num_nodes). The pool must
+  /// hold 1 to INT32_MAX sets. The index records no graph fingerprint and
+  /// no mode (exhaustive() is false, seed() is 0); it exists for TopK.
+  static std::unique_ptr<SketchIndex> FromPool(
+      int64_t num_nodes, int64_t max_steps,
+      const std::vector<std::vector<NodeId>>& pool);
+
   /// Lazy greedy weighted max-coverage over the pool; selects min(k, n)
   /// seeds. In the exhaustive mode the selection (and its tie-breaking) is
   /// bit-identical to CelfGreedy over DeterministicCoverageOracle.
   Result<SketchTopKResult> TopK(int64_t k) const;
-
-  /// TopK with scheduling knobs (see SketchTopKOptions); same selection.
-  Result<SketchTopKResult> TopK(int64_t k,
-                                const SketchTopKOptions& options) const;
 
   int64_t num_nodes() const { return num_nodes_; }
   int64_t num_sketches() const { return num_sketches_; }
@@ -146,6 +146,10 @@ class SketchIndex {
 
  private:
   SketchIndex() = default;
+
+  /// Fixed-order CSR merge of `pool` into offsets_ / sketch_ids_ and
+  /// num_sketches_ (see Build).
+  void IndexPool(const std::vector<std::vector<NodeId>>& pool);
 
   /// The sweep's initial lazy-gain heap (every node pushed in ascending id
   /// order, exactly as CelfGreedy does), built once and memcpy'd per query

@@ -1,9 +1,10 @@
-// Persistence for SketchIndex: the checkpoint framing recipe (magic,
+// Persistence for SketchIndex: the checkpoint frame (ckpt::Frame: magic,
 // version, payload size, payload CRC-32) with its own magic so a sketch
 // index and a training snapshot can never be confused for one another, over
 // common/atomic_file so a crash mid-save leaves no torn index.
 
 #include <string>
+#include <string_view>
 
 #include "privim/ckpt/io.h"
 #include "privim/common/atomic_file.h"
@@ -12,7 +13,7 @@
 namespace privim {
 namespace {
 
-constexpr char kSketchMagic[8] = {'P', 'R', 'I', 'V', 'I', 'M', 'S', 'X'};
+constexpr std::string_view kSketchMagic = "PRIVIMSX";
 
 }  // namespace
 
@@ -95,51 +96,16 @@ struct SketchIndexCodec {
 };
 
 std::string SketchIndex::Encode() const {
-  const std::string body = SketchIndexCodec::EncodePayload(*this);
-  std::string bytes(kSketchMagic, sizeof(kSketchMagic));
-  ckpt::ByteWriter header;
-  header.WriteU32(kSketchIndexFormatVersion);
-  header.WriteU64(body.size());
-  header.WriteU32(ckpt::Crc32(body));
-  bytes += header.bytes();
-  bytes += body;
-  return bytes;
+  return ckpt::Frame(kSketchMagic, kSketchIndexFormatVersion,
+                     SketchIndexCodec::EncodePayload(*this));
 }
 
 Result<std::unique_ptr<SketchIndex>> SketchIndex::Decode(
     std::string_view bytes) {
-  constexpr size_t kHeaderSize = sizeof(kSketchMagic) + 4 + 8 + 4;
-  if (bytes.size() < kHeaderSize) {
-    return Status::IOError("truncated sketch index: shorter than its header");
-  }
-  if (bytes.compare(0, sizeof(kSketchMagic),
-                    std::string_view(kSketchMagic, sizeof(kSketchMagic))) !=
-      0) {
-    return Status::IOError("not a PrivIM sketch index (bad magic)");
-  }
-  ckpt::ByteReader header(
-      bytes.substr(sizeof(kSketchMagic), kHeaderSize - sizeof(kSketchMagic)));
-  uint32_t version = 0;
-  uint64_t payload_size = 0;
-  uint32_t expected_crc = 0;
-  PRIVIM_RETURN_NOT_OK(header.ReadU32(&version));
-  PRIVIM_RETURN_NOT_OK(header.ReadU64(&payload_size));
-  PRIVIM_RETURN_NOT_OK(header.ReadU32(&expected_crc));
-  if (version != kSketchIndexFormatVersion) {
-    return Status::IOError("unsupported sketch index format version " +
-                           std::to_string(version) + " (expected " +
-                           std::to_string(kSketchIndexFormatVersion) + ")");
-  }
-  const std::string_view body = bytes.substr(kHeaderSize);
-  if (body.size() != payload_size) {
-    return Status::IOError(
-        "truncated sketch index: payload has " + std::to_string(body.size()) +
-        " bytes, header promises " + std::to_string(payload_size));
-  }
-  if (ckpt::Crc32(body) != expected_crc) {
-    return Status::IOError("corrupt sketch index: CRC mismatch");
-  }
-  return SketchIndexCodec::DecodePayload(body);
+  Result<std::string_view> body = ckpt::Unframe(
+      bytes, kSketchMagic, kSketchIndexFormatVersion, "sketch index");
+  if (!body.ok()) return body.status();
+  return SketchIndexCodec::DecodePayload(body.value());
 }
 
 Status SketchIndex::Save(const std::string& path) const {

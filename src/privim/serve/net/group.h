@@ -63,8 +63,6 @@ class NetServerGroup {
     return servers_.front()->bound_address();
   }
 
-  const char* poller_name() const { return servers_.front()->poller_name(); }
-
   int64_t loops() const { return static_cast<int64_t>(servers_.size()); }
 
   /// Runs loop 0 on the calling thread and loops 1..N-1 on their own

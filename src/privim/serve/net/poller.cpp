@@ -1,184 +1,70 @@
 #include "privim/serve/net/poller.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <unordered_map>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#endif
+#include <string>
 
 namespace privim {
 namespace serve {
 namespace net {
 
-namespace {
-
-#if defined(__linux__)
-
-class EpollPoller final : public Poller {
- public:
-  explicit EpollPoller(int epfd) : epfd_(epfd) {}
-  ~EpollPoller() override { ::close(epfd_); }
-
-  Status Add(int fd, bool read, bool write) override {
-    return Control(EPOLL_CTL_ADD, fd, read, write);
-  }
-
-  Status Modify(int fd, bool read, bool write) override {
-    return Control(EPOLL_CTL_MOD, fd, read, write);
-  }
-
-  void Remove(int fd) override {
-    epoll_event unused{};
-    (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &unused);
-  }
-
-  Result<int> Wait(std::vector<Event>* events, int timeout_ms) override {
-    events->clear();
-    epoll_event ready[128];
-    const int n = ::epoll_wait(epfd_, ready, 128, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      return Status::IOError(std::string("epoll_wait: ") +
-                             std::strerror(errno));
-    }
-    events->reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      Event event;
-      event.fd = ready[i].data.fd;
-      event.readable = (ready[i].events & EPOLLIN) != 0;
-      event.writable = (ready[i].events & EPOLLOUT) != 0;
-      event.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      events->push_back(event);
-    }
-    return n;
-  }
-
-  const char* name() const override { return "epoll"; }
-
- private:
-  Status Control(int op, int fd, bool read, bool write) {
-    epoll_event event{};
-    event.data.fd = fd;
-    if (read) event.events |= EPOLLIN;
-    if (write) event.events |= EPOLLOUT;
-    if (::epoll_ctl(epfd_, op, fd, &event) != 0) {
-      return Status::IOError(std::string("epoll_ctl: ") +
-                             std::strerror(errno));
-    }
-    return Status::OK();
-  }
-
-  int epfd_;
-};
-
-#endif  // __linux__
-
-class PollPoller final : public Poller {
- public:
-  Status Add(int fd, bool read, bool write) override {
-    if (index_.count(fd) != 0) {
-      return Status::AlreadyExists("fd " + std::to_string(fd) +
-                                   " already registered");
-    }
-    index_[fd] = fds_.size();
-    pollfd entry{};
-    entry.fd = fd;
-    entry.events = Interest(read, write);
-    fds_.push_back(entry);
-    return Status::OK();
-  }
-
-  Status Modify(int fd, bool read, bool write) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) {
-      return Status::NotFound("fd " + std::to_string(fd) +
-                              " not registered");
-    }
-    fds_[it->second].events = Interest(read, write);
-    return Status::OK();
-  }
-
-  void Remove(int fd) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    const std::size_t slot = it->second;
-    index_.erase(it);
-    if (slot + 1 != fds_.size()) {
-      fds_[slot] = fds_.back();
-      index_[fds_[slot].fd] = slot;
-    }
-    fds_.pop_back();
-  }
-
-  Result<int> Wait(std::vector<Event>* events, int timeout_ms) override {
-    events->clear();
-    const int n =
-        ::poll(fds_.data(), static_cast<nfds_t>(fds_.size()), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return 0;
-      return Status::IOError(std::string("poll: ") + std::strerror(errno));
-    }
-    for (const pollfd& entry : fds_) {
-      if (entry.revents == 0) continue;
-      Event event;
-      event.fd = entry.fd;
-      event.readable = (entry.revents & POLLIN) != 0;
-      event.writable = (entry.revents & POLLOUT) != 0;
-      event.error = (entry.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      events->push_back(event);
-    }
-    return n;
-  }
-
-  const char* name() const override { return "poll"; }
-
- private:
-  static short Interest(bool read, bool write) {
-    short events = 0;
-    if (read) events |= POLLIN;
-    if (write) events |= POLLOUT;
-    return events;
-  }
-
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, std::size_t> index_;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<Poller>> Poller::CreatePoll() {
-  return std::unique_ptr<Poller>(new PollPoller());
-}
-
-Result<std::unique_ptr<Poller>> Poller::CreateEpoll() {
-#if defined(__linux__)
+Result<std::unique_ptr<Poller>> Poller::Create() {
   const int epfd = ::epoll_create1(EPOLL_CLOEXEC);
   if (epfd < 0) {
     return Status::IOError(std::string("epoll_create1: ") +
                            std::strerror(errno));
   }
-  return std::unique_ptr<Poller>(new EpollPoller(epfd));
-#else
-  return Status::Unimplemented("epoll is Linux-only; use CreatePoll()");
-#endif
+  return std::unique_ptr<Poller>(new Poller(epfd));
 }
 
-Result<std::unique_ptr<Poller>> Poller::Create() {
-  const char* forced = std::getenv("PRIVIM_NET_POLLER");
-  if (forced != nullptr && std::string(forced) == "poll") {
-    return CreatePoll();
+Poller::~Poller() { ::close(epfd_); }
+
+Status Poller::Add(int fd, bool read, bool write) {
+  return Control(EPOLL_CTL_ADD, fd, read, write);
+}
+
+Status Poller::Modify(int fd, bool read, bool write) {
+  return Control(EPOLL_CTL_MOD, fd, read, write);
+}
+
+void Poller::Remove(int fd) {
+  epoll_event unused{};
+  (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &unused);
+}
+
+Result<int> Poller::Wait(std::vector<Event>* events, int timeout_ms) {
+  events->clear();
+  epoll_event ready[128];
+  const int n = ::epoll_wait(epfd_, ready, 128, timeout_ms);
+  if (n < 0) {
+    if (errno == EINTR) return 0;
+    return Status::IOError(std::string("epoll_wait: ") +
+                           std::strerror(errno));
   }
-#if defined(__linux__)
-  Result<std::unique_ptr<Poller>> epoll = CreateEpoll();
-  if (epoll.ok()) return epoll;
-#endif
-  return CreatePoll();
+  events->reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    Event event;
+    event.fd = ready[i].data.fd;
+    event.readable = (ready[i].events & EPOLLIN) != 0;
+    event.writable = (ready[i].events & EPOLLOUT) != 0;
+    event.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+    events->push_back(event);
+  }
+  return n;
+}
+
+Status Poller::Control(int op, int fd, bool read, bool write) {
+  epoll_event event{};
+  event.data.fd = fd;
+  if (read) event.events |= EPOLLIN;
+  if (write) event.events |= EPOLLOUT;
+  if (::epoll_ctl(epfd_, op, fd, &event) != 0) {
+    return Status::IOError(std::string("epoll_ctl: ") + std::strerror(errno));
+  }
+  return Status::OK();
 }
 
 }  // namespace net

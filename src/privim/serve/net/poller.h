@@ -1,12 +1,8 @@
-// Readiness-notification abstraction for the single-threaded event loop:
-// epoll(7) on Linux with a portable poll(2) fallback. The backend is
-// chosen at Create() time — epoll where available, unless the
-// PRIVIM_NET_POLLER=poll environment variable forces the fallback (which
-// is how CI exercises the poll path on Linux too).
+// Readiness notification for the single-threaded event loop: epoll(7).
 //
-// Both backends are level-triggered: an fd with unread input or unflushed
-// output keeps reporting ready, so the loop never needs to drain a socket
-// to EAGAIN in one pass to stay correct.
+// Level-triggered: an fd with unread input or unflushed output keeps
+// reporting ready, so the loop never needs to drain a socket to EAGAIN in
+// one pass to stay correct.
 
 #ifndef PRIVIM_SERVE_NET_POLLER_H_
 #define PRIVIM_SERVE_NET_POLLER_H_
@@ -31,27 +27,29 @@ class Poller {
     bool error = false;
   };
 
-  virtual ~Poller() = default;
+  /// Opens the epoll instance; an epoll_create1 failure is an IOError.
+  static Result<std::unique_ptr<Poller>> Create();
+
+  ~Poller();
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
 
   /// Registers `fd` for read and/or write readiness. An fd is registered
   /// at most once; use Modify to change its interest set.
-  virtual Status Add(int fd, bool read, bool write) = 0;
-  virtual Status Modify(int fd, bool read, bool write) = 0;
-  virtual void Remove(int fd) = 0;
+  Status Add(int fd, bool read, bool write);
+  Status Modify(int fd, bool read, bool write);
+  void Remove(int fd);
 
   /// Blocks up to `timeout_ms` (-1 = indefinitely) and appends ready fds
   /// to `*events` (cleared first). Returns the number of ready fds; 0 on
   /// timeout. EINTR is not an error (returns 0 so the loop re-evaluates).
-  virtual Result<int> Wait(std::vector<Event>* events, int timeout_ms) = 0;
+  Result<int> Wait(std::vector<Event>* events, int timeout_ms);
 
-  /// "epoll" or "poll".
-  virtual const char* name() const = 0;
+ private:
+  explicit Poller(int epfd) : epfd_(epfd) {}
+  Status Control(int op, int fd, bool read, bool write);
 
-  /// Chooses the backend (see file comment).
-  static Result<std::unique_ptr<Poller>> Create();
-  /// Explicit backends, for tests.
-  static Result<std::unique_ptr<Poller>> CreateEpoll();  ///< Linux only
-  static Result<std::unique_ptr<Poller>> CreatePoll();
+  int epfd_;
 };
 
 }  // namespace net

@@ -1,5 +1,5 @@
-// TCP front door for the InfluenceService: a single-threaded event loop
-// (epoll on Linux, poll elsewhere — see poller.h) speaking the JSON-lines
+// TCP front door for the InfluenceService: a single-threaded epoll event
+// loop (poller.h) speaking the JSON-lines
 // wire format from serve/request.h over any number of concurrent
 // connections. Each connection may instead speak HTTP/1.1 (net/http.h) —
 // the framing is auto-detected from the first bytes and the /v1/query
@@ -130,9 +130,6 @@ class NetServer {
 
   /// The bound listen address with port 0 resolved.
   const HostPort& bound_address() const { return bound_; }
-
-  /// Which readiness backend the loop uses ("epoll" or "poll").
-  const char* poller_name() const { return poller_->name(); }
 
   /// Runs the event loop on the calling thread. Returns OK after a
   /// graceful drain, or the first fatal loop error.

@@ -7,14 +7,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <sys/eventfd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-
-#if defined(__linux__)
-#include <sys/eventfd.h>
-#endif
 
 namespace privim {
 namespace serve {
@@ -153,51 +151,28 @@ int AcceptConnection(int listen_fd, bool* peer_is_loopback) {
   return fd;
 }
 
-WakeupFd::WakeupFd() {
-#if defined(__linux__)
-  const int fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (fd >= 0) {
-    read_fd_ = write_fd_ = fd;
-    return;
-  }
-#endif
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    std::perror("privim: wakeup pipe");
+WakeupFd::WakeupFd() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (fd_ < 0) {
+    std::perror("privim: wakeup eventfd");
     std::abort();  // an event loop without a wakeup path cannot run at all
   }
-  (void)SetNonBlocking(fds[0]);
-  (void)SetNonBlocking(fds[1]);
-  read_fd_ = fds[0];
-  write_fd_ = fds[1];
 }
 
-WakeupFd::~WakeupFd() {
-  if (read_fd_ >= 0) ::close(read_fd_);
-  if (write_fd_ >= 0 && write_fd_ != read_fd_) ::close(write_fd_);
-}
+WakeupFd::~WakeupFd() { ::close(fd_); }
 
 void WakeupFd::Notify() const {
-  // write(2) is async-signal-safe; EAGAIN means a wakeup is already
-  // pending, which is all a notification needs to guarantee.
+  // write(2) is async-signal-safe; EAGAIN means the counter is saturated,
+  // so a wakeup is already pending, which is all a notification needs.
   const uint64_t one = 1;
-#if defined(__linux__)
-  if (write_fd_ == read_fd_) {
-    ssize_t ignored = ::write(write_fd_, &one, sizeof(one));
-    (void)ignored;
-    return;
-  }
-#endif
-  const char byte = 1;
-  ssize_t ignored = ::write(write_fd_, &byte, 1);
+  ssize_t ignored = ::write(fd_, &one, sizeof(one));
   (void)ignored;
-  (void)one;
 }
 
 void WakeupFd::Drain() const {
-  char sink[256];
-  while (::read(read_fd_, sink, sizeof(sink)) > 0) {
-  }
+  // One read returns the eventfd counter and resets it to zero.
+  uint64_t count = 0;
+  ssize_t ignored = ::read(fd_, &count, sizeof(count));
+  (void)ignored;
 }
 
 }  // namespace net

@@ -1,7 +1,7 @@
 // Thin Status-returning wrappers over the BSD socket calls the TCP front
 // end needs: address parsing, listener setup, non-blocking mode, and an
-// async-signal-safe wakeup fd (eventfd on Linux, a self-pipe elsewhere)
-// that lets completion threads and signal handlers rouse the event loop.
+// async-signal-safe wakeup eventfd that lets completion threads and signal
+// handlers rouse the event loop.
 
 #ifndef PRIVIM_SERVE_NET_SOCKET_H_
 #define PRIVIM_SERVE_NET_SOCKET_H_
@@ -48,26 +48,26 @@ Status SetNonBlocking(int fd);
 /// swallowed — latency tuning must not break correctness).
 void SetTcpNoDelay(int fd);
 
-/// A readable fd the event loop can poll, plus a Notify() that is safe to
+/// An eventfd the event loop can poll, plus a Notify() that is safe to
 /// call from any thread *and from signal handlers* (it only ever calls
 /// write(2)). Multiple notifications coalesce; Drain() resets the fd.
 class WakeupFd {
  public:
-  WakeupFd();  ///< aborts the process only if fd creation fails entirely
+  WakeupFd();  ///< aborts the process if the eventfd cannot be created
   ~WakeupFd();
 
   WakeupFd(const WakeupFd&) = delete;
   WakeupFd& operator=(const WakeupFd&) = delete;
 
-  int read_fd() const { return read_fd_; }
+  /// The fd to register for read readiness.
+  int read_fd() const { return fd_; }
   /// Async-signal-safe.
   void Notify() const;
   /// Consumes all pending notifications (event-loop side).
   void Drain() const;
 
  private:
-  int read_fd_ = -1;
-  int write_fd_ = -1;  ///< == read_fd_ for eventfd, pipe end otherwise
+  int fd_;
 };
 
 }  // namespace net

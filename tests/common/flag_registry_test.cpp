@@ -29,8 +29,8 @@ class ArgvFixture {
 
 FlagRegistry TestRegistry() {
   FlagRegistry registry;
-  registry.AddInt("subgraph-size", 25, "RWR subgraph size n", "n")
-      .AddDouble("learning-rate", 0.1, "SGD step size", "lr")
+  registry.AddInt("subgraph-size", 25, "RWR subgraph size n")
+      .AddDouble("learning-rate", 0.1, "SGD step size")
       .AddBool("undirected", false, "symmetrize edges")
       .AddString("model", "out.model", "output path");
   return registry;
@@ -42,7 +42,6 @@ TEST(FlagRegistryTest, RoundTripsEveryTypeAndSyntax) {
   const ParsedFlags parsed =
       TestRegistry().Parse(args.argc(), args.argv()).value();
   EXPECT_FALSE(parsed.help_requested);
-  EXPECT_TRUE(parsed.warnings.empty());
   EXPECT_EQ(parsed.flags.GetInt("subgraph-size", 0), 40);
   EXPECT_EQ(parsed.flags.GetDouble("learning-rate", 0.0), 0.5);
   EXPECT_TRUE(parsed.flags.GetBool("undirected", false));
@@ -55,20 +54,6 @@ TEST(FlagRegistryTest, AbsentFlagsFallBackToCallSiteDefaults) {
       TestRegistry().Parse(args.argc(), args.argv()).value();
   EXPECT_EQ(parsed.flags.GetInt("subgraph-size", 25), 25);
   EXPECT_FALSE(parsed.flags.Has("model"));
-}
-
-TEST(FlagRegistryTest, DeprecatedAliasCanonicalizesWithWarning) {
-  ArgvFixture args({"--n", "12", "--lr=0.3"});
-  const ParsedFlags parsed =
-      TestRegistry().Parse(args.argc(), args.argv()).value();
-  // Values land under the canonical names.
-  EXPECT_EQ(parsed.flags.GetInt("subgraph-size", 0), 12);
-  EXPECT_EQ(parsed.flags.GetDouble("learning-rate", 0.0), 0.3);
-  EXPECT_FALSE(parsed.flags.Has("n"));
-  ASSERT_EQ(parsed.warnings.size(), 2u);
-  EXPECT_NE(parsed.warnings[0].find("--n is deprecated"), std::string::npos);
-  EXPECT_NE(parsed.warnings[0].find("--subgraph-size"), std::string::npos);
-  EXPECT_NE(parsed.warnings[1].find("--lr is deprecated"), std::string::npos);
 }
 
 TEST(FlagRegistryTest, UnknownFlagIsRejectedWithHelpHint) {
@@ -133,7 +118,6 @@ TEST(FlagRegistryTest, HelpTextListsEveryFlagDefaultAndAlias) {
   EXPECT_NE(help.find("usage: test"), std::string::npos);
   EXPECT_NE(help.find("--subgraph-size"), std::string::npos);
   EXPECT_NE(help.find("default 25"), std::string::npos);
-  EXPECT_NE(help.find("(deprecated alias: --n)"), std::string::npos);
   EXPECT_NE(help.find("--model"), std::string::npos);
   EXPECT_NE(help.find("[string"), std::string::npos);
 }

@@ -179,46 +179,43 @@ TEST(SketchIndexTest, BuildIsByteIdenticalAtEveryThreadCount) {
 
 // --- sharded top-k sweep --------------------------------------------------
 
-// Forcing parallel_grain = 1 routes every posting-list sweep through the
-// chunked parallel path; the selection (seeds, spread, even the resweep
-// count) must be bit-identical to the serial sweep at every thread count.
+// Hub 0 reaches every shared leaf; hub 1 all but the first 100 of them plus
+// 10 leaves of its own; hub 2 only 11 leaves of its own. The posting lists
+// of hubs 0 and 1 exceed SketchIndex::kParallelGrain, so selecting hub 0
+// marks its list through the chunked parallel path, and hub 1's stale gain
+// is recounted through it: to 11, one short of hub 2's 12, so a miscount
+// changes the seeds. The selection must be CELF's at every thread count.
 TEST(ShardedSweepTest, ParallelSweepMatchesSerialSelection) {
-  Rng rng(321);
+  constexpr NodeId kShared = 65700;
   std::vector<Edge> edges;
-  for (NodeId u = 0; u < 300; ++u) {
-    for (int j = 0; j < 6; ++j) {
-      const NodeId v = static_cast<NodeId>(rng.NextBounded(300));
-      if (v != u) edges.push_back({u, v, 1.0f});
-    }
+  NodeId leaf = 3;
+  for (; leaf < kShared + 3; ++leaf) {
+    edges.push_back({0, leaf, 1.0f});
+    if (leaf >= 103) edges.push_back({1, leaf, 1.0f});
   }
-  const Graph graph = MakeGraph(300, edges);
+  for (int i = 0; i < 10; ++i) edges.push_back({1, leaf++, 1.0f});
+  for (int i = 0; i < 11; ++i) edges.push_back({2, leaf++, 1.0f});
+  const Graph graph = MakeGraph(leaf, edges);
   SketchIndexOptions options;
-  options.max_steps = 2;
+  options.max_steps = 1;
   std::unique_ptr<SketchIndex> index = BuildIndex(graph, options);
+  ASSERT_GT(kShared - 100 + 10, SketchIndex::kParallelGrain);
 
-  Result<SketchTopKResult> serial = index->TopK(10);
-  ASSERT_TRUE(serial.ok());
-  SketchTopKOptions sweep;
-  sweep.parallel_grain = 1;
+  DeterministicCoverageOracle oracle(graph, 1);
+  Result<SeedSelectionResult> celf = CelfGreedy(oracle, 3);
+  ASSERT_TRUE(celf.ok()) << celf.status().ToString();
+  ASSERT_EQ(celf->seeds, (std::vector<NodeId>{0, 2, 1}));
+  int64_t serial_resweeps = -1;
   for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
     SetGlobalThreadPoolSize(threads);
-    Result<SketchTopKResult> parallel = index->TopK(10, sweep);
-    ASSERT_TRUE(parallel.ok()) << threads << " threads";
-    EXPECT_EQ(parallel->seeds, serial->seeds) << threads << " threads";
-    EXPECT_EQ(parallel->spread, serial->spread) << threads << " threads";
-    EXPECT_EQ(parallel->resweeps, serial->resweeps) << threads << " threads";
+    Result<SketchTopKResult> sweep = index->TopK(3);
+    ASSERT_TRUE(sweep.ok()) << threads << " threads";
+    EXPECT_EQ(sweep->seeds, celf->seeds) << threads << " threads";
+    EXPECT_EQ(sweep->spread, celf->spread) << threads << " threads";
+    if (serial_resweeps < 0) serial_resweeps = sweep->resweeps;
+    EXPECT_EQ(sweep->resweeps, serial_resweeps) << threads << " threads";
   }
   SetGlobalThreadPoolSize(0);
-}
-
-TEST(ShardedSweepTest, RejectsInvalidGrain) {
-  const Graph graph = TiedGraph();
-  SketchIndexOptions options;
-  std::unique_ptr<SketchIndex> index = BuildIndex(graph, options);
-  SketchTopKOptions sweep;
-  sweep.parallel_grain = 0;
-  EXPECT_EQ(index->TopK(3, sweep).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 // --- persistence: round trip and the rejection suite ----------------------

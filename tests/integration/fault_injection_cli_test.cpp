@@ -54,9 +54,9 @@ class FaultInjectionCliTest : public ::testing::Test {
                            const std::string& model, bool resume,
                            int threads) const {
     std::string cmd = cli_ + " train --graph " + graph_path_ +
-                      " --iterations 8 --n 15 --batch 6 --k 5" +
-                      " --checkpoint-dir " + ckpt_dir + " --model " + model +
-                      " --threads " + std::to_string(threads);
+                      " --iterations 8 --subgraph-size 15 --batch-size 6" +
+                      " --k 5 --checkpoint-dir " + ckpt_dir + " --model " +
+                      model + " --threads " + std::to_string(threads);
     if (resume) cmd += " --resume";
     return cmd;
   }

@@ -1,7 +1,7 @@
 // End-to-end coverage of privim_serve: drives the real binary over a
 // JSON-lines request stream and checks input-order responses, bit-identical
 // output at 1/4/8 worker threads, graceful per-line error handling, the
-// deprecated/unknown-flag surface and the serve.* metrics export. A
+// unknown-flag surface and the serve.* metrics export. A
 // concurrent-producers case runs several server processes over the same
 // inputs at once — their outputs must still be byte-identical.
 
@@ -247,12 +247,12 @@ TEST_F(ServeCliTest, SketchIndexBuildLoadAndServe) {
   const std::string index = dir_ + "/index.privimsx";
   const std::string base = serve_ + " --graph " + graph_path_ +
                            " --undirected --requests " + requests +
-                           " --threads 2 --sketch-index " + index;
+                           " --threads 2 --assets-sketch-index " + index;
 
   // First run builds and persists the index, then serves from it.
   const std::string built_out = dir_ + "/sketch_built.jsonl";
   const SubprocessResult built = RunSubprocess(
-      base + " --build-sketch-index --out " + built_out);
+      base + " --assets-build-sketch-index --out " + built_out);
   ASSERT_EQ(built.exit_code, 0) << built.output;
   EXPECT_NE(built.output.find("sketch index built"), std::string::npos)
       << built.output;
@@ -296,68 +296,22 @@ TEST_F(ServeCliTest, SketchIndexBuildLoadAndServe) {
   }
   const SubprocessResult mismatch = RunSubprocess(
       serve_ + " --graph " + other_graph + " --requests " + requests +
-      " --out " + dir_ + "/mismatch.jsonl --sketch-index " + index);
+      " --out " + dir_ + "/mismatch.jsonl --assets-sketch-index " + index);
   EXPECT_NE(mismatch.exit_code, 0);
   EXPECT_NE(mismatch.output.find("different graph"), std::string::npos)
       << mismatch.output;
 
-  // --build-sketch-index without a path to write is a flag error.
+  // --assets-build-sketch-index without a path to write is a flag error.
   EXPECT_NE(RunSubprocess(Command(2, dir_ + "/y.jsonl",
-                                  "--build-sketch-index"))
+                                  "--assets-build-sketch-index"))
                 .exit_code,
             0);
-}
-
-TEST_F(ServeCliTest, DeprecatedSketchFlagSpellingsForwardWithAWarning) {
-  // The sketch flags moved to the assets-* namespace when the serving
-  // snapshot became swappable; the old spellings must keep working
-  // through the FlagRegistry alias machinery, with a deprecation warning
-  // naming the new flag.
-  const std::string requests = dir_ + "/alias_requests.jsonl";
-  {
-    std::ofstream file(requests);
-    file << R"({"id":"s1","op":"topk","k":2,"method":"sketch"})" << "\n";
-  }
-  const std::string index = dir_ + "/alias.privimsx";
-
-  const SubprocessResult old_spelling = RunSubprocess(
-      serve_ + " --graph " + graph_path_ + " --undirected --requests " +
-      requests + " --out " + dir_ + "/old.jsonl --sketch-index " + index +
-      " --build-sketch-index --sketch-steps 1 --sketch-rr-sets 256");
-  ASSERT_EQ(old_spelling.exit_code, 0) << old_spelling.output;
-  EXPECT_NE(old_spelling.output.find(
-                "--sketch-index is deprecated; use --assets-sketch-index"),
-            std::string::npos)
-      << old_spelling.output;
-  EXPECT_NE(old_spelling.output.find(
-                "--build-sketch-index is deprecated; use "
-                "--assets-build-sketch-index"),
-            std::string::npos)
-      << old_spelling.output;
-  EXPECT_NE(old_spelling.output.find("sketch index built"),
-            std::string::npos)
-      << old_spelling.output;
-  ASSERT_TRUE(std::filesystem::exists(index));
-
-  // The new spellings load the index the old ones built, warning-free,
-  // and produce the same bytes.
-  const SubprocessResult new_spelling = RunSubprocess(
-      serve_ + " --graph " + graph_path_ + " --undirected --requests " +
-      requests + " --out " + dir_ + "/new.jsonl --assets-sketch-index " +
-      index + " --assets-sketch-steps 1");
-  ASSERT_EQ(new_spelling.exit_code, 0) << new_spelling.output;
-  EXPECT_EQ(new_spelling.output.find("deprecated"), std::string::npos)
-      << new_spelling.output;
-  EXPECT_EQ(ReadFile(dir_ + "/new.jsonl"), ReadFile(dir_ + "/old.jsonl"));
 }
 
 TEST_F(ServeCliTest, HelpDocumentsTheAssetsFlagsAndTheirAliases) {
   const SubprocessResult help = RunSubprocess(serve_ + " --help");
   ASSERT_EQ(help.exit_code, 0);
   EXPECT_NE(help.output.find("--assets-sketch-index"), std::string::npos)
-      << help.output;
-  EXPECT_NE(help.output.find("(deprecated alias: --sketch-index)"),
-            std::string::npos)
       << help.output;
   EXPECT_NE(help.output.find("--net-loops"), std::string::npos)
       << help.output;
@@ -376,6 +330,13 @@ TEST_F(ServeCliTest, BadFlagsFailFast) {
                                   "--queue-capacity 0"))
                 .exit_code,
             0);
+  // A retired spelling is an unknown flag like any other.
+  const SubprocessResult retired =
+      RunSubprocess(Command(2, dir_ + "/z.jsonl", "--sketch-index x"));
+  EXPECT_NE(retired.exit_code, 0);
+  EXPECT_NE(retired.output.find("unknown flag --sketch-index (see --help)"),
+            std::string::npos)
+      << retired.output;
 }
 
 }  // namespace

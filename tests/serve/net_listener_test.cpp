@@ -1,7 +1,6 @@
 // In-process NetServer tests: request/response over a real socket,
 // byte-identity with the engine's direct path, load shedding, deadlines,
-// connection caps, oversized lines, graceful drain, and the poll
-// fallback backend.
+// connection caps, oversized lines and graceful drain.
 
 #include "privim/serve/net/server.h"
 
@@ -382,24 +381,6 @@ TEST(NetListenerTest, GracefulDrainAnswersEveryAdmittedRequest) {
         R"({"id":"late","op":"spread","seeds":[0],"simulations":0})");
     EXPECT_FALSE(late.ReadLine().ok());
   }
-}
-
-TEST(NetListenerTest, PollFallbackServesTheSameProtocol) {
-  ::setenv("PRIVIM_NET_POLLER", "poll", 1);
-  {
-    ServerHarness harness;
-    EXPECT_EQ(std::string(harness.server()->poller_name()), "poll");
-    BlockingClient client = harness.Connect();
-    const std::string request =
-        R"({"id":"p1","op":"topk","k":2,"method":"model"})";
-    ASSERT_TRUE(client.SendLine(request).ok());
-    ASSERT_TRUE(client.ShutdownWrite().ok());
-    Result<std::string> line = client.ReadLine();
-    ASSERT_TRUE(line.ok());
-    EXPECT_EQ(line.value(),
-              DirectResponseLine(harness.service(), request));
-  }
-  ::unsetenv("PRIVIM_NET_POLLER");
 }
 
 TEST(NetListenerTest, StatsCountTraffic) {

@@ -1,5 +1,5 @@
 // Socket-layer tests: HOST:PORT parsing, listener setup with ephemeral
-// port resolution, the wakeup fd, and both Poller backends.
+// port resolution, the wakeup fd, and the epoll Poller.
 
 #include "privim/serve/net/socket.h"
 
@@ -62,7 +62,7 @@ TEST(NetSocketTest, WakeupFdNotifyIsVisibleToPollAndCoalesces) {
   WakeupFd wakeup;
   ASSERT_GE(wakeup.read_fd(), 0);
 
-  Result<std::unique_ptr<Poller>> poller = Poller::CreatePoll();
+  Result<std::unique_ptr<Poller>> poller = Poller::Create();
   ASSERT_TRUE(poller.ok());
   ASSERT_TRUE(
       poller.value()->Add(wakeup.read_fd(), true, false).ok());
@@ -102,25 +102,9 @@ TEST(NetSocketTest, WakeupFdNotifyFromAnotherThread) {
   EXPECT_EQ(n.value(), 1);
 }
 
-class NetPollerTest : public ::testing::TestWithParam<const char*> {
- protected:
-  Result<std::unique_ptr<Poller>> MakePoller() {
-    const std::string which = GetParam();
-    if (which == "epoll") return Poller::CreateEpoll();
-    return Poller::CreatePoll();
-  }
-};
-
-TEST_P(NetPollerTest, ReportsReadAndWriteReadinessOnAPipe) {
-  Result<std::unique_ptr<Poller>> poller = MakePoller();
-#ifndef __linux__
-  if (std::string(GetParam()) == "epoll") {
-    EXPECT_FALSE(poller.ok());
-    return;
-  }
-#endif
+TEST(NetPollerTest, ReportsReadAndWriteReadinessOnAPipe) {
+  Result<std::unique_ptr<Poller>> poller = Poller::Create();
   ASSERT_TRUE(poller.ok()) << poller.status().ToString();
-  EXPECT_EQ(std::string(poller.value()->name()), GetParam());
 
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
@@ -160,23 +144,14 @@ TEST_P(NetPollerTest, ReportsReadAndWriteReadinessOnAPipe) {
   ::close(fds[1]);
 }
 
-TEST_P(NetPollerTest, ZeroTimeoutDoesNotBlock) {
-  Result<std::unique_ptr<Poller>> poller = MakePoller();
-#ifndef __linux__
-  if (std::string(GetParam()) == "epoll") return;
-#endif
+TEST(NetPollerTest, ZeroTimeoutDoesNotBlock) {
+  Result<std::unique_ptr<Poller>> poller = Poller::Create();
   ASSERT_TRUE(poller.ok());
   std::vector<Poller::Event> events;
   const Result<int> n = poller.value()->Wait(&events, 0);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, NetPollerTest,
-                         ::testing::Values("epoll", "poll"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
 
 }  // namespace
 }  // namespace net

@@ -107,6 +107,17 @@ TEST(ServiceTest, ExecuteAnswersEveryOp) {
       << spread.ToJsonLine();
 }
 
+TEST(ServiceTest, RisPoolPastTheSetIdWidthIsRefusedBeforeSampling) {
+  // RR-set ids are 32-bit, so 2^31 sets cannot be indexed: the request is
+  // an InvalidArgument before any set is sampled.
+  auto service = MakeService(ServeOptions());
+  const ServeResponse response = service->Execute(Request(
+      R"({"id":"r","op":"topk","k":3,"method":"ris","rr_sets":2147483648})"));
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status.message().find("num_rr_sets"), std::string::npos)
+      << response.status.ToString();
+}
+
 TEST(ServiceTest, ModelOpsFailCleanlyWithoutModel) {
   auto service = MakeService(ServeOptions(), /*with_model=*/false);
   const ServeResponse influence =

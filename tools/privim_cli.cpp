@@ -11,9 +11,8 @@
 //
 // Flags are declared in per-subcommand FlagRegistry instances
 // (common/flag_registry.h): `privim_cli <subcommand> --help` prints the
-// generated reference, unknown flags are rejected, and the pre-registry
-// spellings (--n, --M, --q, --batch, --lr, --clip) keep working as
-// deprecated aliases. All option validation lives in
+// generated reference and unknown flags are rejected. All option
+// validation lives in
 // PrivImOptions::Validate(); this front end only maps Status to process
 // exit codes — library code never exits.
 //
@@ -75,15 +74,14 @@ FlagRegistry TrainFlags() {
   FlagRegistry registry;
   registry.Include(GraphFlags());
   registry
-      .AddInt("subgraph-size", 25, "RWR subgraph size n", "n")
-      .AddInt("freq-threshold", 6, "SCS occurrence threshold M", "M")
+      .AddInt("subgraph-size", 25, "RWR subgraph size n")
+      .AddInt("freq-threshold", 6, "SCS occurrence threshold M")
       .AddDouble("sampling-rate", 0.0,
-                 "root sampling rate q; <= 0 means 256/|V|", "q")
+                 "root sampling rate q; <= 0 means 256/|V|")
       .AddInt("iterations", 40, "training iterations T")
-      .AddInt("batch-size", 16, "DP-SGD batch size B", "batch")
-      .AddDouble("learning-rate", 0.1, "SGD step size eta", "lr")
-      .AddDouble("clip-bound", 0.2, "per-sample gradient clip bound C",
-                 "clip")
+      .AddInt("batch-size", 16, "DP-SGD batch size B")
+      .AddDouble("learning-rate", 0.1, "SGD step size eta")
+      .AddDouble("clip-bound", 0.2, "per-sample gradient clip bound C")
       .AddDouble("lambda", 0.7, "influence-loss mixing weight")
       .AddInt("k", 50, "seed-set size")
       .AddDouble("epsilon", 4.0,
@@ -419,9 +417,6 @@ int Main(int argc, char** argv) {
                                     subcommand->name + " [--flags]")
                           .c_str());
     return 0;
-  }
-  for (const std::string& warning : parsed->warnings) {
-    std::fprintf(stderr, "warning: %s\n", warning.c_str());
   }
   const Flags& flags = parsed->flags;
 

@@ -210,9 +210,6 @@ int Main(int argc, char** argv) {
                           .c_str());
     return 0;
   }
-  for (const std::string& warning : parsed->warnings) {
-    std::fprintf(stderr, "warning: %s\n", warning.c_str());
-  }
   return Run(parsed->flags);
 }
 

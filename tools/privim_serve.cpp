@@ -170,26 +170,21 @@ FlagRegistry ServeCliFlags() {
                  "RIS sketch index file for method=sketch top-k; loaded "
                  "into the serving snapshot (refused if built for a "
                  "different graph). Without it, method=sketch falls back "
-                 "to CELF",
-                 /*deprecated_alias=*/"sketch-index")
+                 "to CELF")
       .AddBool("assets-build-sketch-index", false,
                "build the sketch index from the serving graph, save it to "
-               "--assets-sketch-index, serve it, and keep serving",
-               /*deprecated_alias=*/"build-sketch-index")
+               "--assets-sketch-index, serve it, and keep serving")
       .AddInt("assets-sketch-rr-sets", 4000,
               "RR sets to sample when building a sketch index over a "
               "weighted graph (unit-weight graphs use one exhaustive "
-              "sketch per node instead)",
-              /*deprecated_alias=*/"sketch-rr-sets")
+              "sketch per node instead)")
       .AddInt("assets-sketch-steps", 1,
               "diffusion step bound baked into a built sketch index; "
               "method=sketch requests with a different \"steps\" fall "
-              "back to CELF (-1 = to quiescence)",
-              /*deprecated_alias=*/"sketch-steps")
+              "back to CELF (-1 = to quiescence)")
       .AddInt("assets-sketch-seed", 42,
               "base seed for the sampled sketch build (ignored by the "
-              "exhaustive unit-weight mode)",
-              /*deprecated_alias=*/"sketch-seed");
+              "exhaustive unit-weight mode)");
   return registry;
 }
 
@@ -268,8 +263,7 @@ int ServeListen(const Flags& flags, serve::InfluenceService* service) {
       return Fail(Status::IOError("cannot write --port-file: " + path));
     }
   }
-  std::fprintf(stderr, "listening on %s (%s, %lld loops)\n", bound.c_str(),
-               group.value()->poller_name(),
+  std::fprintf(stderr, "listening on %s (%lld loops)\n", bound.c_str(),
                static_cast<long long>(group.value()->loops()));
 
   const Status ran = group.value()->Run();
@@ -463,9 +457,6 @@ int Main(int argc, char** argv) {
                                   "[--flags]")
                     .c_str());
     return 0;
-  }
-  for (const std::string& warning : parsed->warnings) {
-    std::fprintf(stderr, "warning: %s\n", warning.c_str());
   }
   const Flags& flags = parsed->flags;
 
