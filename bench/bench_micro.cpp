@@ -431,8 +431,8 @@ std::vector<serve::ServeRequest> ServeBenchRequests() {
 // graph keep nearly all of their arcs under induction (unlike random node
 // sets, which are arc-starved), so the GNN forward dominates and the
 // tape-vs-fused engine choice is what the two rows measure (row 2 = tape,
-// row 3 = fused with block-diagonal batching). Responses are bit-identical
-// between the rows.
+// row 3 = fused, one compiled forward per request). Responses are
+// bit-identical between the rows.
 std::vector<serve::ServeRequest> ServeSubgraphRequests() {
   std::vector<serve::ServeRequest> requests;
   requests.reserve(96);

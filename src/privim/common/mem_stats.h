@@ -25,8 +25,8 @@ struct MemStats {
 MemStats ReadMemStats();
 
 /// Publishes the current MemStats to the `graph.mem.rss_bytes` and
-/// `graph.mem.hwm_bytes` gauges. Cheap (one small file read); called after
-/// every large graph build and safe to call from tools/benchmarks at will.
+/// `graph.mem.hwm_bytes` gauges. One small file read; privim_cli and
+/// privim_serve call it right before they write --metrics-out.
 void UpdateGraphMemGauges();
 
 }  // namespace privim

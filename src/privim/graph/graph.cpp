@@ -10,26 +10,17 @@
 
 namespace privim {
 
-Graph Graph::FromCsr(int64_t num_nodes, graph_internal::CsrParts parts) {
+Graph Graph::FromCsr(int64_t num_nodes, graph_internal::CsrParts parts,
+                     bool undirected) {
   Graph graph;
   graph.num_nodes_ = num_nodes;
+  graph.undirected_ = undirected;
   graph.out_offsets_ = std::move(parts.out_offsets);
   graph.out_neighbors_ = std::move(parts.out_neighbors);
   graph.out_weights_ = std::move(parts.out_weights);
   graph.in_offsets_ = std::move(parts.in_offsets);
   graph.in_neighbors_ = std::move(parts.in_neighbors);
   graph.in_weights_ = std::move(parts.in_weights);
-  return graph;
-}
-
-Graph GraphBuilder::FromParts(int64_t num_nodes, bool undirected,
-                              graph_internal::CsrParts parts) {
-  Graph graph = Graph::FromCsr(num_nodes, std::move(parts));
-  graph.undirected_ = undirected;
-  graph_internal::RecordBuildMetrics(
-      static_cast<int64_t>(graph.out_neighbors_.size() * sizeof(NodeId) * 2 +
-                           graph.out_weights_.size() * sizeof(float) * 2 +
-                           graph.out_offsets_.size() * sizeof(int64_t) * 2));
   return graph;
 }
 
@@ -93,7 +84,7 @@ Result<Graph> GraphBuilder::BuildParallel(
       num_nodes, tasks, /*expand_reverse=*/undirected, /*validate=*/true);
   if (!parts.ok()) return parts.status();
   task_edges.clear();
-  return FromParts(num_nodes, undirected, std::move(parts).value());
+  return Graph::FromCsr(num_nodes, std::move(parts).value(), undirected);
 }
 
 Result<Graph> GraphBuilder::Build() {
@@ -102,87 +93,28 @@ Result<Graph> GraphBuilder::Build() {
   }
   built_ = true;
 
-  if (static_cast<int64_t>(edges_.size()) >= kParallelBuildMinArcs) {
-    // Sharded parallel assembly. Edges already passed AddEdge validation
-    // (and undirected reverse arcs were inserted there), so the tasks are
-    // plain fixed chunks of the accumulated arc sequence — any chunking of
-    // the same sequence assembles the identical graph.
-    constexpr int64_t kArcsPerTask = int64_t{1} << 15;
-    constexpr int64_t kMaxTasks = 256;
-    const int64_t num_tasks =
-        std::clamp<int64_t>(static_cast<int64_t>(edges_.size()) / kArcsPerTask,
-                            1, kMaxTasks);
-    const int64_t per_task =
-        (static_cast<int64_t>(edges_.size()) + num_tasks - 1) / num_tasks;
-    std::vector<std::span<const Edge>> tasks;
-    tasks.reserve(static_cast<size_t>(num_tasks));
-    for (int64_t t = 0; t < num_tasks; ++t) {
-      const int64_t begin = t * per_task;
-      const int64_t end =
-          std::min<int64_t>(begin + per_task, static_cast<int64_t>(edges_.size()));
-      if (begin >= end) break;
-      tasks.emplace_back(edges_.data() + begin,
-                         static_cast<size_t>(end - begin));
-    }
-    Result<graph_internal::CsrParts> parts = graph_internal::BuildCsrParallel(
-        num_nodes_, tasks, /*expand_reverse=*/false, /*validate=*/false);
-    if (!parts.ok()) return parts.status();
-    edges_.clear();
-    edges_.shrink_to_fit();
-    return FromParts(num_nodes_, undirected_, std::move(parts).value());
+  // Edges already passed AddEdge validation (and undirected reverse arcs
+  // were inserted there), so the tasks are plain fixed chunks of the
+  // accumulated arc sequence — any chunking of the same sequence assembles
+  // the identical graph.
+  constexpr int64_t kArcsPerTask = int64_t{1} << 15;
+  constexpr int64_t kMaxTasks = 256;
+  const int64_t num_arcs = static_cast<int64_t>(edges_.size());
+  const int64_t num_tasks =
+      std::clamp<int64_t>(num_arcs / kArcsPerTask, 1, kMaxTasks);
+  const int64_t per_task = (num_arcs + num_tasks - 1) / num_tasks;
+  std::vector<std::span<const Edge>> tasks;
+  tasks.reserve(static_cast<size_t>(num_tasks));
+  for (int64_t begin = 0; begin < num_arcs; begin += per_task) {
+    tasks.emplace_back(edges_.data() + begin,
+                       static_cast<size_t>(std::min(per_task, num_arcs - begin)));
   }
-
-  // The sort must be stable so the documented dedup contract ("keep the
-  // first weight") holds among equal endpoints — and so this path stays
-  // byte-identical to the parallel one, whose per-shard sorts are stable.
-  std::stable_sort(edges_.begin(), edges_.end(),
-                   [](const Edge& a, const Edge& b) {
-    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-  });
-  edges_.erase(std::unique(edges_.begin(), edges_.end(),
-                           [](const Edge& a, const Edge& b) {
-                             return a.src == b.src && a.dst == b.dst;
-                           }),
-               edges_.end());
-
-  Graph graph;
-  graph.num_nodes_ = num_nodes_;
-  graph.undirected_ = undirected_;
-
-  graph.out_offsets_.assign(num_nodes_ + 1, 0);
-  graph.in_offsets_.assign(num_nodes_ + 1, 0);
-  for (const Edge& e : edges_) {
-    ++graph.out_offsets_[e.src + 1];
-    ++graph.in_offsets_[e.dst + 1];
-  }
-  for (int64_t v = 0; v < num_nodes_; ++v) {
-    graph.out_offsets_[v + 1] += graph.out_offsets_[v];
-    graph.in_offsets_[v + 1] += graph.in_offsets_[v];
-  }
-
-  graph.out_neighbors_.resize(edges_.size());
-  graph.out_weights_.resize(edges_.size());
-  graph.in_neighbors_.resize(edges_.size());
-  graph.in_weights_.resize(edges_.size());
-
-  // Edges are sorted by (src, dst), so the out-CSR fills sequentially and
-  // stays sorted; track a per-node cursor for the in-CSR.
-  std::vector<int64_t> in_cursor(graph.in_offsets_.begin(),
-                                 graph.in_offsets_.end() - 1);
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    const Edge& e = edges_[i];
-    graph.out_neighbors_[i] = e.dst;
-    graph.out_weights_[i] = e.weight;
-    const int64_t slot = in_cursor[e.dst]++;
-    graph.in_neighbors_[slot] = e.src;
-    graph.in_weights_[slot] = e.weight;
-  }
-  // In-neighbor lists come out sorted by source automatically because the
-  // outer iteration is sorted by src.
-
+  Result<graph_internal::CsrParts> parts = graph_internal::BuildCsrParallel(
+      num_nodes_, tasks, /*expand_reverse=*/false, /*validate=*/false);
+  if (!parts.ok()) return parts.status();
   edges_.clear();
   edges_.shrink_to_fit();
-  return graph;
+  return Graph::FromCsr(num_nodes_, std::move(parts).value(), undirected_);
 }
 
 namespace {

@@ -40,8 +40,8 @@ class Graph {
   int64_t num_nodes() const { return num_nodes_; }
   /// Number of directed arcs (an undirected edge counts as two arcs).
   int64_t num_arcs() const { return static_cast<int64_t>(out_neighbors_.size()); }
-  /// True if the graph was declared undirected at build time (every arc has
-  /// its reverse); purely informational.
+  /// True if the graph was declared undirected at build time: every arc has
+  /// its reverse, so ForEachUndirectedNeighbor reads out-lists alone.
   bool undirected() const { return undirected_; }
 
   int64_t OutDegree(NodeId v) const {
@@ -98,18 +98,18 @@ class Graph {
   /// caller only iterates; this materializes a new vector per call.
   std::vector<Edge> ToEdgeList() const;
 
-  /// Adopts a finished CSR as a directed Graph, for code that writes both
-  /// directions itself (InducedSubgraph). Nothing is sorted, deduplicated,
-  /// validated or recorded in the build metrics, so `parts` must be what
+  /// Adopts a finished CSR: the assembly's output (GraphBuilder), or code
+  /// that writes both directions itself (InducedSubgraph). Nothing is
+  /// sorted, deduplicated or validated, so `parts` must be what
   /// GraphBuilder::Build() would produce from its arcs: offsets of
   /// num_nodes + 1 entries, each out-row sorted by target with no duplicate
   /// and no self-loop, and the in-CSR holding the same arcs and weights,
-  /// each in-row sorted by source.
-  static Graph FromCsr(int64_t num_nodes, graph_internal::CsrParts parts);
+  /// each in-row sorted by source. Pass `undirected` only when every arc
+  /// has its reverse (see undirected()).
+  static Graph FromCsr(int64_t num_nodes, graph_internal::CsrParts parts,
+                       bool undirected = false);
 
  private:
-  friend class GraphBuilder;
-
   int64_t num_nodes_ = 0;
   bool undirected_ = false;
   std::vector<int64_t> out_offsets_{0};
@@ -141,9 +141,9 @@ class GraphBuilder {
 
   /// Sorts, deduplicates (keeping the first weight for duplicate arcs) and
   /// builds the CSR representation. The builder may not be reused after.
-  /// Above kParallelBuildMinArcs accumulated arcs the assembly runs on the
-  /// global ThreadPool over the shard layout (graph/partitioned.h); the
-  /// result is byte-identical to the serial path at every thread count.
+  /// The assembly runs on the global ThreadPool over the shard layout
+  /// (graph/partitioned.h); the result is byte-identical at every thread
+  /// count.
   Result<Graph> Build();
 
   /// Parallel build from per-task edge lists, for producers that already
@@ -156,15 +156,7 @@ class GraphBuilder {
   static Result<Graph> BuildParallel(int64_t num_nodes, bool undirected,
                                      std::vector<std::vector<Edge>> task_edges);
 
-  /// Arc count at which Build() switches to the sharded parallel assembly.
-  static constexpr int64_t kParallelBuildMinArcs = int64_t{1} << 16;
-
  private:
-  // Moves parallel-assembled CSR arrays into a Graph. Defined in graph.cpp;
-  // lives here because GraphBuilder is the Graph friend.
-  static Graph FromParts(int64_t num_nodes, bool undirected,
-                         graph_internal::CsrParts parts);
-
   int64_t num_nodes_;
   bool undirected_;
   bool built_ = false;

@@ -1,6 +1,10 @@
 #include "privim/graph/graph_io.h"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -16,6 +20,28 @@ bool IsBlank(const std::string& line) {
     if (c != ' ' && c != '\t') return false;
   }
   return true;
+}
+
+// Parses all of `token` as a node id.
+bool ParseNodeId(const std::string& token, int64_t* id) {
+  char* end = nullptr;
+  errno = 0;
+  *id = std::strtoll(token.c_str(), &end, 10);
+  return !token.empty() && *end == '\0' && errno == 0;
+}
+
+// Parses the optional weight column; "" when `token` is a non-negative
+// number that a float holds finitely, otherwise why it is not.
+std::string ParseWeight(const std::string& token, double* weight) {
+  char* end = nullptr;
+  *weight = std::strtod(token.c_str(), &end);
+  if (*end != '\0') return "weight \"" + token + "\" is not a number";
+  if (std::isnan(*weight) ||
+      std::fabs(*weight) > std::numeric_limits<float>::max()) {
+    return "weight \"" + token + "\" is not finite";
+  }
+  if (*weight < 0) return "weight \"" + token + "\" is negative";
+  return "";
 }
 
 }  // namespace
@@ -57,13 +83,24 @@ Result<Graph> LoadEdgeList(const std::string& path, bool undirected) {
       continue;
     }
     std::istringstream fields(line);
+    std::string src_token, dst_token, weight_token, extra_token;
+    fields >> src_token >> dst_token >> weight_token >> extra_token;
     int64_t raw_src = 0, raw_dst = 0;
     double weight = 1.0;
-    if (!(fields >> raw_src >> raw_dst)) {
-      return Status::IOError("malformed line " + std::to_string(line_number) +
-                             " in " + path);
+    std::string reason;
+    if (!ParseNodeId(src_token, &raw_src) ||
+        !ParseNodeId(dst_token, &raw_dst)) {
+      reason = "expected integer node ids \"src dst [weight]\"";
+    } else if (!weight_token.empty()) {
+      reason = ParseWeight(weight_token, &weight);
     }
-    fields >> weight;  // optional third column
+    if (reason.empty() && !extra_token.empty()) {
+      reason = "unexpected field \"" + extra_token + "\" after the weight";
+    }
+    if (!reason.empty()) {
+      return Status::IOError("malformed line " + std::to_string(line_number) +
+                             " in " + path + ": " + reason);
+    }
     if (raw_src == raw_dst) {  // drop self-loops (counted, not fatal)
       ++self_loops;
       continue;

@@ -4,9 +4,7 @@
 #include <limits>
 #include <string>
 
-#include "privim/common/mem_stats.h"
 #include "privim/common/thread_pool.h"
-#include "privim/obs/metrics.h"
 
 namespace privim {
 
@@ -40,27 +38,33 @@ ShardLayout ShardLayout::WithShards(int64_t num_nodes, int64_t num_shards) {
 namespace graph_internal {
 namespace {
 
-bool EdgeBeforeByEndpoints(const Edge& a, const Edge& b) {
-  return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-}
-
 bool EdgeSameEndpoints(const Edge& a, const Edge& b) {
   return a.src == b.src && a.dst == b.dst;
 }
 
-}  // namespace
-
-void RecordBuildMetrics(int64_t csr_bytes) {
-  obs::MetricsRegistry& metrics = obs::GlobalMetrics();
-  static obs::Gauge* csr = metrics.GetGauge("graph.mem.csr_bytes");
-  static obs::Counter* parallel_builds =
-      metrics.GetCounter("graph.build.parallel_builds");
-  csr->Set(static_cast<double>(csr_bytes));
-  parallel_builds->Increment(1);
-  // Resident high-water from the kernel: the linear-memory evidence the
-  // large-graph CI smoke asserts on (graph.mem.hwm_bytes).
-  UpdateGraphMemGauges();
+// Stable sort of one CSR row by target. std::stable_sort allocates a
+// temporary buffer on every call, which dominates small builds (a 30-node
+// subgraph rebuilt from a checkpoint), so rows of up to 32 arcs take an
+// insertion sort instead — stable too, since an arc only moves past
+// strictly larger targets.
+void StableSortRowByTarget(Edge* first, Edge* last) {
+  constexpr std::ptrdiff_t kInsertionSortMaxRow = 32;
+  if (last - first < 2) return;
+  if (last - first > kInsertionSortMaxRow) {
+    std::stable_sort(first, last, [](const Edge& a, const Edge& b) {
+      return a.dst < b.dst;
+    });
+    return;
+  }
+  for (Edge* next = first + 1; next != last; ++next) {
+    const Edge arc = *next;
+    Edge* hole = next;
+    for (; hole != first && arc.dst < hole[-1].dst; --hole) *hole = hole[-1];
+    *hole = arc;
+  }
 }
+
+}  // namespace
 
 Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
                                   std::span<const std::span<const Edge>> tasks,
@@ -68,17 +72,6 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
   CsrParts parts;
   parts.out_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
   parts.in_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
-  if (num_nodes == 0) {
-    for (const auto& task : tasks) {
-      if (!task.empty()) {
-        const Edge& e = task.front();
-        return Status::OutOfRange("edge endpoint out of range: (" +
-                                  std::to_string(e.src) + ", " +
-                                  std::to_string(e.dst) + ")");
-      }
-    }
-    return parts;
-  }
 
   const ShardLayout layout = ShardLayout::For(num_nodes);
   const int64_t S = layout.num_shards;
@@ -154,15 +147,36 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
     }
   });
 
-  // Phase 3: per-shard stable sort + keep-first dedup. Each bucket holds
-  // the global insertion sequence restricted to its shard, so a stable
-  // per-shard sort equals the global stable sort restricted to the shard
-  // — the serial path's semantics exactly. Degree counts write only to
-  // this shard's node range (disjoint across workers).
+  // Phase 3: per-shard (src, dst) order + keep-first dedup. Each bucket
+  // holds the global insertion sequence restricted to its shard, so a
+  // stable counting sort by source over the shard's node range followed by
+  // a stable sort of each row by target is the global stable sort
+  // restricted to the shard. Degree counts write only to this shard's node
+  // range (disjoint across workers).
   std::vector<int64_t> dst_counts(static_cast<size_t>(S * S), 0);
   pool.ParallelFor(static_cast<size_t>(S), [&](size_t s) {
+    const int64_t base = layout.ShardBegin(static_cast<int64_t>(s));
+    const int64_t rows = layout.ShardEnd(static_cast<int64_t>(s)) - base;
     std::vector<Edge>& b = bucket[s];
-    std::stable_sort(b.begin(), b.end(), EdgeBeforeByEndpoints);
+    // row_end[r + 1] counts row r's arcs; after the prefix sum row_end[r]
+    // is row r's start, and after the scatter its end.
+    std::vector<int64_t> row_end(static_cast<size_t>(rows) + 1, 0);
+    for (const Edge& e : b) ++row_end[static_cast<size_t>(e.src - base) + 1];
+    for (int64_t r = 0; r < rows; ++r) {
+      row_end[static_cast<size_t>(r) + 1] += row_end[static_cast<size_t>(r)];
+    }
+    std::vector<Edge> sorted(b.size());
+    for (const Edge& e : b) {
+      sorted[static_cast<size_t>(row_end[static_cast<size_t>(e.src - base)]++)] =
+          e;
+    }
+    int64_t row_begin = 0;
+    for (int64_t r = 0; r < rows; ++r) {
+      const int64_t end = row_end[static_cast<size_t>(r)];
+      StableSortRowByTarget(sorted.data() + row_begin, sorted.data() + end);
+      row_begin = end;
+    }
+    b = std::move(sorted);
     b.erase(std::unique(b.begin(), b.end(), EdgeSameEndpoints), b.end());
     int64_t* dc = dst_counts.data() + static_cast<int64_t>(s) * S;
     for (const Edge& e : b) {
@@ -193,34 +207,38 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
   // Phase 5: rebucket the deduped arcs by dst shard. Offsets are src-shard
   // major, and src shards are ascending node ranges, so every dst bucket
   // comes out globally sorted by src — which is exactly the order in-lists
-  // must have. Source buckets are freed as they drain.
-  std::vector<int64_t> dcursor(static_cast<size_t>(S * S));
-  std::vector<int64_t> dtotal(static_cast<size_t>(S), 0);
-  for (int64_t d = 0; d < S; ++d) {
-    int64_t run = 0;
-    for (int64_t s = 0; s < S; ++s) {
-      dcursor[static_cast<size_t>(s * S + d)] = run;
-      run += dst_counts[static_cast<size_t>(s * S + d)];
-    }
-    dtotal[static_cast<size_t>(d)] = run;
-  }
+  // must have. Source buckets are freed as they drain. A single shard is
+  // its own dst bucket.
   std::vector<std::vector<Edge>> dbucket(static_cast<size_t>(S));
-  pool.ParallelFor(static_cast<size_t>(S), [&](size_t d) {
-    dbucket[d].resize(static_cast<size_t>(dtotal[d]));
-  });
-  pool.ParallelFor(static_cast<size_t>(S), [&](size_t s) {
-    int64_t* cur = dcursor.data() + static_cast<int64_t>(s) * S;
-    for (const Edge& e : bucket[s]) {
-      const int64_t d = layout.ShardOf(e.dst);
-      dbucket[static_cast<size_t>(d)][static_cast<size_t>(cur[d]++)] = e;
+  if (S == 1) {
+    dbucket[0] = std::move(bucket[0]);
+  } else {
+    std::vector<int64_t> dcursor(static_cast<size_t>(S * S));
+    std::vector<int64_t> dtotal(static_cast<size_t>(S), 0);
+    for (int64_t d = 0; d < S; ++d) {
+      int64_t run = 0;
+      for (int64_t s = 0; s < S; ++s) {
+        dcursor[static_cast<size_t>(s * S + d)] = run;
+        run += dst_counts[static_cast<size_t>(s * S + d)];
+      }
+      dtotal[static_cast<size_t>(d)] = run;
     }
-    bucket[s] = {};
-  });
+    pool.ParallelFor(static_cast<size_t>(S), [&](size_t d) {
+      dbucket[d].resize(static_cast<size_t>(dtotal[d]));
+    });
+    pool.ParallelFor(static_cast<size_t>(S), [&](size_t s) {
+      int64_t* cur = dcursor.data() + static_cast<int64_t>(s) * S;
+      for (const Edge& e : bucket[s]) {
+        const int64_t d = layout.ShardOf(e.dst);
+        dbucket[static_cast<size_t>(d)][static_cast<size_t>(cur[d]++)] = e;
+      }
+      bucket[s] = {};
+    });
+  }
 
   // Phase 6: in-degrees (dst lives in shard d: disjoint writes), prefix,
   // then a per-shard counting sort by dst. Walking each dst bucket in its
-  // stored (src-ascending) order keeps every in-list sorted by source,
-  // like the serial path's cursor fill.
+  // stored (src-ascending) order keeps every in-list sorted by source.
   pool.ParallelFor(static_cast<size_t>(S), [&](size_t d) {
     for (const Edge& e : dbucket[d]) {
       ++parts.in_offsets[static_cast<size_t>(e.dst) + 1];

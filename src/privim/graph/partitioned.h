@@ -10,12 +10,11 @@
 //    subsystem (builder, fingerprint, visit maps) agrees on the same
 //    partition without plumbing it around.
 //
-//  * BuildCsrParallel — assembles both CSR directions from per-task edge
-//    lists on the global ThreadPool. Every write lands at an offset
-//    precomputed from (task order, insertion order, shard layout), so the
-//    result is byte-identical at any thread count and identical to the
-//    serial GraphBuilder path (same stable sort, same keep-first dedup).
-//    GraphBuilder::Build delegates here above a size threshold.
+//  * BuildCsrParallel — the one CSR assembly: every GraphBuilder::Build
+//    and BuildParallel runs it, on the global ThreadPool, from per-task
+//    edge lists. Every write lands at an offset precomputed from (task
+//    order, insertion order, shard layout), so the result is
+//    byte-identical at any thread count.
 //
 //  * ShardedVisitMap — an epoch-stamped distance/mark map that allocates
 //    per-shard blocks lazily. A BFS ball or random walk pays O(ball +
@@ -69,8 +68,8 @@ struct ShardLayout {
 
 namespace graph_internal {
 
-/// CSR arrays produced by the parallel build; GraphBuilder (a friend of
-/// Graph) moves them into place.
+/// The six CSR arrays of a graph, as BuildCsrParallel and InducedSubgraph
+/// produce them and Graph::FromCsr adopts them.
 struct CsrParts {
   std::vector<int64_t> out_offsets;
   std::vector<NodeId> out_neighbors;
@@ -83,9 +82,9 @@ struct CsrParts {
 /// Builds both CSR directions from the concatenation of `tasks` (task
 /// order, then insertion order within a task) on the global ThreadPool.
 ///
-/// Semantics match the serial GraphBuilder::Build path exactly: arcs are
-/// stable-sorted by (src, dst), duplicates keep the first weight in
-/// concatenation order, and in-neighbor lists come out sorted by source.
+/// Arcs come out in stable (src, dst) order, duplicates keep the first
+/// weight in concatenation order, and in-neighbor lists are sorted by
+/// source.
 /// When `expand_reverse` is set every edge also contributes its reverse
 /// arc, inserted immediately after the forward one (the AddEdge order for
 /// undirected builders). When `validate` is set, endpoints are checked
@@ -97,11 +96,6 @@ struct CsrParts {
 Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
                                   std::span<const std::span<const Edge>> tasks,
                                   bool expand_reverse, bool validate);
-
-/// Publishes graph.mem.csr_bytes / graph.build.parallel_builds and
-/// refreshes the resident high-water gauges after a sharded build of
-/// `csr_bytes` bytes.
-void RecordBuildMetrics(int64_t csr_bytes);
 
 }  // namespace graph_internal
 

@@ -1,12 +1,9 @@
 #include "privim/nn/infer/engine.h"
 
-#include <algorithm>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <utility>
 
-#include "privim/common/thread_pool.h"
 #include "privim/gnn/features.h"
 #include "privim/nn/infer/compile.h"
 
@@ -119,10 +116,12 @@ Status InferEngine::Forward(const GraphContext& ctx, const Tensor& features,
   return program_.Execute(ctx, features, lease.get(), out);
 }
 
-Status InferEngine::ForwardGraph(const Graph& graph, Tensor* out) const {
+Status InferEngine::ForwardGraph(const Graph& graph, Tensor* out,
+                                 const std::vector<NodeId>* global_ids) const {
   const GraphContext ctx =
       GraphContext::Build(graph, program_.context_parts());
-  const Tensor features = BuildNodeFeatures(graph, program_.input_dim());
+  const Tensor features =
+      BuildNodeFeatures(graph, program_.input_dim(), global_ids);
   return Forward(ctx, features, out);
 }
 
@@ -136,111 +135,6 @@ Result<Tensor> ScoreGraph(const GnnModel& model, const Graph& graph) {
   Tensor scores;
   PRIVIM_RETURN_NOT_OK(engine.value()->ForwardGraph(graph, &scores));
   return scores;
-}
-
-Status InferEngine::ForwardBatched(const std::vector<BatchItem>& items,
-                                   std::vector<Tensor>* outs) const {
-  outs->clear();
-  if (items.empty()) return Status::OK();
-
-  int64_t total_nodes = 0;
-  for (size_t i = 0; i < items.size(); ++i) {
-    const BatchItem& item = items[i];
-    if (item.graph == nullptr) {
-      return Status::InvalidArgument("ForwardBatched: item " +
-                                     std::to_string(i) + " has a null graph");
-    }
-    if (item.global_ids != nullptr &&
-        static_cast<int64_t>(item.global_ids->size()) !=
-            item.graph->num_nodes()) {
-      return Status::InvalidArgument(
-          "ForwardBatched: item " + std::to_string(i) + " has " +
-          std::to_string(item.global_ids->size()) + " global ids for " +
-          std::to_string(item.graph->num_nodes()) + " nodes");
-    }
-    total_nodes += item.graph->num_nodes();
-  }
-  if (total_nodes > std::numeric_limits<NodeId>::max()) {
-    return Status::InvalidArgument(
-        "ForwardBatched: batch stacks " + std::to_string(total_nodes) +
-        " nodes, more than a NodeId can address");
-  }
-  outs->resize(items.size());
-
-  // Shard the batch so the fused path never loses wall-clock to the tape
-  // path's request-parallelism: each chunk becomes one block-diagonal
-  // forward, and the chunks run in parallel on the global pool.
-  ThreadPool& pool = GlobalThreadPool();
-  const size_t num_chunks =
-      std::min(items.size(), std::max<size_t>(1, pool.num_threads()));
-  std::vector<Status> chunk_status(num_chunks, Status::OK());
-  pool.ParallelFor(num_chunks, [&](size_t c) {
-    const size_t begin = items.size() * c / num_chunks;
-    const size_t end = items.size() * (c + 1) / num_chunks;
-    chunk_status[c] = RunUnionChunk(items, begin, end, outs);
-  });
-  for (const Status& status : chunk_status) {
-    PRIVIM_RETURN_NOT_OK(status);
-  }
-  return Status::OK();
-}
-
-Status InferEngine::RunUnionChunk(const std::vector<BatchItem>& items,
-                                  size_t begin, size_t end,
-                                  std::vector<Tensor>* outs) const {
-  int64_t chunk_nodes = 0;
-  int64_t chunk_arcs = 0;
-  for (size_t i = begin; i < end; ++i) {
-    chunk_nodes += items[i].graph->num_nodes();
-    chunk_arcs += items[i].graph->num_arcs();
-  }
-
-  GraphBuilder builder(chunk_nodes);
-  builder.Reserve(chunk_arcs);
-  std::vector<NodeId> salt_ids;
-  salt_ids.reserve(static_cast<size_t>(chunk_nodes));
-
-  Status add_status = Status::OK();
-  int64_t offset = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const Graph& graph = *items[i].graph;
-    graph.ForEachArc([&](NodeId src, NodeId dst, float weight) {
-      if (!add_status.ok()) return;
-      add_status = builder.AddEdge(static_cast<NodeId>(src + offset),
-                                   static_cast<NodeId>(dst + offset), weight);
-    });
-    PRIVIM_RETURN_NOT_OK(add_status);
-    // Feature rows are salted by global id (or the item's own local ids
-    // when it is not a subgraph), never by the stacked position, so the
-    // row a node gets here is the row it gets in a solo forward.
-    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-      salt_ids.push_back(items[i].global_ids != nullptr
-                             ? (*items[i].global_ids)[static_cast<size_t>(v)]
-                             : v);
-    }
-    offset += graph.num_nodes();
-  }
-
-  Result<Graph> stacked = builder.Build();
-  if (!stacked.ok()) return stacked.status();
-  const GraphContext ctx =
-      GraphContext::Build(stacked.value(), program_.context_parts());
-  const Tensor features =
-      BuildNodeFeatures(stacked.value(), program_.input_dim(), &salt_ids);
-
-  ScratchLease lease(this);
-  Tensor scores;
-  PRIVIM_RETURN_NOT_OK(program_.Execute(ctx, features, lease.get(), &scores));
-
-  offset = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const int64_t n = items[i].graph->num_nodes();
-    Tensor& dst = (*outs)[i];
-    dst = Tensor::Uninitialized(n, 1);
-    std::copy(scores.data() + offset, scores.data() + offset + n, dst.data());
-    offset += n;
-  }
-  return Status::OK();
 }
 
 std::unique_ptr<Scratch> InferEngine::AcquireScratch() const {

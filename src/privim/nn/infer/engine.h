@@ -2,11 +2,10 @@
 //
 // An InferEngine owns a compiled InferProgram plus a pool of Scratch
 // buffers: Create() compiles the model AND verifies it, Forward() runs one
-// graph, and ForwardBatched() stacks many small subgraphs into
-// block-diagonal super-graphs so a whole admission batch costs a few large
-// fused forwards instead of many small tape replays. ScoreGraph() is the
-// one-shot form that the pipeline, the baselines and the CLI rank a graph
-// with after training.
+// prebuilt context, and ForwardGraph() runs one graph — a whole graph or a
+// served subgraph — building only the context operators the program reads.
+// ScoreGraph() is the one-shot form that the pipeline, the baselines and
+// the CLI rank a graph with after training.
 //
 // Verification: structural compilation (compile.h) checks parameter shapes
 // but cannot see an overridden Forward(). Create() therefore runs a fixed
@@ -16,13 +15,6 @@
 // creates an engine once per call and differentiates through program())
 // return that error to their callers; the serving layer falls back to the
 // tape path instead (serve.infer.fallbacks counter).
-//
-// Batching correctness: the block-diagonal union preserves each request's
-// result bit-exactly because (a) every CSR row of the union touches only
-// its own block, (b) per-segment attention edge order (in-arcs ascending,
-// then the self-loop) is preserved under the disjoint union, and (c) node
-// features are salted by global id, so a node's feature row is identical
-// in every stacking. tests/nn/infer_checker_test.cpp pins all three.
 
 #ifndef PRIVIM_NN_INFER_ENGINE_H_
 #define PRIVIM_NN_INFER_ENGINE_H_
@@ -56,23 +48,10 @@ class InferEngine {
                  Tensor* out) const;
 
   /// Forward over the whole of `graph`: builds only the context operators
-  /// the program reads, plus the graph's own node features.
-  Status ForwardGraph(const Graph& graph, Tensor* out) const;
-
-  /// One entry of a batched forward: a local graph plus the global node ids
-  /// used to salt its features (null means the graph's own ids, i.e. the
-  /// graph is not a subgraph of anything).
-  struct BatchItem {
-    const Graph* graph = nullptr;
-    const std::vector<NodeId>* global_ids = nullptr;
-  };
-
-  /// Runs every item and fills outs[i] with item i's (n_i x 1) scores,
-  /// bit-identical to calling Forward on each item alone. Items are sharded
-  /// into min(items, threads) block-diagonal unions executed in parallel on
-  /// the global thread pool, so a batch is both fused and parallel.
-  Status ForwardBatched(const std::vector<BatchItem>& items,
-                        std::vector<Tensor>* outs) const;
+  /// the program reads, plus node features salted by `global_ids` (a
+  /// subgraph's ids in its parent graph; null means the graph's own ids).
+  Status ForwardGraph(const Graph& graph, Tensor* out,
+                      const std::vector<NodeId>* global_ids = nullptr) const;
 
   const GnnModel& model() const { return *model_; }
   const InferProgram& program() const { return program_; }
@@ -85,11 +64,6 @@ class InferEngine {
 
   /// Runs the probe-graph comparison against the tape path.
   Status VerifyAgainstTape() const;
-
-  /// Builds the block-diagonal union of items [begin, end), executes it
-  /// once, and scatters the per-item score columns into *outs.
-  Status RunUnionChunk(const std::vector<BatchItem>& items, size_t begin,
-                       size_t end, std::vector<Tensor>* outs) const;
 
   std::unique_ptr<Scratch> AcquireScratch() const;
   void ReleaseScratch(std::unique_ptr<Scratch> scratch) const;

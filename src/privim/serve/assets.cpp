@@ -25,9 +25,9 @@ obs::Counter* FusedForwardCounter() {
 
 }  // namespace
 
-void ServingAssets::CountFusedForward(uint64_t n) const {
-  fused_forwards_.fetch_add(n, std::memory_order_relaxed);
-  FusedForwardCounter()->Increment(n);
+void ServingAssets::CountFusedForward() const {
+  fused_forwards_.fetch_add(1, std::memory_order_relaxed);
+  FusedForwardCounter()->Increment();
 }
 
 Result<InferEngineKind> InferEngineKindFromString(const std::string& name) {

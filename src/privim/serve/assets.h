@@ -105,10 +105,10 @@ class ServingAssets {
   uint64_t fused_forwards() const {
     return fused_forwards_.load(std::memory_order_relaxed);
   }
-  /// Counts fused forwards (called by the service's subgraph paths, which
-  /// run the engine themselves). Also feeds the serve.infer.fused_forwards
-  /// metric, so stats and metrics cannot drift.
-  void CountFusedForward(uint64_t n = 1) const;
+  /// Counts one fused forward (called by the service's subgraph path,
+  /// which runs the engine itself). Also feeds the
+  /// serve.infer.fused_forwards metric, so stats and metrics cannot drift.
+  void CountFusedForward() const;
 
  private:
   ServingAssets() = default;

@@ -299,14 +299,7 @@ void NetServer::AcceptNewConnections() {
     accepted_.fetch_add(1, std::memory_order_relaxed);
     AcceptedCounter()->Increment();
     if (scoped_.accepted != nullptr) scoped_.accepted->Increment();
-    // The open-connections gauge is per loop by nature: a scoped loop owns
-    // its own gauge and leaves the global one to single-loop servers
-    // (several loops each Set()ing the global gauge would clobber it).
-    if (scoped_.connections != nullptr) {
-      scoped_.connections->Set(static_cast<double>(conns_.size()));
-    } else {
-      ConnectionsGauge()->Set(static_cast<double>(conns_.size()));
-    }
+    PublishOpenConnections();
   }
 }
 
@@ -721,10 +714,19 @@ void NetServer::CloseConnection(Connection* conn) {
   ::close(conn->fd);
   fd_to_conn_.erase(conn->fd);
   conns_.erase(conn->id);  // destroys *conn
+  PublishOpenConnections();
+}
+
+void NetServer::PublishOpenConnections() {
+  const auto open = static_cast<int64_t>(conns_.size());
+  open_connections_.store(open, std::memory_order_relaxed);
+  // The open-connections gauge is per loop by nature: a scoped loop owns
+  // its own gauge and leaves the global one to single-loop servers
+  // (several loops each Set()ing the global gauge would clobber it).
   if (scoped_.connections != nullptr) {
-    scoped_.connections->Set(static_cast<double>(conns_.size()));
+    scoped_.connections->Set(static_cast<double>(open));
   } else {
-    ConnectionsGauge()->Set(static_cast<double>(conns_.size()));
+    ConnectionsGauge()->Set(static_cast<double>(open));
   }
 }
 
@@ -740,7 +742,7 @@ NetServerStats NetServer::GetStats() const {
   stats.bad_lines = bad_lines_.load(std::memory_order_relaxed);
   stats.bytes_in = bytes_in_.load(std::memory_order_relaxed);
   stats.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  stats.open_connections = static_cast<int64_t>(conns_.size());
+  stats.open_connections = open_connections_.load(std::memory_order_relaxed);
   return stats;
 }
 

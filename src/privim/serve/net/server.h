@@ -212,6 +212,9 @@ class NetServer {
   void TryWrite(Connection* conn);
   void MaybeFinishConnection(Connection* conn);
   void CloseConnection(Connection* conn);
+  /// Publishes conns_.size() to GetStats() and the connections gauge
+  /// after the loop adds or removes a connection.
+  void PublishOpenConnections();
   Slot* FindSlot(Connection* conn, uint64_t seq);
   void OnCompletion(uint64_t conn_id, uint64_t seq, ServeResponse response);
   bool DrainComplete();
@@ -249,6 +252,9 @@ class NetServer {
   std::atomic<uint64_t> bad_lines_{0};
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
+  /// conns_.size() as of the loop's last change; GetStats() runs on other
+  /// threads and must not read conns_ itself.
+  std::atomic<int64_t> open_connections_{0};
 
   /// Per-loop serve.net.<scope>.* instruments; all null when
   /// options_.metrics_scope is empty. The shared global serve.net.* family

@@ -69,10 +69,10 @@ struct ServeRequest {
   // --- influence ---
   /// Nodes to report scores for; empty means every node.
   std::vector<NodeId> nodes;
-  /// When non-empty, scores are computed over the subgraph induced by these
-  /// (global) node ids instead of the whole graph — the shape the batched
-  /// fused engine stacks block-diagonally. Mutually exclusive with "nodes";
-  /// the response reports the deduplicated ids in first-occurrence order.
+  /// When non-empty, scores are computed by one forward over the subgraph
+  /// induced by these (global) node ids instead of the whole graph.
+  /// Mutually exclusive with "nodes"; the response reports the
+  /// deduplicated ids in first-occurrence order.
   std::vector<NodeId> subgraph;
 
   // --- topk ---

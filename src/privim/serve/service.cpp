@@ -1,7 +1,6 @@
 #include "privim/serve/service.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "privim/common/thread_pool.h"
@@ -105,20 +104,6 @@ JsonValue StringArray(std::initializer_list<const char*> values) {
   JsonValue array = JsonValue::Array();
   for (const char* v : values) array.Append(JsonValue::Str(v));
   return array;
-}
-
-/// The one place a subgraph-influence payload is assembled: the solo path
-/// (Compute) and the batched fused path (ComputeSubgraphGroup) both call
-/// it, so their response bytes cannot drift.
-void FillSubgraphInfluencePayload(const Subgraph& sub, const Tensor& scores,
-                                  JsonValue* payload) {
-  JsonValue score_array = JsonValue::Array();
-  for (int64_t v = 0; v < sub.num_nodes(); ++v) {
-    score_array.Append(JsonValue::Number(static_cast<double>(scores.at(v, 0))));
-  }
-  payload->Set("op", JsonValue::Str("influence"));
-  payload->Set("nodes", NodeArray(sub.global_ids));
-  payload->Set("scores", std::move(score_array));
 }
 
 }  // namespace
@@ -380,41 +365,14 @@ void InfluenceService::RunBatch(std::vector<Pending>* batch) {
   UpdateMax(&max_batch_size_, batch->size());
   BatchSizeHistogram()->Observe(static_cast<double>(batch->size()));
 
-  // Fused-eligible subgraph-influence requests are stacked into
-  // block-diagonal unions and executed up front as a handful of large
-  // forwards; their finished responses land in `precomputed`. Stacking is
-  // per admission snapshot — a swap landing mid-queue must not mix two
-  // snapshots' requests into one forward. A single such request gains
-  // nothing from stacking and takes the solo path.
-  std::vector<std::unique_ptr<ServeResponse>> precomputed(batch->size());
-  {
-    std::map<const ServingAssets*, std::vector<size_t>> groups;
-    for (size_t i = 0; i < batch->size(); ++i) {
-      const Pending& pending = (*batch)[i];
-      if (pending.request.op == RequestOp::kInfluence &&
-          !pending.request.subgraph.empty() &&
-          pending.assets->engine() != nullptr) {
-        groups[pending.assets.get()].push_back(i);
-      }
-    }
-    for (const auto& [unused, group] : groups) {
-      if (group.size() > 1) ComputeSubgraphGroup(*batch, group, &precomputed);
-    }
-  }
-
   // One queue batch fans out across the pool; each request is an
   // independent pure function of (assets, request), so the partition
   // cannot affect any response.
   GlobalThreadPool().ParallelFor(batch->size(), [&](size_t i) {
     Pending& pending = (*batch)[i];
-    ServeResponse response;
-    if (precomputed[i] != nullptr) {
-      response = std::move(*precomputed[i]);
-    } else if (pending.request.op == RequestOp::kAdmin) {
-      response = ExecuteAdmin(pending.request);
-    } else {
-      response = Compute(*pending.assets, pending.request);
-    }
+    ServeResponse response = pending.request.op == RequestOp::kAdmin
+                                 ? ExecuteAdmin(pending.request)
+                                 : Compute(*pending.assets, pending.request);
     if (response.status.ok() && IsCacheable(pending.request)) {
       cache_.Insert(CacheKey{pending.assets->fingerprint(),
                              RequestDigest(pending.request)},
@@ -427,58 +385,6 @@ void InfluenceService::RunBatch(std::vector<Pending>* batch) {
     if (!response.status.ok()) ErrorCounter()->Increment();
     pending.done(std::move(response));
   });
-}
-
-void InfluenceService::ComputeSubgraphGroup(
-    const std::vector<Pending>& batch, const std::vector<size_t>& group,
-    std::vector<std::unique_ptr<ServeResponse>>* precomputed) {
-  obs::TraceSpan span("serve.fused_batch");
-  const ServingAssets& assets = *batch[group.front()].assets;
-
-  // Extract each member's subgraph, applying exactly the validation the
-  // solo path applies; a member that fails stays out of the stack and is
-  // recomputed by Compute, which derives the identical error response.
-  struct Member {
-    size_t index;
-    Subgraph sub;
-  };
-  std::vector<Member> members;
-  members.reserve(group.size());
-  const int64_t n = assets.graph().num_nodes();
-  for (const size_t i : group) {
-    const ServeRequest& request = batch[i].request;
-    bool in_range = true;
-    for (const NodeId v : request.subgraph) {
-      if (v < 0 || v >= n) {
-        in_range = false;
-        break;
-      }
-    }
-    if (!in_range) continue;
-    Result<Subgraph> sub = InducedSubgraph(assets.graph(), request.subgraph);
-    if (!sub.ok()) continue;
-    members.push_back(Member{i, std::move(sub).value()});
-  }
-  if (members.empty()) return;
-
-  std::vector<infer::InferEngine::BatchItem> items;
-  items.reserve(members.size());
-  for (const Member& member : members) {
-    items.push_back(
-        infer::InferEngine::BatchItem{&member.sub.local,
-                                      &member.sub.global_ids});
-  }
-  std::vector<Tensor> scores;
-  if (!assets.engine()->ForwardBatched(items, &scores).ok()) return;
-  assets.CountFusedForward(members.size());
-
-  for (size_t j = 0; j < members.size(); ++j) {
-    auto response = std::make_unique<ServeResponse>();
-    response->id = batch[members[j].index].request.id;
-    FillSubgraphInfluencePayload(members[j].sub, scores[j],
-                                 &response->payload);
-    (*precomputed)[members[j].index] = std::move(response);
-  }
 }
 
 ServeResponse InfluenceService::Execute(const ServeRequest& request) {
@@ -567,18 +473,19 @@ Result<Tensor> InfluenceService::SubgraphScores(const ServingAssets& assets,
         "method=model top-k need --model");
   }
   obs::TraceSpan span("serve.subgraph_forward");
-  const GraphContext ctx = GraphContext::Build(sub.local);
   // Features are salted by the nodes' global ids, so a node's feature row
   // — and therefore its score — does not depend on which other nodes the
   // request packed into the subgraph's id space.
-  const Tensor features = BuildNodeFeatures(
-      sub.local, assets.model()->config().input_dim, &sub.global_ids);
   if (assets.engine() != nullptr) {
     Tensor out;
-    PRIVIM_RETURN_NOT_OK(assets.engine()->Forward(ctx, features, &out));
+    PRIVIM_RETURN_NOT_OK(
+        assets.engine()->ForwardGraph(sub.local, &out, &sub.global_ids));
     assets.CountFusedForward();
     return out;
   }
+  const GraphContext ctx = GraphContext::Build(sub.local);
+  const Tensor features = BuildNodeFeatures(
+      sub.local, assets.model()->config().input_dim, &sub.global_ids);
   nn::MemoryPools pools;
   nn::ArenaScope scope(&pools);
   Result<Variable> out = assets.model()->Run(ctx, features);
@@ -679,8 +586,14 @@ ServeResponse InfluenceService::Compute(const ServingAssets& assets,
           response.status = scores.status();
           return response;
         }
-        FillSubgraphInfluencePayload(sub.value(), scores.value(),
-                                     &response.payload);
+        JsonValue score_array = JsonValue::Array();
+        for (int64_t v = 0; v < sub->num_nodes(); ++v) {
+          score_array.Append(
+              JsonValue::Number(static_cast<double>(scores->at(v, 0))));
+        }
+        response.payload.Set("op", JsonValue::Str("influence"));
+        response.payload.Set("nodes", NodeArray(sub->global_ids));
+        response.payload.Set("scores", std::move(score_array));
         return response;
       }
       Result<Tensor> scores = assets.Scores();

@@ -258,16 +258,6 @@ class InfluenceService {
   /// tape otherwise; bit-identical either way).
   Result<Tensor> SubgraphScores(const ServingAssets& assets,
                                 const Subgraph& sub);
-  /// Stacks the batch's fused-eligible subgraph-influence requests into
-  /// block-diagonal unions and stores their finished responses in
-  /// *precomputed (indexed like *batch). Members it skips — validation
-  /// failures, engine errors, snapshots without a fused engine — are left
-  /// empty and take the solo Compute path, which derives the identical
-  /// response.
-  void ComputeSubgraphGroup(const std::vector<Pending>& batch,
-                            const std::vector<size_t>& group,
-                            std::vector<std::unique_ptr<ServeResponse>>*
-                                precomputed);
 
   /// The published snapshot. Readers copy the shared_ptr (lock-free);
   /// SwapAssets stores a new one.

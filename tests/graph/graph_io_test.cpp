@@ -62,6 +62,47 @@ TEST(GraphIoTest, MalformedLineFails) {
   const std::string path = WriteTempFile("bad.txt", "0 1\nnot numbers\n");
   EXPECT_EQ(LoadEdgeList(path, false).status().code(), StatusCode::kIOError);
   std::remove(path.c_str());
+
+  // Weights that are not finite non-negative numbers, an id that is not an
+  // integer, and a fourth field: each fails on its own line, with a reason.
+  const std::string bad_lines[] = {"0 1 abc", "0 1 nan", "0 1 inf", "0 1e3",
+                                   "0 1 -5",  "0 1 1e999",
+                                   "0 1 0.5 trailing junk"};
+  for (const std::string& bad : bad_lines) {
+    const std::string bad_path =
+        WriteTempFile("bad_weight.txt", "# header\n0 2 0.5\n" + bad + "\n");
+    const Status status = LoadEdgeList(bad_path, false).status();
+    EXPECT_EQ(status.code(), StatusCode::kIOError) << bad;
+    EXPECT_NE(status.message().find("malformed line 3 in " + bad_path + ": "),
+              std::string::npos)
+        << bad << ": " << status.message();
+    std::remove(bad_path.c_str());
+  }
+}
+
+TEST(GraphIoTest, AcceptsEveryWellFormedLine) {
+  // Comments, blank lines, tabs, CRLF, two-column lines, trailing
+  // whitespace and a weight above 1.
+  const std::string path = WriteTempFile("accepted.txt",
+                                         "# comment\n"
+                                         "% comment\n"
+                                         "\n"
+                                         " \t \n"
+                                         "0\t1\t0.25\n"
+                                         "1 2\r\n"
+                                         "2 3 0.5 \t\n"
+                                         "3 0 7.5\n"
+                                         "  0 2\t\r\n");
+  Result<Graph> graph = LoadEdgeList(path, false);
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(graph->num_nodes(), 4);
+  EXPECT_EQ(graph->num_arcs(), 5);
+  EXPECT_EQ(graph->OutWeights(0)[0], 0.25f);
+  EXPECT_EQ(graph->OutWeights(0)[1], 1.0f);
+  EXPECT_EQ(graph->OutWeights(1)[0], 1.0f);
+  EXPECT_EQ(graph->OutWeights(2)[0], 0.5f);
+  EXPECT_EQ(graph->OutWeights(3)[0], 7.5f);
+  std::remove(path.c_str());
 }
 
 TEST(GraphIoTest, MissingFileFails) {

@@ -10,6 +10,7 @@
 #include "privim/common/thread_pool.h"
 #include "privim/graph/graph.h"
 #include "privim/graph/traversal.h"
+#include "testing/reference_csr.h"
 
 namespace privim {
 namespace {
@@ -96,15 +97,9 @@ void ExpectGraphsIdentical(const Graph& a, const Graph& b) {
   }
 }
 
-// The serial reference: a builder kept under kParallelBuildMinArcs arcs
-// takes the sequential stable-sort path.
+// The serial reference: one global stable sort (testing/reference_csr.h).
 Graph SerialReference(int64_t num_nodes, const std::vector<Edge>& edges) {
-  GraphBuilder builder(num_nodes);
-  EXPECT_TRUE(builder.AddEdges(edges).ok());
-  EXPECT_LT(builder.num_edges_added(), GraphBuilder::kParallelBuildMinArcs);
-  Result<Graph> graph = builder.Build();
-  EXPECT_TRUE(graph.ok());
-  return std::move(graph).value();
+  return testing::ReferenceBuildGraph(num_nodes, edges);
 }
 
 TEST(PartitionedBuildTest, MatchesSerialPathAtEveryThreadCount) {
@@ -129,17 +124,13 @@ TEST(PartitionedBuildTest, MatchesSerialPathAtEveryThreadCount) {
 }
 
 TEST(PartitionedBuildTest, BuildDelegatesAboveThresholdAndStaysIdentical) {
-  // Enough arcs to cross kParallelBuildMinArcs inside Build() itself; the
-  // reference is the same sequence assembled through BuildParallel with a
-  // single task, which exercises the identical sharded code path — and a
-  // hand-rolled serial sort/dedup checks both.
+  // Enough arcs that Build() splits them into several tasks; a hand-rolled
+  // serial sort/dedup checks the result.
   const int64_t nodes = 30000;
-  const std::vector<Edge> edges =
-      RandomEdges(nodes, GraphBuilder::kParallelBuildMinArcs + 500, 2);
+  const std::vector<Edge> edges = RandomEdges(nodes, 66036, 2);
 
   GraphBuilder builder(nodes);
   ASSERT_TRUE(builder.AddEdges(edges).ok());
-  ASSERT_GE(builder.num_edges_added(), GraphBuilder::kParallelBuildMinArcs);
   Result<Graph> built = builder.Build();
   ASSERT_TRUE(built.ok());
 
@@ -228,6 +219,200 @@ TEST(PartitionedBuildTest, EmptyTasksAndEmptyGraph) {
   graph = GraphBuilder::BuildParallel(0, /*undirected=*/false, tasks);
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph->num_nodes(), 0);
+}
+
+// ------------------------------------------- the one assembly vs serial --
+
+// `count` arcs over `num_nodes` nodes; about one in four repeats an
+// earlier arc's endpoints. Every weight is distinct, so a reordering of
+// equal endpoints — and with it which duplicate dedup keeps — shows in the
+// bytes.
+std::vector<Edge> ArcsWithDuplicates(int64_t num_nodes, int64_t count,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<size_t>(count));
+  while (static_cast<int64_t>(edges.size()) < count) {
+    Edge e;
+    if (!edges.empty() && rng.NextBounded(4) == 0) {
+      e = edges[static_cast<size_t>(rng.NextBounded(edges.size()))];
+    } else {
+      e.src = static_cast<NodeId>(rng.NextBounded(num_nodes));
+      e.dst = static_cast<NodeId>(rng.NextBounded(num_nodes));
+      if (e.src == e.dst) continue;
+    }
+    e.weight = static_cast<float>(edges.size() + 1) / 1024.0f;
+    edges.push_back(e);
+  }
+  return edges;
+}
+
+Graph BuildWithBuilder(int64_t num_nodes, const std::vector<Edge>& edges,
+                       bool undirected) {
+  GraphBuilder builder(num_nodes, undirected);
+  EXPECT_TRUE(builder.AddEdges(edges).ok());
+  Result<Graph> graph = builder.Build();
+  EXPECT_TRUE(graph.ok()) << graph.status().ToString();
+  return std::move(graph).value();
+}
+
+// `edges` cut into `num_tasks` uneven consecutive tasks.
+std::vector<std::vector<Edge>> SplitIntoTasks(const std::vector<Edge>& edges,
+                                              size_t num_tasks) {
+  std::vector<std::vector<Edge>> tasks(num_tasks);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    const double at = static_cast<double>(i) / static_cast<double>(edges.size());
+    tasks[static_cast<size_t>(at * at * static_cast<double>(num_tasks))]
+        .push_back(edges[i]);
+  }
+  return tasks;
+}
+
+constexpr size_t kThreadCounts[] = {1, 4, 8};
+
+TEST(PartitionedBuildReferenceTest, BuilderMatchesSerialAssembly) {
+  // Sizes from the engine's probe graph to past the 64Ki arcs where Build
+  // used to switch assemblies; graphs up to 4096 nodes are one shard, the
+  // 30k-node ones eight.
+  struct Size {
+    int64_t nodes, arcs;
+  };
+  const Size sizes[] = {
+      {7, 8}, {30, 58}, {320, 1171}, {3000, 20000}, {30000, 70000}};
+  for (const Size& size : sizes) {
+    const std::vector<Edge> edges =
+        ArcsWithDuplicates(size.nodes, size.arcs, 11 + size.arcs);
+    for (const bool undirected : {false, true}) {
+      const Graph reference =
+          testing::ReferenceBuildGraph(size.nodes, edges, undirected);
+      for (const size_t threads : kThreadCounts) {
+        SetGlobalThreadPoolSize(threads);
+        EXPECT_EQ(testing::CsrDifference(
+                      BuildWithBuilder(size.nodes, edges, undirected),
+                      reference),
+                  "")
+            << size.arcs << " arcs, undirected " << undirected << ", "
+            << threads << " threads";
+      }
+    }
+  }
+  SetGlobalThreadPoolSize(0);
+}
+
+TEST(PartitionedBuildReferenceTest, BuildParallelMatchesSerialAssembly) {
+  for (const int64_t nodes : {int64_t{500}, int64_t{30000}}) {
+    const std::vector<Edge> edges = ArcsWithDuplicates(nodes, 20000, 3);
+    for (const bool undirected : {false, true}) {
+      const Graph reference =
+          testing::ReferenceBuildGraph(nodes, edges, undirected);
+      for (const size_t threads : kThreadCounts) {
+        SetGlobalThreadPoolSize(threads);
+        Result<Graph> graph = GraphBuilder::BuildParallel(
+            nodes, undirected, SplitIntoTasks(edges, 5));
+        ASSERT_TRUE(graph.ok());
+        EXPECT_EQ(testing::CsrDifference(graph.value(), reference), "")
+            << nodes << " nodes, undirected " << undirected << ", "
+            << threads << " threads";
+      }
+    }
+  }
+  SetGlobalThreadPoolSize(0);
+}
+
+TEST(PartitionedBuildReferenceTest, DuplicatesKeepTheFirstWeight) {
+  // Node 2's row repeats both targets with new weights, and the (2, 4)
+  // repeats straddle the task boundary.
+  const std::vector<Edge> edges = {{2, 4, 0.5f}, {2, 1, 0.25f}, {0, 2, 1.5f},
+                                   {2, 4, 0.75f}, {2, 1, 2.0f}, {2, 4, 3.0f}};
+  const Graph reference = testing::ReferenceBuildGraph(5, edges);
+  EXPECT_EQ(testing::CsrDifference(BuildWithBuilder(5, edges, false),
+                                   reference),
+            "");
+  Result<Graph> parallel = GraphBuilder::BuildParallel(
+      5, /*undirected=*/false,
+      {{edges.begin(), edges.begin() + 4}, {edges.begin() + 4, edges.end()}});
+  ASSERT_TRUE(parallel.ok());
+  EXPECT_EQ(testing::CsrDifference(parallel.value(), reference), "");
+  ASSERT_EQ(parallel->OutDegree(2), 2);
+  EXPECT_EQ(parallel->OutWeights(2)[0], 0.25f);  // (2, 1): first wins
+  EXPECT_EQ(parallel->OutWeights(2)[1], 0.5f);   // (2, 4): first wins
+}
+
+TEST(PartitionedBuildReferenceTest, EmptyGraphsAndIsolatedNodes) {
+  const std::vector<Edge> none;
+  for (const int64_t nodes : {int64_t{0}, int64_t{6}}) {
+    const Graph reference = testing::ReferenceBuildGraph(nodes, none);
+    EXPECT_EQ(testing::CsrDifference(BuildWithBuilder(nodes, none, false),
+                                     reference),
+              "");
+    Result<Graph> parallel =
+        GraphBuilder::BuildParallel(nodes, /*undirected=*/false, {{}, {}});
+    ASSERT_TRUE(parallel.ok());
+    EXPECT_EQ(testing::CsrDifference(parallel.value(), reference), "");
+  }
+  // Nodes 0, 3 and 9 touch no arc; 1 only sends, 8 only receives.
+  const std::vector<Edge> sparse = {{5, 2, 0.5f}, {1, 8, 1.0f}, {2, 5, 0.25f},
+                                    {7, 6, 2.0f}, {4, 2, 0.125f}};
+  for (const bool undirected : {false, true}) {
+    EXPECT_EQ(testing::CsrDifference(
+                  BuildWithBuilder(10, sparse, undirected),
+                  testing::ReferenceBuildGraph(10, sparse, undirected)),
+              "");
+  }
+}
+
+TEST(PartitionedBuildReferenceTest, HubRowsMatchSerialAssembly) {
+  // One hub sends and receives 25k arcs, most targets several times over
+  // with distinct weights: the long rows take the library sort, not the
+  // short-row insertion sort. Once as the only shard, once inside the
+  // second of eight.
+  for (const int64_t nodes : {int64_t{4000}, int64_t{30000}}) {
+    const NodeId hub = nodes > 4096 ? 4100 : 0;
+    Rng rng(7);
+    std::vector<Edge> edges = ArcsWithDuplicates(nodes, 5000, 9);
+    for (int i = 0; i < 25000; ++i) {
+      const NodeId other = static_cast<NodeId>(rng.NextBounded(nodes));
+      if (other == hub) continue;
+      const float weight = static_cast<float>(edges.size() + 1) / 1024.0f;
+      edges.push_back({hub, other, weight});
+      edges.push_back({other, hub, weight + 0.5f});
+    }
+    const Graph reference = testing::ReferenceBuildGraph(nodes, edges);
+    ASSERT_GE(reference.OutDegree(hub), 3000);
+    for (const size_t threads : kThreadCounts) {
+      SetGlobalThreadPoolSize(threads);
+      EXPECT_EQ(testing::CsrDifference(BuildWithBuilder(nodes, edges, false),
+                                       reference),
+                "")
+          << nodes << " nodes, " << threads << " threads";
+    }
+  }
+  SetGlobalThreadPoolSize(0);
+}
+
+TEST(PartitionedBuildReferenceTest, ValidationErrorsKeepCodesAndMessages) {
+  GraphBuilder builder(3);
+  const Status add_range = builder.AddEdge(0, 7);
+  const Status add_loop = builder.AddEdge(1, 1);
+
+  Result<Graph> graph =
+      GraphBuilder::BuildParallel(3, /*undirected=*/false, {{{0, 7, 1.0f}}});
+  EXPECT_EQ(graph.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(graph.status().message(), "edge endpoint out of range: (0, 7)");
+  EXPECT_EQ(graph.status().message(), add_range.message());
+
+  graph = GraphBuilder::BuildParallel(3, /*undirected=*/true, {{{1, 1, 1.0f}}});
+  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(graph.status().message(), "self-loop rejected at node 1");
+  EXPECT_EQ(graph.status().message(), add_loop.message());
+
+  graph = GraphBuilder::BuildParallel(0, /*undirected=*/false, {{{0, 1, 1.0f}}});
+  EXPECT_EQ(graph.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(graph.status().message(), "edge endpoint out of range: (0, 1)");
+
+  graph = GraphBuilder::BuildParallel(-1, /*undirected=*/false, {});
+  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(graph.status().message(), "num_nodes must be >= 0");
 }
 
 // ------------------------------------------------------ sharded visit map --

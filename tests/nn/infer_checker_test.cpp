@@ -2,10 +2,9 @@
 // seeded randomized model/graph configurations driven down the compiled and
 // tape paths with per-op comparison, the reverse pass's gradients against a
 // tape Backward() for every objective DP-SGD trains, thread-count
-// invariance for the engine's forward passes, bit-identity of
-// block-diagonal batching against solo execution, and the engine's
-// rejection of models it cannot prove equivalent (exotic Forward
-// overrides, unknown parameter layouts).
+// invariance for the engine's forward passes, and the engine's rejection
+// of models it cannot prove equivalent (exotic Forward overrides, unknown
+// parameter layouts).
 
 #include <cstring>
 #include <memory>
@@ -350,10 +349,10 @@ TEST(InferCheckerTest, EngineForwardIsBitIdenticalAtOneFourEightThreads) {
   SetGlobalThreadPoolSize(0);
 }
 
-// --- Block-diagonal batching: stacked execution is bit-identical to solo
-// forwards, at every thread count (i.e. under every chunking). -----------
+// --- Served subgraphs: ForwardGraph on a subgraph, with features salted by
+// the parent's ids, is the tape forward on the full context. -------------
 
-TEST(InferCheckerTest, BatchedForwardMatchesSoloForwardsBitExactly) {
+TEST(InferCheckerTest, SubgraphForwardGraphMatchesTapeBitExactly) {
   const std::shared_ptr<const GnnModel> model =
       RandomModel(GnnKind::kGrat, 2, 31337);
   const Graph base = RandomGraph(3);
@@ -361,10 +360,7 @@ TEST(InferCheckerTest, BatchedForwardMatchesSoloForwardsBitExactly) {
       infer::InferEngine::Create(model);
   ASSERT_TRUE(engine.ok()) << engine.status().message();
 
-  // Nine overlapping subgraphs of varying size (nodes shared between
-  // requests get identical feature rows via global-id salting).
   Rng rng(5);
-  std::vector<Subgraph> subs;
   for (int i = 0; i < 9; ++i) {
     std::vector<NodeId> nodes;
     const int64_t count = 5 + static_cast<int64_t>(rng.NextBounded(20));
@@ -372,49 +368,17 @@ TEST(InferCheckerTest, BatchedForwardMatchesSoloForwardsBitExactly) {
       nodes.push_back(static_cast<NodeId>(
           rng.NextBounded(static_cast<uint64_t>(base.num_nodes()))));
     }
-    subs.push_back(InducedSubgraph(base, nodes).value());
-  }
-
-  std::vector<Tensor> solo;
-  for (const Subgraph& sub : subs) {
-    const GraphContext ctx = GraphContext::Build(sub.local);
+    const Subgraph sub = InducedSubgraph(base, nodes).value();
     const Tensor features = BuildNodeFeatures(
         sub.local, model->config().input_dim, &sub.global_ids);
-    Tensor out;
-    ASSERT_TRUE(engine.value()->Forward(ctx, features, &out).ok());
-    solo.push_back(std::move(out));
+    const Result<Variable> want =
+        model->Run(GraphContext::Build(sub.local), features);
+    ASSERT_TRUE(want.ok());
+    Tensor got;
+    ASSERT_TRUE(
+        engine.value()->ForwardGraph(sub.local, &got, &sub.global_ids).ok());
+    EXPECT_TRUE(BitEqual(got, want.value().value())) << "subgraph " << i;
   }
-
-  std::vector<infer::InferEngine::BatchItem> items;
-  for (const Subgraph& sub : subs) {
-    items.push_back({&sub.local, &sub.global_ids});
-  }
-  for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    SetGlobalThreadPoolSize(threads);
-    std::vector<Tensor> batched;
-    ASSERT_TRUE(engine.value()->ForwardBatched(items, &batched).ok());
-    ASSERT_EQ(batched.size(), solo.size());
-    for (size_t i = 0; i < solo.size(); ++i) {
-      EXPECT_TRUE(BitEqual(batched[i], solo[i]))
-          << "item " << i << " at " << threads << " threads";
-    }
-  }
-  SetGlobalThreadPoolSize(0);
-}
-
-TEST(InferCheckerTest, BatchedForwardValidatesItems) {
-  const std::shared_ptr<const GnnModel> model =
-      RandomModel(GnnKind::kGcn, 1, 8);
-  const Result<std::unique_ptr<infer::InferEngine>> engine =
-      infer::InferEngine::Create(model);
-  ASSERT_TRUE(engine.ok());
-  std::vector<Tensor> outs;
-  EXPECT_TRUE(engine.value()->ForwardBatched({}, &outs).ok());
-  EXPECT_TRUE(outs.empty());
-  EXPECT_EQ(engine.value()
-                ->ForwardBatched({infer::InferEngine::BatchItem{}}, &outs)
-                .code(),
-            StatusCode::kInvalidArgument);
 }
 
 // --- Serialization: every released kind round-trips through the model

@@ -397,8 +397,8 @@ TEST(ServiceTest, SubgraphInfluenceReportsDedupedGlobalIds) {
 
 TEST(ServiceTest, BatchedSubgraphResponsesMatchSoloExecution) {
   // Queue many subgraph requests before Start so the scheduler coalesces
-  // them into batches the fused engine stacks block-diagonally; every
-  // response must match a solo Execute byte-for-byte.
+  // them into batches, each request scored by its own fused forward; every
+  // response must match a tape-engine Execute byte-for-byte.
   ServeOptions options;
   options.queue_capacity = 64;
   options.max_batch = 16;

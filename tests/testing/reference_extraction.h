@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <optional>
@@ -46,6 +45,7 @@
 #include "privim/sampling/freq_sampler.h"
 #include "privim/sampling/rwr_sampler.h"
 #include "privim/sampling/subgraph_container.h"
+#include "testing/reference_csr.h"
 
 namespace privim {
 namespace testing {
@@ -483,36 +483,7 @@ inline Result<SubgraphContainer> ReferenceSampleUnconstrainedWalks(
 }
 
 // ---------------------------------------------------------------------------
-// Byte comparisons.
-
-/// Empty when the two graphs hold the same CSR bytes (node count, direction
-/// flag, and per node the out- and in-rows with bitwise-equal weights);
-/// otherwise names the first difference.
-inline std::string CsrDifference(const Graph& a, const Graph& b) {
-  if (a.num_nodes() != b.num_nodes()) return "node counts differ";
-  if (a.num_arcs() != b.num_arcs()) return "arc counts differ";
-  if (a.undirected() != b.undirected()) return "direction flags differ";
-  const auto same_ids = [](std::span<const NodeId> x,
-                           std::span<const NodeId> y) {
-    return std::equal(x.begin(), x.end(), y.begin(), y.end());
-  };
-  const auto same_weights = [](std::span<const float> x,
-                               std::span<const float> y) {
-    return x.size() == y.size() &&
-           (x.empty() ||
-            std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0);
-  };
-  for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    const std::string at = " of local node " + std::to_string(v);
-    if (!same_ids(a.OutNeighbors(v), b.OutNeighbors(v))) return "out-row" + at;
-    if (!same_weights(a.OutWeights(v), b.OutWeights(v))) {
-      return "out-weights" + at;
-    }
-    if (!same_ids(a.InNeighbors(v), b.InNeighbors(v))) return "in-row" + at;
-    if (!same_weights(a.InWeights(v), b.InWeights(v))) return "in-weights" + at;
-  }
-  return "";
-}
+// Byte comparisons (CsrDifference lives in reference_csr.h).
 
 inline void ExpectSameSubgraph(const Subgraph& actual,
                                const Subgraph& expected,

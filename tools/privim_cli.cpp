@@ -26,6 +26,7 @@
 
 #include "privim/common/flag_registry.h"
 #include "privim/common/flags.h"
+#include "privim/common/mem_stats.h"
 #include "privim/common/thread_pool.h"
 #include "privim/core/pipeline.h"
 #include "privim/diffusion/ic_model.h"
@@ -432,6 +433,7 @@ int Main(int argc, char** argv) {
   int rc = subcommand->run(flags);
 
   if (!metrics_out->empty()) {
+    UpdateGraphMemGauges();
     const std::string error = obs::WriteMetricsFile(metrics_out.value());
     if (error.empty()) {
       std::fprintf(stderr, "metrics written to %s\n",

@@ -17,7 +17,8 @@
 //   * `mem_hwm_bytes` / `mem_rss_bytes` — VmHWM / VmRSS from
 //     /proc/self/status, the evidence behind the linear-memory assertion:
 //     CI checks hwm_bytes <= budget_per_arc * arcs + fixed slack.
-//   * `csr_bytes` — the graph.mem.csr_bytes gauge (both CSR directions).
+//   * `csr_bytes` — the bytes of the graph's six CSR arrays (both
+//     directions).
 //
 // Exit status: 0 on success, 1 on any stage failure.
 
@@ -41,7 +42,6 @@
 #include "privim/graph/graph.h"
 #include "privim/graph/partitioned.h"
 #include "privim/im/sketch/sketch_index.h"
-#include "privim/obs/metrics.h"
 #include "privim/sampling/rwr_sampler.h"
 #include "privim/serve/json.h"
 
@@ -171,10 +171,12 @@ int Run(const Flags& flags) {
   const MemStats mem = ReadMemStats();
   report.Set("mem_rss_bytes", serve::JsonValue::Int(mem.rss_bytes));
   report.Set("mem_hwm_bytes", serve::JsonValue::Int(mem.hwm_bytes));
-  report.Set(
-      "csr_bytes",
-      serve::JsonValue::Int(static_cast<int64_t>(
-          obs::GlobalMetrics().GetGauge("graph.mem.csr_bytes")->Value())));
+  report.Set("csr_bytes",
+             serve::JsonValue::Int(
+                 2 * (graph.num_arcs() *
+                          static_cast<int64_t>(sizeof(NodeId) + sizeof(float)) +
+                      (graph.num_nodes() + 1) *
+                          static_cast<int64_t>(sizeof(int64_t)))));
   if (graph.num_arcs() > 0 && mem.hwm_bytes > 0) {
     report.Set("hwm_bytes_per_arc",
                serve::JsonValue::Number(

@@ -62,6 +62,7 @@
 
 #include "privim/common/flag_registry.h"
 #include "privim/common/flags.h"
+#include "privim/common/mem_stats.h"
 #include "privim/common/thread_pool.h"
 #include "privim/gnn/serialization.h"
 #include "privim/graph/graph_io.h"
@@ -470,6 +471,7 @@ int Main(int argc, char** argv) {
   int rc = Serve(flags);
 
   if (!metrics_out->empty()) {
+    UpdateGraphMemGauges();
     const std::string error = obs::WriteMetricsFile(metrics_out.value());
     if (error.empty()) {
       std::fprintf(stderr, "metrics written to %s\n",
