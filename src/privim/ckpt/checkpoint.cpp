@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <system_error>
@@ -12,6 +13,7 @@
 #include "privim/common/fault_injection.h"
 #include "privim/common/logging.h"
 #include "privim/gnn/serialization.h"
+#include "privim/graph/partitioned.h"
 
 namespace privim {
 namespace ckpt {
@@ -59,6 +61,12 @@ Status DecodeSubgraph(ByteReader* reader, Subgraph* subgraph) {
   if (id_count != static_cast<uint64_t>(num_nodes)) {
     return Status::IOError("corrupt snapshot: global id count mismatch");
   }
+  // Each count is checked against the bytes left before anything is sized
+  // by it: an id takes 4 bytes, an arc 12. Local ids must fit a NodeId.
+  if (id_count > reader->remaining() / 4 ||
+      num_nodes > std::numeric_limits<NodeId>::max()) {
+    return Status::IOError("corrupt snapshot: implausible subgraph size");
+  }
   subgraph->global_ids.clear();
   subgraph->global_ids.reserve(static_cast<size_t>(id_count));
   for (uint64_t i = 0; i < id_count; ++i) {
@@ -68,23 +76,56 @@ Status DecodeSubgraph(ByteReader* reader, Subgraph* subgraph) {
   }
   uint64_t arc_count = 0;
   PRIVIM_RETURN_NOT_OK(reader->ReadU64(&arc_count));
-  // Subgraph local graphs are always built directed (InducedSubgraph), and
-  // GraphBuilder's sort+dedup is deterministic, so rebuilding from the edge
-  // list reproduces the original CSR bit-for-bit.
-  GraphBuilder builder(num_nodes, /*undirected=*/false);
-  builder.Reserve(static_cast<int64_t>(arc_count));
+  if (arc_count > reader->remaining() / 12) {
+    return Status::IOError("corrupt snapshot: implausible subgraph arc count");
+  }
+  // EncodeSubgraph writes the arcs in CSR order, so they fill the out-CSR
+  // as they come; the in-CSR is one counting pass by target (sources stay
+  // ascending), as InducedSubgraph builds it. An arc that no builder could
+  // have produced (out of range, a self-loop, out of order, a duplicate)
+  // marks the snapshot corrupt.
+  graph_internal::CsrParts csr;
+  csr.out_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
+  csr.in_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
+  csr.out_neighbors.resize(static_cast<size_t>(arc_count));
+  csr.out_weights.resize(static_cast<size_t>(arc_count));
+  int64_t last_src = -1;
+  int64_t last_dst = -1;
   for (uint64_t i = 0; i < arc_count; ++i) {
     uint32_t src = 0, dst = 0;
     float weight = 0.0f;
     PRIVIM_RETURN_NOT_OK(reader->ReadU32(&src));
     PRIVIM_RETURN_NOT_OK(reader->ReadU32(&dst));
     PRIVIM_RETURN_NOT_OK(reader->ReadF32(&weight));
-    PRIVIM_RETURN_NOT_OK(builder.AddEdge(static_cast<NodeId>(src),
-                                         static_cast<NodeId>(dst), weight));
+    if (src >= static_cast<uint64_t>(num_nodes) ||
+        dst >= static_cast<uint64_t>(num_nodes) || src == dst) {
+      return Status::IOError("corrupt snapshot: invalid subgraph arc");
+    }
+    if (src < last_src || (src == last_src && dst <= last_dst)) {
+      return Status::IOError("corrupt snapshot: subgraph arcs out of order");
+    }
+    last_src = src;
+    last_dst = dst;
+    csr.out_neighbors[i] = static_cast<NodeId>(dst);
+    csr.out_weights[i] = weight;
+    ++csr.out_offsets[src + 1];
+    ++csr.in_offsets[dst + 1];
   }
-  Result<Graph> graph = builder.Build();
-  if (!graph.ok()) return graph.status();
-  subgraph->local = std::move(graph).value();
+  for (int64_t v = 0; v < num_nodes; ++v) {
+    csr.out_offsets[v + 1] += csr.out_offsets[v];
+    csr.in_offsets[v + 1] += csr.in_offsets[v];
+  }
+  csr.in_neighbors.resize(static_cast<size_t>(arc_count));
+  csr.in_weights.resize(static_cast<size_t>(arc_count));
+  std::vector<int64_t> cursor(csr.in_offsets.begin(), csr.in_offsets.end() - 1);
+  for (int64_t src = 0; src < num_nodes; ++src) {
+    for (int64_t i = csr.out_offsets[src]; i < csr.out_offsets[src + 1]; ++i) {
+      const int64_t slot = cursor[csr.out_neighbors[i]]++;
+      csr.in_neighbors[slot] = static_cast<NodeId>(src);
+      csr.in_weights[slot] = csr.out_weights[i];
+    }
+  }
+  subgraph->local = Graph::FromCsr(num_nodes, std::move(csr));
   return Status::OK();
 }
 

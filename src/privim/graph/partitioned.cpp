@@ -152,8 +152,10 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
   // stable counting sort by source over the shard's node range followed by
   // a stable sort of each row by target is the global stable sort
   // restricted to the shard. Degree counts write only to this shard's node
-  // range (disjoint across workers).
-  std::vector<int64_t> dst_counts(static_cast<size_t>(S * S), 0);
+  // range (disjoint across workers); the (src shard, dst shard) counts feed
+  // phase 5, which a reverse-expanded build skips.
+  std::vector<int64_t> dst_counts(
+      expand_reverse ? 0 : static_cast<size_t>(S * S), 0);
   pool.ParallelFor(static_cast<size_t>(S), [&](size_t s) {
     const int64_t base = layout.ShardBegin(static_cast<int64_t>(s));
     const int64_t rows = layout.ShardEnd(static_cast<int64_t>(s)) - base;
@@ -178,10 +180,12 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
     }
     b = std::move(sorted);
     b.erase(std::unique(b.begin(), b.end(), EdgeSameEndpoints), b.end());
-    int64_t* dc = dst_counts.data() + static_cast<int64_t>(s) * S;
     for (const Edge& e : b) {
       ++parts.out_offsets[static_cast<size_t>(e.src) + 1];
-      ++dc[layout.ShardOf(e.dst)];
+      if (!expand_reverse) {
+        ++dst_counts[static_cast<size_t>(static_cast<int64_t>(s) * S +
+                                         layout.ShardOf(e.dst))];
+      }
     }
   });
 
@@ -203,6 +207,19 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
       ++pos;
     }
   });
+
+  // A reverse-expanded build is symmetric: the first edge that names {u, v}
+  // in either orientation inserted both arcs with its weight, so keep-first
+  // dedup kept both with that weight. In-row v (the sources of arcs into v,
+  // ascending) is then out-row v (the targets of arcs out of v, ascending):
+  // copy it, and skip the rebucket and the counting sort.
+  if (expand_reverse) {
+    bucket.clear();
+    parts.in_offsets = parts.out_offsets;
+    parts.in_neighbors = parts.out_neighbors;
+    parts.in_weights = parts.out_weights;
+    return parts;
+  }
 
   // Phase 5: rebucket the deduped arcs by dst shard. Offsets are src-shard
   // major, and src shards are ascending node ranges, so every dst bucket

@@ -87,7 +87,8 @@ struct CsrParts {
 /// source.
 /// When `expand_reverse` is set every edge also contributes its reverse
 /// arc, inserted immediately after the forward one (the AddEdge order for
-/// undirected builders). When `validate` is set, endpoints are checked
+/// undirected builders); the graph is then symmetric, and the in-CSR is a
+/// copy of the out-CSR. When `validate` is set, endpoints are checked
 /// with the same error codes and messages AddEdge produces; pass false
 /// only for edges that already went through AddEdge.
 ///

@@ -3,7 +3,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -209,6 +211,71 @@ TEST(CheckpointCodecTest, TrailingGarbageFails) {
   Result<std::string> bytes = EncodeSnapshot(MakeRefs(state));
   ASSERT_TRUE(bytes.ok());
   EXPECT_FALSE(DecodeSnapshot(bytes.value() + "extra").ok());
+}
+
+// The snapshot with one edit to the encoding of its second subgraph (nodes
+// 4, 5, 6, 7, 3 of MakeState's parent: arcs (0, 1), (1, 2), (2, 3), (4, 0)),
+// framed again so the CRC holds and only the decoder's own checks remain.
+std::string ReframedWithSubgraphEdit(
+    const std::function<void(std::string* subgraph)>& edit) {
+  const TrainingState state = MakeState();
+  Result<std::string> bytes = EncodeSnapshot(MakeRefs(state));
+  EXPECT_TRUE(bytes.ok());
+  Result<std::string_view> body =
+      Unframe(bytes.value(), "PRIVIMCK", kFormatVersion, "checkpoint");
+  EXPECT_TRUE(body.ok()) << body.status().ToString();
+  std::string payload(body.value());
+  ByteWriter header;
+  header.WriteI64(5);
+  header.WriteU64(5);
+  for (const uint32_t id : {4u, 5u, 6u, 7u, 3u}) header.WriteU32(id);
+  header.WriteU64(4);
+  const size_t at = payload.find(header.bytes());
+  EXPECT_NE(at, std::string::npos);
+  std::string subgraph = payload.substr(at, header.bytes().size() + 4 * 12);
+  edit(&subgraph);
+  payload.replace(at, header.bytes().size() + 4 * 12, subgraph);
+  return Frame("PRIVIMCK", kFormatVersion, payload);
+}
+
+TEST(CheckpointCodecTest, ImplausibleSubgraphCountsFailCleanly) {
+  // A node count of 2^40 (read as the size and the id count), then an arc
+  // count of 2^40: each must fail as corrupt before anything is sized by it.
+  ByteWriter huge;
+  huge.WriteU64(uint64_t{1} << 40);
+  const std::string nodes = ReframedWithSubgraphEdit([&](std::string* sub) {
+    sub->replace(0, 8, huge.bytes());
+    sub->replace(8, 8, huge.bytes());
+  });
+  const Status node_status = DecodeSnapshot(nodes).status();
+  EXPECT_EQ(node_status.code(), StatusCode::kIOError);
+  EXPECT_NE(node_status.message().find("implausible"), std::string::npos)
+      << node_status.ToString();
+
+  const std::string arcs = ReframedWithSubgraphEdit(
+      [&](std::string* sub) { sub->replace(36, 8, huge.bytes()); });
+  const Status arc_status = DecodeSnapshot(arcs).status();
+  EXPECT_EQ(arc_status.code(), StatusCode::kIOError);
+  EXPECT_NE(arc_status.message().find("implausible"), std::string::npos)
+      << arc_status.ToString();
+}
+
+TEST(CheckpointCodecTest, OutOfOrderSubgraphArcFails) {
+  // Swapping the first two arcs makes the source decrease; the old decoder
+  // sorted it away, the CSR fill rejects it.
+  const std::string swapped = ReframedWithSubgraphEdit([](std::string* sub) {
+    const std::string first = sub->substr(44, 12);
+    sub->replace(44, 12, sub->substr(56, 12));
+    sub->replace(56, 12, first);
+  });
+  const Status status = DecodeSnapshot(swapped).status();
+  EXPECT_EQ(status.code(), StatusCode::kIOError);
+  EXPECT_NE(status.message().find("out of order"), std::string::npos)
+      << status.ToString();
+
+  // Unedited, the same re-framing decodes.
+  EXPECT_TRUE(DecodeSnapshot(ReframedWithSubgraphEdit([](std::string*) {}))
+                  .ok());
 }
 
 TEST(CheckpointCodecTest, IncompleteRefsRejected) {

@@ -1,7 +1,11 @@
 #include "privim/graph/graph_io.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -64,10 +68,14 @@ TEST(GraphIoTest, MalformedLineFails) {
   std::remove(path.c_str());
 
   // Weights that are not finite non-negative numbers, an id that is not an
-  // integer, and a fourth field: each fails on its own line, with a reason.
+  // integer, a negative id, a NUL byte in a field, and a fourth field: each
+  // fails on its own line, with a reason.
+  using std::string_literals::operator""s;
   const std::string bad_lines[] = {"0 1 abc", "0 1 nan", "0 1 inf", "0 1e3",
                                    "0 1 -5",  "0 1 1e999",
-                                   "0 1 0.5 trailing junk"};
+                                   "0 1 0.5 trailing junk",
+                                   "-1 2",    "2 -7 0.5", "-0 1",
+                                   "0 1\0x"s, "0 1 0.5\0zz"s};
   for (const std::string& bad : bad_lines) {
     const std::string bad_path =
         WriteTempFile("bad_weight.txt", "# header\n0 2 0.5\n" + bad + "\n");
@@ -203,10 +211,12 @@ TEST(GraphIoTest, UndirectedDuplicateEdgesStaySymmetric) {
 }
 
 TEST(GraphIoTest, SelfLoopOnlyFileLoadsNodesWithoutArcs) {
-  // Self-loops are dropped but their endpoints still intern node ids.
+  // A self-loop line is dropped before its ids are numbered, so a node that
+  // only self-loops name is not in the graph: this file loads no nodes.
   const std::string path = WriteTempFile("only_loops.txt", "0 0\n5 5\n");
   Result<Graph> graph = LoadEdgeList(path, false);
   ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  EXPECT_EQ(graph->num_nodes(), 0);
   EXPECT_EQ(graph->num_arcs(), 0);
   std::remove(path.c_str());
 }
@@ -222,6 +232,41 @@ TEST(GraphIoTest, SaveLoadRoundTripPreservesWeightsExactly) {
   EXPECT_FLOAT_EQ(loaded->OutWeights(1)[0], 0.5f);
   EXPECT_FLOAT_EQ(loaded->OutWeights(3)[0], 1.0f);
   std::remove(path.c_str());
+
+  // Weights with no short decimal form, compared arc for arc on the bits:
+  // 1/3, 0.1f, the smallest denormal, FLT_MAX, a float whose shortest form
+  // strtod's detour through double rounds to its neighbour, and the 1/j
+  // weights of a weighted-cascade complete DAG (node j has in-degree j).
+  // Both graphs name their nodes in id order, so reloading keeps the ids.
+  const Graph odd = testing::MakeGraph(
+      6, {{0, 1, 1.0f / 3.0f},
+          {1, 2, 0.1f},
+          {2, 3, std::numeric_limits<float>::denorm_min()},
+          {3, 4, std::numeric_limits<float>::max()},
+          {4, 5, 7.038531e-26f}});
+  std::vector<Edge> dag;
+  for (NodeId u = 0; u < 8; ++u) {
+    for (NodeId v = u + 1; v < 8; ++v) dag.push_back({u, v, 1.0f});
+  }
+  const Graph cascade = WithWeightedCascadeWeights(testing::MakeGraph(8, dag));
+  for (const Graph* graph : {&odd, &cascade}) {
+    ASSERT_TRUE(SaveEdgeList(*graph, path).ok());
+    Result<Graph> reloaded = LoadEdgeList(path, false);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_EQ(reloaded->num_nodes(), graph->num_nodes());
+    const std::vector<Edge> want = graph->ToEdgeList();
+    const std::vector<Edge> got = reloaded->ToEdgeList();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].src, want[i].src) << "arc " << i;
+      EXPECT_EQ(got[i].dst, want[i].dst) << "arc " << i;
+      EXPECT_EQ(std::bit_cast<uint32_t>(got[i].weight),
+                std::bit_cast<uint32_t>(want[i].weight))
+          << "arc " << i << ": saved " << want[i].weight << ", reloaded "
+          << got[i].weight;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(GraphIoTest, SaveLoadRoundTrip) {

@@ -338,6 +338,46 @@ TEST(PartitionedBuildReferenceTest, DuplicatesKeepTheFirstWeight) {
   EXPECT_EQ(parallel->OutWeights(2)[1], 0.5f);   // (2, 4): first wins
 }
 
+TEST(PartitionedBuildReferenceTest, ReverseExpandedPairsKeepTheFirstWeight) {
+  // An undirected BuildParallel copies its out-CSR into the in-CSR. Pair
+  // {a, b} comes first as (b, a) with 0.5, then as (a, b) and (b, a) again
+  // with other weights in later tasks: both arcs must keep 0.5. On 9000
+  // nodes a and b sit in different shards, among random arcs with repeats.
+  for (const int64_t nodes : {int64_t{6}, int64_t{9000}}) {
+    const NodeId a = 2;
+    const NodeId b = nodes > 4096 ? 8500 : 4;
+    std::vector<Edge> edges = {{b, a, 0.5f}, {0, 1, 1.0f}, {a, b, 2.0f},
+                               {1, 0, 3.0f}, {b, a, 4.0f}, {a, 0, 0.25f}};
+    if (nodes > 4096) {
+      const std::vector<Edge> bulk = ArcsWithDuplicates(nodes, 20000, 17);
+      edges.insert(edges.begin() + 3, bulk.begin(), bulk.end());
+    }
+    std::vector<std::vector<Edge>> tasks = {
+        {edges.begin(), edges.begin() + 2},
+        {edges.begin() + 2, edges.end() - 2},
+        {edges.end() - 2, edges.end()}};
+    const Graph reference =
+        testing::ReferenceBuildGraph(nodes, edges, /*undirected=*/true);
+    for (const size_t threads : kThreadCounts) {
+      SetGlobalThreadPoolSize(threads);
+      Result<Graph> graph =
+          GraphBuilder::BuildParallel(nodes, /*undirected=*/true, tasks);
+      ASSERT_TRUE(graph.ok());
+      EXPECT_EQ(testing::CsrDifference(graph.value(), reference), "")
+          << nodes << " nodes, " << threads << " threads";
+      const auto out = graph->OutNeighbors(a);
+      const auto at = std::find(out.begin(), out.end(), b) - out.begin();
+      ASSERT_LT(at, static_cast<std::ptrdiff_t>(out.size()));
+      EXPECT_EQ(graph->OutWeights(a)[static_cast<size_t>(at)], 0.5f);
+      const auto in = graph->InNeighbors(a);
+      const auto from = std::find(in.begin(), in.end(), b) - in.begin();
+      ASSERT_LT(from, static_cast<std::ptrdiff_t>(in.size()));
+      EXPECT_EQ(graph->InWeights(a)[static_cast<size_t>(from)], 0.5f);
+    }
+  }
+  SetGlobalThreadPoolSize(0);
+}
+
 TEST(PartitionedBuildReferenceTest, EmptyGraphsAndIsolatedNodes) {
   const std::vector<Edge> none;
   for (const int64_t nodes : {int64_t{0}, int64_t{6}}) {
