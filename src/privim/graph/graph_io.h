@@ -29,7 +29,9 @@ namespace privim {
 /// Loads an edge list. `undirected` symmetrizes every edge. A line that
 /// does not parse — an id that is not a non-negative integer, a weight that
 /// is not a finite non-negative number, a fourth field, a NUL byte — fails
-/// the load with IOError "malformed line N in PATH: <reason>".
+/// the load with IOError "malformed line N in PATH: <reason>". A directory
+/// and a read that fails are IOErrors too; a FIFO loads as its bytes do
+/// from a regular file.
 Result<Graph> LoadEdgeList(const std::string& path, bool undirected);
 
 /// Writes `graph` as "src dst weight" lines. Every weight reloads to the

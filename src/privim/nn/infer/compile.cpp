@@ -1,6 +1,7 @@
 #include "privim/nn/infer/compile.h"
 
 #include <cassert>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -143,6 +144,21 @@ class ProgramBuilder {
           in.weight != nullptr || in.bias != nullptr ||
           in.scalar_param != nullptr || reads_grad(in.src0) ||
           reads_grad(in.src1);
+    }
+    program.last_reader_.assign(buffers_.size(), -1);
+    for (size_t step = 0; step < instrs_.size(); ++step) {
+      for (const int src : {instrs_[step].src0, instrs_[step].src1}) {
+        if (src >= 0) {
+          program.last_reader_[static_cast<size_t>(src)] =
+              static_cast<int>(step);
+        }
+      }
+    }
+    // Every slot but the output has a reader, so a releasing Execute()
+    // leaves only the output behind.
+    for (size_t s = 0; s < buffers_.size(); ++s) {
+      assert((program.last_reader_[s] < 0) ==
+             (static_cast<int>(s) == output_slot));
     }
     program.instrs_ = std::move(instrs_);
     program.buffers_ = std::move(buffers_);

@@ -77,8 +77,7 @@ Status InferEngine::VerifyAgainstTape() const {
   const Tensor& want = tape.value().value();
 
   Tensor fused;
-  Scratch scratch;
-  PRIVIM_RETURN_NOT_OK(program_.Execute(ctx, features, &scratch, &fused));
+  PRIVIM_RETURN_NOT_OK(Forward(ctx, features, &fused));
 
   if (fused.rows() != want.rows() || fused.cols() != want.cols()) {
     return Status::FailedPrecondition(
@@ -112,8 +111,11 @@ Status InferEngine::VerifyAgainstTape() const {
 
 Status InferEngine::Forward(const GraphContext& ctx, const Tensor& features,
                             Tensor* out) const {
+  // No caller differentiates an engine forward, so each slot goes back to
+  // the leased scratch's arena after its last reader.
   ScratchLease lease(this);
-  return program_.Execute(ctx, features, lease.get(), out);
+  return program_.Execute(ctx, features, lease.get(), out,
+                          /*observer=*/nullptr, SlotPolicy::kRelease);
 }
 
 Status InferEngine::ForwardGraph(const Graph& graph, Tensor* out,

@@ -43,7 +43,9 @@ class InferEngine {
 
   /// Fused forward over one prebuilt graph context. Writes the (n x 1)
   /// score column into *out. Thread-safe; scratch buffers are leased from
-  /// an internal pool, so concurrent calls never contend on tensors.
+  /// an internal pool, so concurrent calls never contend on tensors. Runs
+  /// with SlotPolicy::kRelease: a leased scratch holds the program's
+  /// depth-independent footprint, not every slot.
   Status Forward(const GraphContext& ctx, const Tensor& features,
                  Tensor* out) const;
 
@@ -62,7 +64,8 @@ class InferEngine {
 
   class ScratchLease;
 
-  /// Runs the probe-graph comparison against the tape path.
+  /// Runs the probe graph through Forward(), the path every call serves,
+  /// and compares the scores with the tape's.
   Status VerifyAgainstTape() const;
 
   std::unique_ptr<Scratch> AcquireScratch() const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <initializer_list>
 #include <string>
 #include <utility>
 
@@ -224,7 +225,8 @@ void Contribute(int slot, Tensor&& delta, Scratch* scratch) {
 
 Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
                              Scratch* scratch, Tensor* out,
-                             const StepObserver& observer) const {
+                             const StepObserver& observer,
+                             SlotPolicy policy) const {
   if (features.rows() != ctx.num_nodes) {
     return Status::InvalidArgument(
         "feature matrix has " + std::to_string(features.rows()) +
@@ -246,7 +248,8 @@ Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
 
   // Route every slot (re)allocation through the scratch's arena: slot
   // assignment recycles the old buffer and acquires a same-class one, so a
-  // warm Scratch executes without touching the heap.
+  // warm Scratch executes without touching the heap. A released slot
+  // recycles the same way, and a later slot of its class takes the buffer.
   nn::ArenaScope scope(&scratch->pools);
   std::vector<Tensor>& slots = scratch->slots;
   slots.resize(buffers_.size());
@@ -351,6 +354,14 @@ Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
     }
 
     if (observer) observer(step, in, slots);
+    if (policy == SlotPolicy::kRelease) {
+      for (const int src : {in.src0, in.src1}) {
+        if (src >= 0 &&
+            last_reader_[static_cast<size_t>(src)] == static_cast<int>(step)) {
+          slots[static_cast<size_t>(src)] = Tensor();
+        }
+      }
+    }
   }
 
   // Copy (not move) the result so the slot buffer stays warm in the
@@ -370,15 +381,18 @@ Status InferProgram::Backward(const GraphContext& ctx, const Tensor& dscores,
   const int64_t n = ctx.num_nodes;
   const int64_t num_edges = static_cast<int64_t>(ctx.attention_src.size());
   std::vector<Tensor>& slots = scratch->slots;
-  bool same_graph = slots.size() == buffers_.size();
-  for (size_t s = 0; same_graph && s < slots.size(); ++s) {
-    same_graph = slots[s].rows() == (buffers_[s].domain == RowDomain::kNodes
-                                         ? n
-                                         : num_edges);
+  // A released slot is 0 x 0, and every buffer has at least one column.
+  bool retained = slots.size() == buffers_.size();
+  for (size_t s = 0; retained && s < slots.size(); ++s) {
+    retained = slots[s].rows() == (buffers_[s].domain == RowDomain::kNodes
+                                       ? n
+                                       : num_edges) &&
+               slots[s].cols() == buffers_[s].cols;
   }
-  if (!same_graph) {
+  if (!retained) {
     return Status::FailedPrecondition(
-        "Backward needs the scratch of an Execute over the same graph");
+        "Backward needs the retained slots of an Execute over the same "
+        "graph");
   }
   const Tensor& out = slots[static_cast<size_t>(output_slot_)];
   if (!dscores.SameShape(out)) {

@@ -8,6 +8,17 @@
 // buffers are recycled through the TensorArena — zero heap allocations in
 // the steady state. Backward() differentiates it the same way (below).
 //
+// Slot lifetime: compilation records each slot's last reading
+// instruction. By default Execute() retains every slot until the next
+// call, because Backward() reads them all. A caller that never runs
+// Backward() (the engine, engine.h) passes SlotPolicy::kRelease instead:
+// each slot then returns to the scratch's arena right after its last
+// reader (and after the StepObserver call for that step), and the next
+// slot of its size class reuses the buffer. The released forward holds a
+// fixed number of buffers whatever the depth — e.g. GAT/GRAT two
+// hidden-width node buffers rather than three per layer — and computes
+// the same bytes; only where they live changes.
+//
 // Fusion: where the tape materializes MatMul, AddRowBroadcast and Relu as
 // three ops (three tensors, three nodes), kDense runs one matmul kernel
 // followed by one bias+activation sweep over the same buffer. The sweep
@@ -126,9 +137,17 @@ struct Scratch {
   std::vector<uint8_t> has_grad;  ///< Backward(): grads[s] is set
 };
 
-/// Called after each instruction with every slot computed so far (slot 0 is
-/// the input features). The checker harness uses this to re-derive each
-/// step's output through the tape ops and report per-op divergence.
+/// What Execute() does with a slot once no later instruction reads it.
+enum class SlotPolicy {
+  kRetain,   ///< keep it until the next Execute(), for Backward()
+  kRelease,  ///< return its buffer to the scratch's arena at once
+};
+
+/// Called after each instruction with the slots computed so far (slot 0 is
+/// the input features). The step's own inputs and output are always live;
+/// under SlotPolicy::kRelease a slot whose last reader ran before this step
+/// is empty. The checker harness uses this to re-derive each step's output
+/// through the tape ops and report per-op divergence.
 using StepObserver =
     std::function<void(size_t step, const Instr& instr,
                        const std::vector<Tensor>& slots)>;
@@ -140,12 +159,18 @@ class InferProgram {
   /// Runs the program over `ctx` / `features` ((ctx.num_nodes x input_dim)),
   /// writing the (n x 1) output into *out. `out` keeps its storage when the
   /// caller reuses it across calls (no allocation once capacities warm up).
+  /// `policy` defaults to retaining every slot for Backward(); kRelease
+  /// recycles each slot after its last reader, so the scratch's arena
+  /// peaks at a depth-independent footprint instead of every slot's sum,
+  /// and Backward() on that scratch fails until a retaining Execute().
   Status Execute(const GraphContext& ctx, const Tensor& features,
                  Scratch* scratch, Tensor* out,
-                 const StepObserver& observer = nullptr) const;
+                 const StepObserver& observer = nullptr,
+                 SlotPolicy policy = SlotPolicy::kRetain) const;
 
   /// Reverse pass of the last Execute() on `scratch`, which must have run
-  /// over the same `ctx`. `dscores` is the gradient of the objective with
+  /// over the same `ctx` and retained its slots (FailedPrecondition
+  /// otherwise). `dscores` is the gradient of the objective with
   /// respect to the (n x 1) output; *grad receives the gradient of every
   /// model parameter, flattened in GnnModel::parameters() order and
   /// byte-equal to a tape Backward() + FlattenGradientsInto. Keeps *grad's
@@ -172,6 +197,9 @@ class InferProgram {
 
   std::vector<Instr> instrs_;
   std::vector<BufferSpec> buffers_;
+  /// Per slot, the index of the last instruction that reads it; -1 for the
+  /// output slot, which only the copy into Execute()'s *out reads.
+  std::vector<int> last_reader_;
   int64_t input_dim_ = 0;
   int output_slot_ = -1;
   uint32_t context_parts_ = 0;

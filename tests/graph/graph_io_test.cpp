@@ -3,10 +3,14 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "gtest/gtest.h"
 #include "testing/graph_fixtures.h"
@@ -116,6 +120,51 @@ TEST(GraphIoTest, AcceptsEveryWellFormedLine) {
 TEST(GraphIoTest, MissingFileFails) {
   EXPECT_EQ(LoadEdgeList("/nonexistent/file.txt", false).status().code(),
             StatusCode::kIOError);
+}
+
+// A directory opens like a file, but its reads fail: that is an IOError,
+// not an empty graph (nor, where its end offset reads as LLONG_MAX, an
+// abort in the edge vector's reserve).
+TEST(GraphIoTest, DirectoryPathFailsWithIOError) {
+  const std::string path = ::testing::TempDir() + "/edge_list_dir";
+  std::filesystem::create_directories(path);
+  const Result<Graph> graph = LoadEdgeList(path, false);
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), StatusCode::kIOError);
+  EXPECT_NE(graph.status().message().find(path), std::string::npos)
+      << graph.status().message();
+  std::filesystem::remove(path);
+}
+
+// A FIFO cannot seek, so its size is unknown; it loads the graph its bytes
+// load from a regular file.
+TEST(GraphIoTest, FifoLoadsLikeARegularFile) {
+  const std::string body = "0 1 0.5\n1 2\n2 0\n5 7 0.25\n";
+  const std::string fifo = ::testing::TempDir() + "/edge_list.fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::thread writer([&] { std::ofstream(fifo) << body; });
+  const Result<Graph> from_fifo = LoadEdgeList(fifo, false);
+  writer.join();
+  std::remove(fifo.c_str());
+
+  const std::string path = WriteTempFile("fifo_twin.txt", body);
+  const Result<Graph> from_file = LoadEdgeList(path, false);
+  std::remove(path.c_str());
+  ASSERT_TRUE(from_fifo.ok()) << from_fifo.status().ToString();
+  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+  ASSERT_EQ(from_fifo->num_nodes(), 5);
+  EXPECT_EQ(from_fifo->num_arcs(), from_file->num_arcs());
+  for (NodeId v = 0; v < from_file->num_nodes(); ++v) {
+    const auto fifo_out = from_fifo->OutNeighbors(v);
+    const auto file_out = from_file->OutNeighbors(v);
+    const auto fifo_w = from_fifo->OutWeights(v);
+    const auto file_w = from_file->OutWeights(v);
+    EXPECT_EQ(std::vector<NodeId>(fifo_out.begin(), fifo_out.end()),
+              std::vector<NodeId>(file_out.begin(), file_out.end()));
+    EXPECT_EQ(std::vector<float>(fifo_w.begin(), fifo_w.end()),
+              std::vector<float>(file_w.begin(), file_w.end()));
+  }
 }
 
 TEST(GraphIoTest, EmptyFileLoadsAsEmptyGraph) {

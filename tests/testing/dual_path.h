@@ -195,9 +195,13 @@ inline Tensor TapeReference(const infer::Instr& in,
 }  // namespace internal
 
 /// Compiles `model`, runs `graph` down both paths, and reports per-op and
-/// end-to-end agreement. Errors from compilation or execution propagate.
-inline Result<DualPathReport> RunDualPath(const GnnModel& model,
-                                          const Graph& graph) {
+/// end-to-end agreement. `policy` is the compiled forward's slot policy;
+/// the observer runs before a step's inputs are released, so the per-op
+/// checks are the same under both. Errors from compilation or execution
+/// propagate.
+inline Result<DualPathReport> RunDualPath(
+    const GnnModel& model, const Graph& graph,
+    infer::SlotPolicy policy = infer::SlotPolicy::kRetain) {
   Result<infer::InferProgram> program = infer::CompileForInference(model);
   if (!program.ok()) return program.status();
 
@@ -222,8 +226,8 @@ inline Result<DualPathReport> RunDualPath(const GnnModel& model,
                                  &check.exact);
         report.ops.push_back(std::move(check));
       };
-  PRIVIM_RETURN_NOT_OK(
-      program.value().Execute(ctx, features, &scratch, &fused, observer));
+  PRIVIM_RETURN_NOT_OK(program.value().Execute(ctx, features, &scratch,
+                                               &fused, observer, policy));
 
   Result<Variable> tape = model.Run(ctx, features);
   if (!tape.ok()) return tape.status();
@@ -257,11 +261,12 @@ struct GradientReport {
 };
 
 /// Differentiates `objective` over `model` on `graph` down both paths and
-/// compares the flat parameter gradients and the losses bitwise. Errors
+/// compares the flat parameter gradients and the losses bitwise. The
+/// program runs in `scratch` when given (a fresh one otherwise). Errors
 /// from compilation, execution or the objective propagate.
 inline Result<GradientReport> RunGradientDualPath(
     const GnnModel& model, const Graph& graph,
-    const ScoreObjective& objective) {
+    const ScoreObjective& objective, infer::Scratch* scratch = nullptr) {
   Result<infer::InferProgram> program = infer::CompileForInference(model);
   if (!program.ok()) return program.status();
   const GraphContext ctx = GraphContext::Build(graph);
@@ -291,10 +296,11 @@ inline Result<GradientReport> RunGradientDualPath(
   std::vector<float> got;
   float program_loss = 0.0f;
   {
-    infer::Scratch scratch;
+    infer::Scratch fresh;
+    if (scratch == nullptr) scratch = &fresh;
     Tensor out;
-    PRIVIM_RETURN_NOT_OK(program.value().Execute(ctx, features, &scratch,
-                                                 &out));
+    PRIVIM_RETURN_NOT_OK(
+        program.value().Execute(ctx, features, scratch, &out));
     const Variable leaf(out, /*requires_grad=*/true);
     Result<Variable> loss = objective(leaf, ctx);
     if (!loss.ok()) return loss.status();
@@ -302,7 +308,7 @@ inline Result<GradientReport> RunGradientDualPath(
     loss.value().Backward();
     if (leaf.node()->grad_initialized) {
       PRIVIM_RETURN_NOT_OK(program.value().Backward(
-          ctx, leaf.node()->grad, &scratch, &got));
+          ctx, leaf.node()->grad, scratch, &got));
     } else {
       got.assign(want.size(), 0.0f);
     }
