@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <optional>
+#include <string>
 
 #include "privim/common/fault_injection.h"
 #include "privim/common/logging.h"
@@ -258,6 +259,19 @@ Result<TrainStats> TrainDpGnn(GnnModel* model,
             }
           });
       for (const Status& status : chunk_status) PRIVIM_RETURN_NOT_OK(status);
+    }
+
+    // A non-finite gradient passes the clip unbounded — a NaN norm is never
+    // above C, and an inf one scales by 0 into NaN — so it would break the
+    // per-example bound C that Lemma 2 assumes. Stop before the step.
+    for (size_t pos = 0; pos < batch_count; ++pos) {
+      if (!std::isfinite(per_norm[pos])) {
+        return Status::FailedPrecondition(
+            "iteration " + std::to_string(t) + ": the gradient of subgraph " +
+            std::to_string(batch[pos]) + " has non-finite norm " +
+            std::to_string(per_norm[pos]) +
+            ", so clipping cannot bound it by C");
+      }
     }
 
     // Alg. 2 line 7: reduce in batch order, independent of chunk placement.

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "privim/nn/activations.h"
+#include "privim/nn/lanes.h"
 #include "privim/nn/ops.h"
 
 namespace privim {
@@ -107,14 +108,31 @@ void EdgeAggregateKernel(int64_t num_edges, int64_t d,
   }
 }
 
+// Adds the widened products of columns j..j+count-1 to eight edges' dots:
+// p[jj] holds column j + jj's float products, one edge per lane, and each
+// lane's double sum (lo: edges 0-3, hi: 4-7) takes them in j order.
+PRIVIM_ALWAYS_INLINE void AddWidenedProducts(const nn::Lanes8* p,
+                                             int64_t count, nn::Doubles4* lo,
+                                             nn::Doubles4* hi) {
+  for (int64_t jj = 0; jj < count; ++jj) {
+    const nn::Doubles8 wide = __builtin_convertvector(p[jj], nn::Doubles8);
+    *lo += __builtin_shufflevector(wide, wide, 0, 1, 2, 3);
+    *hi += __builtin_shufflevector(wide, wide, 4, 5, 6, 7);
+  }
+}
+
 // The attention aggregation's pullback for the output gradient g. The tape
 // copies g's destination rows into the message gradient (SegmentSum), then
 // MulColBroadcast sums each message row's product with its gathered source
-// row — float products widened into a double — into dalpha[e], and scales
-// the row by alpha[e] into the gathered rows' gradient, which GatherRows
-// scatter-adds onto the source nodes, edges ascending. This performs those
-// operations without the (edges x d) buffers: first every dot product
-// (four edges at a time, as four independent double chains), then the
+// row — float products widened into a double, j ascending — into
+// dalpha[e], and scales the row by alpha[e] into the gathered rows'
+// gradient, which GatherRows scatter-adds onto the source nodes, edges
+// ascending. This performs those operations without the (edges x d)
+// buffers: first every dot product, eight edges at a time — the float
+// products of eight g and t rows, an 8 x 8 block per eight columns,
+// transposed so that a lane is an edge, then widened and added in j order
+// (lanes past the last edge repeat it and are not stored; a column tail is
+// loaded zero-padded and only its valid columns are added) — then the
 // scatter in edge order. `dt` must be zero on entry.
 PRIVIM_VEC_CLONES
 void EdgeAggregateGradKernel(int64_t num_edges, int64_t d,
@@ -125,32 +143,44 @@ void EdgeAggregateGradKernel(int64_t num_edges, int64_t d,
                              const float* PRIVIM_RESTRICT g,
                              float* PRIVIM_RESTRICT dalpha,
                              float* PRIVIM_RESTRICT dt) {
-  constexpr int kChains = 4;
-  int64_t e = 0;
-  for (; e + kChains <= num_edges; e += kChains) {
-    const float* grow[kChains];
-    const float* trow[kChains];
-    double dot[kChains];
-    for (int r = 0; r < kChains; ++r) {
-      grow[r] = g + static_cast<int64_t>(adst[e + r]) * d;
-      trow[r] = t + static_cast<int64_t>(asrc[e + r]) * d;
-      dot[r] = 0.0;
+  for (int64_t e = 0; e < num_edges; e += 8) {
+    const int64_t count = std::min<int64_t>(8, num_edges - e);
+    const float* grow[8];
+    const float* trow[8];
+    for (int r = 0; r < 8; ++r) {
+      const int64_t edge = e + (r < count ? r : count - 1);
+      grow[r] = g + static_cast<int64_t>(adst[edge]) * d;
+      trow[r] = t + static_cast<int64_t>(asrc[edge]) * d;
     }
-    for (int64_t j = 0; j < d; ++j) {
-      for (int r = 0; r < kChains; ++r) dot[r] += grow[r][j] * trow[r][j];
+    nn::Doubles4 lo = nn::Doubles4{};
+    nn::Doubles4 hi = nn::Doubles4{};
+    int64_t j = 0;
+    for (; j + 8 <= d; j += 8) {
+      nn::Lanes8 p[8], tv[8];
+      nn::LoadBlock(grow, j, p);
+      nn::LoadBlock(trow, j, tv);
+      for (int r = 0; r < 8; ++r) p[r] *= tv[r];
+      nn::Transpose8x8(p);
+      AddWidenedProducts(p, 8, &lo, &hi);
     }
-    for (int r = 0; r < kChains; ++r) {
-      dalpha[e + r] = static_cast<float>(dot[r]);
+    if (j < d) {
+      nn::Lanes8 p[8], tv[8];
+      nn::LoadFirstBlock(grow, j, d - j, p);
+      nn::LoadFirstBlock(trow, j, d - j, tv);
+      for (int r = 0; r < 8; ++r) p[r] *= tv[r];
+      nn::Transpose8x8(p);
+      AddWidenedProducts(p, d - j, &lo, &hi);
+    }
+    const nn::Doubles8 sums =
+        __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
+    const nn::Lanes8 dots = __builtin_convertvector(sums, nn::Lanes8);
+    if (count == 8) {
+      nn::StoreLanes(dots, dalpha + e);
+    } else {
+      nn::StoreFirstLanes(dots, count, dalpha + e);
     }
   }
-  for (; e < num_edges; ++e) {
-    const float* PRIVIM_RESTRICT grow = g + static_cast<int64_t>(adst[e]) * d;
-    const float* PRIVIM_RESTRICT trow = t + static_cast<int64_t>(asrc[e]) * d;
-    double dot = 0.0;
-    for (int64_t j = 0; j < d; ++j) dot += grow[j] * trow[j];
-    dalpha[e] = static_cast<float>(dot);
-  }
-  for (e = 0; e < num_edges; ++e) {
+  for (int64_t e = 0; e < num_edges; ++e) {
     const float s = alpha[e];
     const float* PRIVIM_RESTRICT grow = g + static_cast<int64_t>(adst[e]) * d;
     float* PRIVIM_RESTRICT drow = dt + static_cast<int64_t>(asrc[e]) * d;
@@ -222,6 +252,15 @@ void Contribute(int slot, Tensor&& delta, Scratch* scratch) {
 }
 
 }  // namespace
+
+void EdgeAggregateGradInto(const Tensor& alpha, const Tensor& t,
+                           const Tensor& g, const int32_t* asrc,
+                           const int32_t* adst, Tensor* dalpha, Tensor* dt) {
+  assert(alpha.cols() == 1 && dalpha->SameShape(alpha));
+  assert(g.cols() == t.cols() && dt->SameShape(t));
+  EdgeAggregateGradKernel(alpha.rows(), t.cols(), asrc, adst, alpha.data(),
+                          t.data(), g.data(), dalpha->data(), dt->data());
+}
 
 Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
                              Scratch* scratch, Tensor* out,
@@ -445,8 +484,7 @@ Status InferProgram::Backward(const GraphContext& ctx, const Tensor& dscores,
         if (requires_grad(in.src0)) {
           Contribute(in.src0, MatMulABT(g, *in.weight), scratch);
         }
-        const Tensor dw = MatMulATB(x, g);
-        std::copy(dw.data(), dw.data() + dw.size(), flat + in.weight_grad);
+        MatMulATBInto(x, g, flat + in.weight_grad);
         break;
       }
 
@@ -530,10 +568,8 @@ Status InferProgram::Backward(const GraphContext& ctx, const Tensor& dscores,
         const Tensor& t = slots[static_cast<size_t>(in.src1)];
         Tensor dalpha = Tensor::Uninitialized(num_edges, 1);
         Tensor dt = Tensor::Zeros(t.rows(), t.cols());
-        EdgeAggregateGradKernel(num_edges, t.cols(), asrc, adst,
-                                slots[static_cast<size_t>(in.src0)].data(),
-                                t.data(), g.data(), dalpha.data(),
-                                dt.data());
+        EdgeAggregateGradInto(slots[static_cast<size_t>(in.src0)], t, g, asrc,
+                              adst, &dalpha, &dt);
         if (requires_grad(in.src0)) {
           Contribute(in.src0, std::move(dalpha), scratch);
         }

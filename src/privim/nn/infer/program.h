@@ -56,7 +56,14 @@
 //   * dot products keep the tape's precision (the float product widened
 //     to double in MulColBroadcast and ScaleByScalar, the per-segment
 //     double in SegmentSoftmax), and LeakyReLU's derivative is taken from
-//     the pre-activation score, recomputed with the forward's float add.
+//     the pre-activation score, recomputed with the forward's float add;
+//   * the attention aggregation's dots run eight edges at a time, one edge
+//     per lane (EdgeAggregateGradInto): each lane adds its widened
+//     products in j order, which is the tape's per-edge double chain;
+//   * a kDense weight's gradient is written straight into its span of the
+//     flat gradient (MatMulATBInto), and the input's gradient runs the
+//     a * b tiles on the weight's transpose (MatMulABT), packed in
+//     registers; with finite operands neither masks zeros (tensor.cpp).
 
 #ifndef PRIVIM_NN_INFER_PROGRAM_H_
 #define PRIVIM_NN_INFER_PROGRAM_H_
@@ -151,6 +158,16 @@ enum class SlotPolicy {
 using StepObserver =
     std::function<void(size_t step, const Instr& instr,
                        const std::vector<Tensor>& slots)>;
+
+/// The kEdgeAggregate pullback Backward() runs, for the output gradient g
+/// (n x d) of out[adst[e]] += alpha[e] * t[asrc[e]]: dalpha[e] (E x 1) is
+/// the double sum over j ascending of the float products g[adst[e]][j] *
+/// t[asrc[e]][j], rounded to float, and dt[asrc[e]] += alpha[e] *
+/// g[adst[e]], e ascending. `dt` is shaped like t and must be zero on
+/// entry; `dalpha` is overwritten.
+void EdgeAggregateGradInto(const Tensor& alpha, const Tensor& t,
+                           const Tensor& g, const int32_t* asrc,
+                           const int32_t* adst, Tensor* dalpha, Tensor* dt);
 
 /// A compiled model. Immutable after compilation; safe to Execute from many
 /// threads concurrently as long as each call brings its own Scratch.

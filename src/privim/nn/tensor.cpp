@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "privim/nn/arena.h"
+#include "privim/nn/lanes.h"
 
 namespace privim {
 
@@ -127,12 +128,20 @@ Tensor Tensor::GlorotUniform(int64_t fan_in, int64_t fan_out, Rng* rng) {
   return t;
 }
 
+namespace {
+
+// dst += src, element by element: both clones perform the same adds.
+PRIVIM_VEC_CLONES
+void AddKernel(float* PRIVIM_RESTRICT dst, const float* PRIVIM_RESTRICT src,
+               size_t n) {
+  for (size_t i = 0; i < n; ++i) dst[i] += src[i];
+}
+
+}  // namespace
+
 void Tensor::AddInPlace(const Tensor& other) {
   assert(SameShape(other));
-  float* PRIVIM_RESTRICT dst = data_.data();
-  const float* PRIVIM_RESTRICT src = other.data_.data();
-  const size_t n = data_.size();
-  for (size_t i = 0; i < n; ++i) dst[i] += src[i];
+  AddKernel(data_.data(), other.data_.data(), data_.size());
 }
 
 void Tensor::ScaleInPlace(float factor) {
@@ -159,6 +168,17 @@ float Tensor::MaxAbs() const {
 
 namespace {
 
+using nn::Bits8;
+using nn::Broadcast;
+using nn::Lanes8;
+using nn::LoadBlock;
+using nn::LoadFirstBlock;
+using nn::LoadFirstLanes;
+using nn::LoadLanes;
+using nn::StoreFirstLanes;
+using nn::StoreLanes;
+using nn::Transpose8x8;
+
 // The kernels below take their buffers as restrict-qualified function
 // parameters: GCC only trusts restrict on parameters, not on locals, so
 // hoisting the loops here removes the runtime "loop versioned for aliasing"
@@ -168,54 +188,79 @@ namespace {
 // accumulators stay in registers for the whole reduction and are stored
 // once: two output rows at a time (sharing each load of b), in column
 // panels of 32, 16 and 8 picked greedily from the output width, then one
-// column at a time; a one-column output is reduced 8 outputs at a time, so
-// 8 independent chains hide the add latency. Tiling changes neither the
-// terms nor their per-element order.
+// column at a time. A one-column output is reduced eight rows at a time,
+// one row per lane (ReduceColumnBlock). Tiling changes neither the terms
+// nor their per-element order.
 //
-// Zero entries of `a` (ReLU activations are sparse) contribute nothing: a
-// branch-free mask adds +0 in their place. That is exact: accumulators
-// start at +0 and a round-to-nearest sum that starts at +0 never becomes
-// -0, so adding +0 leaves every accumulator unchanged. Skipping the zero
-// gives the same result even where the opposite `b` entry is inf or NaN
-// (0 * b would be NaN). A NaN in `a` still propagates.
+// Zero entries of `a` (ReLU activations are sparse) must contribute
+// nothing, even where the opposite `b` entry is inf or NaN (0 * inf would
+// be NaN). Where every entry of b is finite that holds by itself: a zero of
+// `a` then makes a +-0 term, and adding +-0 leaves every accumulator
+// unchanged, because accumulators start at +0 and a round-to-nearest sum
+// that starts at +0 never becomes -0. So each kernel first checks b in one
+// pass (AllFinite) and runs its unmasked body; only a b holding inf or NaN
+// runs the masked body, where a branch-free mask adds +0 in place of every
+// zero of `a`. Both give the bytes of skipping the zeros. A NaN in `a`
+// still propagates.
 
-#if defined(__GNUC__) || defined(__clang__)
-#define PRIVIM_ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define PRIVIM_ALWAYS_INLINE inline
-#endif
-
-// Eight float lanes (GCC/Clang vector extension; lowered to two 4-lane
-// halves on targets without 256-bit registers) and their bit patterns.
-typedef float Lanes8 __attribute__((vector_size(32)));
-typedef uint32_t Bits8 __attribute__((vector_size(32)));
-
-// Unaligned lane loads and stores. Vectors travel by pointer: passing
-// them by value would change the ABI between the target clones.
-PRIVIM_ALWAYS_INLINE void LoadLanes(const float* p, Lanes8* v) {
-  std::memcpy(v, p, sizeof(*v));
+// True when no entry of p[0, n) is inf or NaN (exponent bits all ones).
+PRIVIM_ALWAYS_INLINE bool AllFinite(const float* PRIVIM_RESTRICT p,
+                                    int64_t n) {
+  constexpr uint32_t kExponent = 0x7f800000u;
+  Bits8 special = Bits8{};
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    Bits8 bits;
+    std::memcpy(&bits, p + i, sizeof(bits));
+    special |= reinterpret_cast<Bits8>((bits & kExponent) == kExponent);
+  }
+  uint32_t any = 0;
+  for (int l = 0; l < 8; ++l) any |= special[l];
+  for (; i < n; ++i) {
+    any |= static_cast<uint32_t>(
+        (std::bit_cast<uint32_t>(p[i]) & kExponent) == kExponent);
+  }
+  return any == 0;
 }
 
-PRIVIM_ALWAYS_INLINE void StoreLanes(const Lanes8& v, float* p) {
-  std::memcpy(p, &v, sizeof(v));
+// *term = av * bv, where masked (kMasked) lanes whose `av` is +-0 are +0.
+// `term` may alias `av`.
+template <bool kMasked>
+PRIVIM_ALWAYS_INLINE void Term(const Lanes8& av, const Lanes8& bv,
+                               Lanes8* term) {
+  const Lanes8 product = av * bv;
+  if constexpr (kMasked) {
+    const Bits8 keep = reinterpret_cast<Bits8>(av != Lanes8{});
+    *term = reinterpret_cast<Lanes8>(reinterpret_cast<Bits8>(product) & keep);
+  } else {
+    *term = product;
+  }
 }
 
-// All-ones when `a` contributes, all-zeros when it is +-0. A mask rather
-// than a conditional, so the compiler cannot turn it back into a branch.
-PRIVIM_ALWAYS_INLINE uint32_t KeepMask(float a) {
-  return 0u - static_cast<uint32_t>(a != 0.0f);
+template <bool kMasked>
+PRIVIM_ALWAYS_INLINE void AddTerm(const Lanes8& av, const Lanes8& bv,
+                                  Lanes8* acc) {
+  Lanes8 term;
+  Term<kMasked>(av, bv, &term);
+  *acc += term;
 }
 
-// a * b, or +0 where `keep` is zero.
-PRIVIM_ALWAYS_INLINE float MaskedTerm(float a, float b, uint32_t keep) {
-  return std::bit_cast<float>(std::bit_cast<uint32_t>(a * b) & keep);
+// The scalar form: a * b, or +0 where kMasked and `a` is +-0.
+template <bool kMasked>
+PRIVIM_ALWAYS_INLINE float ScalarTerm(float a, float b) {
+  if constexpr (kMasked) {
+    const uint32_t keep = 0u - static_cast<uint32_t>(a != 0.0f);
+    return std::bit_cast<float>(std::bit_cast<uint32_t>(a * b) & keep);
+  } else {
+    return a * b;
+  }
 }
 
 // A tile of R output rows x W columns, W a multiple of 8: row r's
 // c[r * crow + 0..W) = sum over k ascending of a[r * arow + k * astride] *
 // b[k * bstride + 0..W), with the R * W accumulators held in R * W / 8
 // vector registers. The R rows share every load of b.
-template <int R, int W>
+template <bool kMasked, int R, int W>
 PRIVIM_ALWAYS_INLINE void ReduceTile(const float* PRIVIM_RESTRICT a,
                                      int64_t arow, int64_t astride,
                                      const float* PRIVIM_RESTRICT b,
@@ -227,31 +272,26 @@ PRIVIM_ALWAYS_INLINE void ReduceTile(const float* PRIVIM_RESTRICT a,
     for (int v = 0; v < kVecs; ++v) acc[r][v] = Lanes8{};
   }
   for (int64_t k = 0; k < depth; ++k) {
-    // The broadcast adds +0, which only turns a -0 into +0; zeros are
-    // masked out below either way.
     Lanes8 av[R];
-    Bits8 keep[R];
-    for (int r = 0; r < R; ++r) {
-      av[r] = Lanes8{} + a[r * arow + k * astride];
-      keep[r] = reinterpret_cast<Bits8>(av[r] != Lanes8{});
-    }
+    for (int r = 0; r < R; ++r) Broadcast(a + r * arow + k * astride, &av[r]);
     const float* PRIVIM_RESTRICT brow = b + k * bstride;
     for (int v = 0; v < kVecs; ++v) {
       Lanes8 bv;
       LoadLanes(brow + 8 * v, &bv);
-      for (int r = 0; r < R; ++r) {
-        const Lanes8 term = av[r] * bv;
-        acc[r][v] +=
-            reinterpret_cast<Lanes8>(reinterpret_cast<Bits8>(term) & keep[r]);
-      }
+      for (int r = 0; r < R; ++r) AddTerm<kMasked>(av[r], bv, &acc[r][v]);
     }
   }
+  // Unrolled, so each accumulator is stored from its register rather than
+  // copied out through the stack.
+#pragma GCC unroll 8
   for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
     for (int v = 0; v < kVecs; ++v) StoreLanes(acc[r][v], c + r * crow + 8 * v);
   }
 }
 
 // One output column of one row (narrow tails).
+template <bool kMasked>
 PRIVIM_ALWAYS_INLINE void ReduceScalar(const float* PRIVIM_RESTRICT a,
                                        int64_t astride,
                                        const float* PRIVIM_RESTRICT b,
@@ -259,14 +299,13 @@ PRIVIM_ALWAYS_INLINE void ReduceScalar(const float* PRIVIM_RESTRICT a,
                                        float* PRIVIM_RESTRICT c) {
   float acc = 0.0f;
   for (int64_t k = 0; k < depth; ++k) {
-    const float ak = a[k * astride];
-    acc += MaskedTerm(ak, b[k * bstride], KeepMask(ak));
+    acc += ScalarTerm<kMasked>(a[k * astride], b[k * bstride]);
   }
   *c = acc;
 }
 
 // R output rows of width `cols` as a sequence of register tiles.
-template <int R>
+template <bool kMasked, int R>
 PRIVIM_ALWAYS_INLINE void ReduceRows(const float* PRIVIM_RESTRICT a,
                                      int64_t arow, int64_t astride,
                                      const float* PRIVIM_RESTRICT b,
@@ -274,21 +313,89 @@ PRIVIM_ALWAYS_INLINE void ReduceRows(const float* PRIVIM_RESTRICT a,
                                      float* PRIVIM_RESTRICT c, int64_t crow) {
   int64_t j = 0;
   for (; j + 32 <= cols; j += 32) {
-    ReduceTile<R, 32>(a, arow, astride, b + j, cols, depth, c + j, crow);
+    ReduceTile<kMasked, R, 32>(a, arow, astride, b + j, cols, depth, c + j,
+                               crow);
   }
   if (j + 16 <= cols) {
-    ReduceTile<R, 16>(a, arow, astride, b + j, cols, depth, c + j, crow);
+    ReduceTile<kMasked, R, 16>(a, arow, astride, b + j, cols, depth, c + j,
+                               crow);
     j += 16;
   }
   if (j + 8 <= cols) {
-    ReduceTile<R, 8>(a, arow, astride, b + j, cols, depth, c + j, crow);
+    ReduceTile<kMasked, R, 8>(a, arow, astride, b + j, cols, depth, c + j,
+                              crow);
     j += 8;
   }
   for (; j < cols; ++j) {
     for (int r = 0; r < R; ++r) {
-      ReduceScalar(a + r * arow, astride, b + j, cols, depth,
-                   c + r * crow + j);
+      ReduceScalar<kMasked>(a + r * arow, astride, b + j, cols, depth,
+                            c + r * crow + j);
     }
+  }
+}
+
+// Rows [0, count) of a one-column product, count <= 8, one row per lane:
+// c[r] = sum over k ascending of a[r * inner + k] * b[k]. For each eight
+// columns, the rows' terms are formed against b's eight entries (lane k),
+// transposed in registers so that vector kk holds column k + kk's term of
+// every row, and added in kk order: lane r adds row r's terms in the
+// scalar chain's order. Lanes past `count` repeat the last row and are not
+// stored; a depth tail is loaded zero-padded and only its `inner - k`
+// columns are added.
+template <bool kMasked>
+PRIVIM_ALWAYS_INLINE void ReduceColumnBlock(const float* PRIVIM_RESTRICT a,
+                                            int64_t inner, int64_t count,
+                                            const float* PRIVIM_RESTRICT b,
+                                            float* PRIVIM_RESTRICT c) {
+  const float* row[8];
+  for (int r = 0; r < 8; ++r) row[r] = a + (r < count ? r : count - 1) * inner;
+  Lanes8 acc = Lanes8{};
+  int64_t k = 0;
+  for (; k + 8 <= inner; k += 8) {
+    Lanes8 bv, terms[8];
+    LoadLanes(b + k, &bv);
+    LoadBlock(row, k, terms);
+    for (int r = 0; r < 8; ++r) Term<kMasked>(terms[r], bv, &terms[r]);
+    Transpose8x8(terms);
+    for (int kk = 0; kk < 8; ++kk) acc += terms[kk];
+  }
+  if (k < inner) {
+    Lanes8 bv, terms[8];
+    LoadFirstLanes(b + k, inner - k, &bv);
+    LoadFirstBlock(row, k, inner - k, terms);
+    for (int r = 0; r < 8; ++r) Term<kMasked>(terms[r], bv, &terms[r]);
+    Transpose8x8(terms);
+    for (int64_t kk = 0; kk < inner - k; ++kk) acc += terms[kk];
+  }
+  if (count == 8) {
+    StoreLanes(acc, c);
+  } else {
+    StoreFirstLanes(acc, count, c);
+  }
+}
+
+template <bool kMasked>
+PRIVIM_ALWAYS_INLINE void MatMulBody(const float* PRIVIM_RESTRICT adata,
+                                     const float* PRIVIM_RESTRICT bdata,
+                                     float* PRIVIM_RESTRICT cdata,
+                                     int64_t rows, int64_t inner,
+                                     int64_t bcols) {
+  if (bcols == 1) {
+    for (int64_t i = 0; i < rows; i += 8) {
+      ReduceColumnBlock<kMasked>(adata + i * inner, inner,
+                                 std::min<int64_t>(8, rows - i), bdata,
+                                 cdata + i);
+    }
+    return;
+  }
+  int64_t i = 0;
+  for (; i + 2 <= rows; i += 2) {
+    ReduceRows<kMasked, 2>(adata + i * inner, inner, 1, bdata, bcols, inner,
+                           cdata + i * bcols, bcols);
+  }
+  if (i < rows) {
+    ReduceRows<kMasked, 1>(adata + i * inner, inner, 1, bdata, bcols, inner,
+                           cdata + i * bcols, bcols);
   }
 }
 
@@ -299,29 +406,35 @@ void MatMulKernel(const float* PRIVIM_RESTRICT adata,
                   const float* PRIVIM_RESTRICT bdata,
                   float* PRIVIM_RESTRICT cdata, int64_t rows, int64_t inner,
                   int64_t bcols) {
-  int64_t i = 0;
-  if (bcols == 1) {
-    // Eight rows at a time: one scalar register chain per output row.
-    for (; i + 8 <= rows; i += 8) {
-      const float* PRIVIM_RESTRICT ablock = adata + i * inner;
-      float acc[8] = {};
-      for (int64_t k = 0; k < inner; ++k) {
-        const float bk = bdata[k];
-        for (int r = 0; r < 8; ++r) {
-          const float ark = ablock[r * inner + k];
-          acc[r] += MaskedTerm(ark, bk, KeepMask(ark));
-        }
-      }
-      for (int r = 0; r < 8; ++r) cdata[i + r] = acc[r];
-    }
+  if (AllFinite(bdata, inner * bcols)) {
+    MatMulBody<false>(adata, bdata, cdata, rows, inner, bcols);
+  } else {
+    MatMulBody<true>(adata, bdata, cdata, rows, inner, bcols);
   }
-  for (; i + 2 <= rows; i += 2) {
-    ReduceRows<2>(adata + i * inner, inner, 1, bdata, bcols, inner,
-                  cdata + i * bcols, bcols);
+}
+
+template <bool kMasked>
+PRIVIM_ALWAYS_INLINE void MatMulATBBody(const float* PRIVIM_RESTRICT adata,
+                                        const float* PRIVIM_RESTRICT bdata,
+                                        float* PRIVIM_RESTRICT cdata,
+                                        int64_t rows, int64_t acols,
+                                        int64_t bcols) {
+  if (!kMasked && bcols == 1) {
+    // c^T = b^T * a, one row wide: the a * b tiles, broadcasting b[i]
+    // against rows of a, so each tile advances up to four 8-lane chains at
+    // once. Each lane still adds a[i][j] * b[i] over i ascending (the
+    // product commutes exactly), and with b finite nothing is masked.
+    ReduceRows<false, 1>(bdata, 0, 1, adata, acols, rows, cdata, 0);
+    return;
   }
-  if (i < rows) {
-    ReduceRows<1>(adata + i * inner, inner, 1, bdata, bcols, inner,
-                  cdata + i * bcols, bcols);
+  int64_t j = 0;
+  for (; j + 2 <= acols; j += 2) {
+    ReduceRows<kMasked, 2>(adata + j, 1, acols, bdata, bcols, rows,
+                           cdata + j * bcols, bcols);
+  }
+  if (j < acols) {
+    ReduceRows<kMasked, 1>(adata + j, 1, acols, bdata, bcols, rows,
+                           cdata + j * bcols, bcols);
   }
 }
 
@@ -334,38 +447,44 @@ void MatMulATBKernel(const float* PRIVIM_RESTRICT adata,
                      const float* PRIVIM_RESTRICT bdata,
                      float* PRIVIM_RESTRICT cdata, int64_t rows, int64_t acols,
                      int64_t bcols) {
-  int64_t j = 0;
-  if (bcols == 1) {
-    // Eight output rows at a time: lanes j..j+7 of each row of a.
-    for (; j + 8 <= acols; j += 8) {
-      Lanes8 acc = Lanes8{};
-      for (int64_t i = 0; i < rows; ++i) {
-        Lanes8 av;
-        LoadLanes(adata + i * acols + j, &av);
-        const Lanes8 term = av * bdata[i];
-        const Bits8 keep = reinterpret_cast<Bits8>(av != Lanes8{});
-        acc += reinterpret_cast<Lanes8>(reinterpret_cast<Bits8>(term) & keep);
-      }
-      StoreLanes(acc, cdata + j);
-    }
-  }
-  for (; j + 2 <= acols; j += 2) {
-    ReduceRows<2>(adata + j, 1, acols, bdata, bcols, rows, cdata + j * bcols,
-                  bcols);
-  }
-  if (j < acols) {
-    ReduceRows<1>(adata + j, 1, acols, bdata, bcols, rows, cdata + j * bcols,
-                  bcols);
+  if (AllFinite(bdata, rows * bcols)) {
+    MatMulATBBody<false>(adata, bdata, cdata, rows, acols, bcols);
+  } else {
+    MatMulATBBody<true>(adata, bdata, cdata, rows, acols, bcols);
   }
 }
 
-// b (rows x cols) row-major -> bt = b^T (cols x rows) row-major.
+// b (rows x cols) row-major -> bt = b^T (cols x rows) row-major, in 8 x 8
+// blocks transposed in registers. A ragged block loads its rows
+// zero-padded (rows past the last repeat it) and stores only its valid
+// part.
+PRIVIM_VEC_CLONES
 void TransposeInto(const float* PRIVIM_RESTRICT bdata,
                    float* PRIVIM_RESTRICT btdata, int64_t rows,
                    int64_t cols) {
-  for (int64_t j = 0; j < rows; ++j) {
-    for (int64_t k = 0; k < cols; ++k) {
-      btdata[k * rows + j] = bdata[j * cols + k];
+  for (int64_t j = 0; j < rows; j += 8) {
+    const int64_t nrows = std::min<int64_t>(8, rows - j);
+    for (int64_t k = 0; k < cols; k += 8) {
+      const int64_t ncols = std::min<int64_t>(8, cols - k);
+      const float* src[8];
+      for (int r = 0; r < 8; ++r) {
+        src[r] = bdata + (j + (r < nrows ? r : nrows - 1)) * cols;
+      }
+      Lanes8 blk[8];
+      if (ncols == 8) {
+        LoadBlock(src, k, blk);
+      } else {
+        LoadFirstBlock(src, k, ncols, blk);
+      }
+      Transpose8x8(blk);
+      for (int64_t kk = 0; kk < ncols; ++kk) {
+        float* dst = btdata + (k + kk) * rows + j;
+        if (nrows == 8) {
+          StoreLanes(blk[kk], dst);
+        } else {
+          StoreFirstLanes(blk[kk], nrows, dst);
+        }
+      }
     }
   }
 }
@@ -386,28 +505,33 @@ void MatMulValuesInto(const Tensor& a, const Tensor& b, Tensor* c) {
 }
 
 Tensor MatMulATB(const Tensor& a, const Tensor& b) {
-  assert(a.rows() == b.rows());
   Tensor c = Tensor::Uninitialized(a.cols(), b.cols());
-  MatMulATBKernel(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.cols());
+  MatMulATBInto(a, b, c.data());
   return c;
+}
+
+void MatMulATBInto(const Tensor& a, const Tensor& b, float* c) {
+  assert(a.rows() == b.rows());
+  MatMulATBKernel(a.data(), b.data(), c, a.rows(), a.cols(), b.cols());
 }
 
 Tensor MatMulABT(const Tensor& a, const Tensor& b) {
   assert(a.cols() == b.cols());
   Tensor c = Tensor::Uninitialized(a.rows(), b.rows());
-  // Pack b^T into a per-thread scratch block (b is a small weight matrix in
-  // every caller; the scratch's capacity persists across calls, so nothing
-  // is allocated in steady state and nothing lands on the tape), then run
-  // the a * b kernel. c[i][j] still receives its a[i][k]*b[j][k] terms in
-  // increasing-k order — exactly the dot-product order — so results are
-  // bit-identical to the transpose-then-multiply formulation while the
-  // inner loop vectorizes over j instead of running a serial reduction.
-  static thread_local std::vector<float> bt_scratch;
-  const size_t need = static_cast<size_t>(b.size());
-  if (bt_scratch.size() < need) bt_scratch.resize(need);
-  TransposeInto(b.data(), bt_scratch.data(), b.rows(), b.cols());
-  MatMulKernel(a.data(), bt_scratch.data(), c.data(), a.rows(), a.cols(),
-               b.rows());
+  // Run the a * b kernel on b^T: c[i][j] still receives its a[i][k]*b[j][k]
+  // terms in increasing-k order — exactly the dot-product order — so
+  // results are bit-identical to the transpose-then-multiply formulation
+  // while the inner loop vectorizes over j instead of running a serial
+  // reduction. A one-row or one-column b is its own transpose in memory;
+  // any other is packed into a buffer from the active arena (b is a small
+  // weight matrix in every caller, so a warm arena allocates nothing).
+  if (b.rows() == 1 || b.cols() == 1) {
+    MatMulKernel(a.data(), b.data(), c.data(), a.rows(), a.cols(), b.rows());
+    return c;
+  }
+  Tensor bt = Tensor::Uninitialized(b.cols(), b.rows());
+  TransposeInto(b.data(), bt.data(), b.rows(), b.cols());
+  MatMulKernel(a.data(), bt.data(), c.data(), a.rows(), a.cols(), b.rows());
   return c;
 }
 

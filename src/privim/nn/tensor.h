@@ -26,11 +26,13 @@
 #endif
 
 // Runtime-dispatched AVX2 clones for the dense/sparse kernels. The wide
-// clone only changes vector width on element-wise loops: -ffp-contract=off
-// forbids FMA and sequential reductions are never vectorized, so both
-// clones produce bit-identical results and the golden/determinism suites
-// hold on any dispatch. Disabled under sanitizers (ifunc resolvers run
-// before interceptors are ready) and on non-x86 targets.
+// clone only changes vector width on element-wise loops, and the explicit
+// eight-lane code (nn/lanes.h) performs the same lane operations in every
+// clone: -ffp-contract=off forbids FMA and sequential reductions are never
+// vectorized, so both clones produce bit-identical results and the
+// golden/determinism suites hold on any dispatch. Disabled under
+// sanitizers (ifunc resolvers run before interceptors are ready) and on
+// non-x86 targets.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
 #define PRIVIM_VEC_CLONES __attribute__((target_clones("avx2", "default")))
@@ -129,6 +131,11 @@ void MatMulValuesInto(const Tensor& a, const Tensor& b, Tensor* c);
 /// c[j][l] = sum_i a[i][j] * b[i][l]. Contributions accumulate in
 /// increasing-i order (bit-identical to MatMulValues(transpose(a), b)).
 Tensor MatMulATB(const Tensor& a, const Tensor& b);
+
+/// MatMulATB into caller-owned storage: c receives a.cols * b.cols floats,
+/// row-major; its previous contents are never read. The compiled reverse
+/// pass writes weight gradients straight into its flat gradient this way.
+void MatMulATBInto(const Tensor& a, const Tensor& b, float* c);
 
 /// c = a * b^T without materializing b^T on the tape: c is
 /// (a.rows x b.rows) and c[i][j] = sum_k a[i][k] * b[j][k], accumulated in

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -218,6 +219,40 @@ TEST(TrainDpGnnTest, CustomLossHookIsUsed) {
   ASSERT_TRUE(
       TrainDpGnn(fixture.model.get(), fixture.container, options, &rng).ok());
   EXPECT_EQ(calls.load(), 3 * 8);  // iterations * batch_size
+}
+
+// A non-finite per-subgraph gradient would pass the clip (a NaN norm is
+// never above C) and poison the release; training stops instead, naming
+// the iteration, before that iteration's step.
+TEST(TrainDpGnnTest, NonFiniteSubgraphGradientFailsNamingTheIteration) {
+  TrainFixture fixture = MakeFixture(48);
+  DpSgdOptions options = FastOptions();
+  options.batch_size = fixture.container.size();  // every subgraph, each step
+  options.iterations = 4;
+  options.parallel = false;  // the hook counts its calls in batch order
+  const int64_t poisoned = 2 * options.batch_size + 5;  // iteration 2
+  int64_t calls = 0;
+  options.loss_fn = [&calls, poisoned](const Variable& scores,
+                                       const GraphContext& ctx,
+                                       const Subgraph&) -> Result<Variable> {
+    Result<Variable> loss = InfluenceLoss(scores, ctx, InfluenceLossOptions());
+    if (calls++ != poisoned || !loss.ok()) return loss;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    return Multiply(loss.value(), Variable(Tensor::Scalar(nan)));
+  };
+  Rng rng(49);
+  const Result<TrainStats> stats =
+      TrainDpGnn(fixture.model.get(), fixture.container, options, &rng);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(stats.status().message().rfind("iteration 2: ", 0), 0u)
+      << stats.status().message();
+  for (const Variable& parameter : fixture.model->parameters()) {
+    const Tensor& value = parameter.value();
+    for (int64_t i = 0; i < value.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(value.data()[i]));
+    }
+  }
 }
 
 // --- TrainDpGnn differentiates through the compiled program; its result

@@ -168,6 +168,81 @@ TEST(InferCheckerTest, SixtyRandomizedConfigsHaveTheTapesGradients) {
   EXPECT_EQ(configs, 60);
 }
 
+// --- The production width: the sweeps above build hidden_dim = 7 models,
+// which never fill an eight-lane block. GAT and GRAT at train_sgd's 3 x 32
+// (input 8) and at hidden 33 (a ragged eight-column tail), on graphs of 29
+// and 33 nodes (a ragged eight-row tail), must still be exact down both
+// paths, forward and reverse. ---------------------------------------------
+
+struct WideConfig {
+  GnnKind kind;
+  int64_t input_dim;
+  int64_t hidden_dim;
+  int64_t nodes;
+};
+
+std::vector<WideConfig> ProductionWidthConfigs() {
+  std::vector<WideConfig> configs;
+  for (const GnnKind kind : {GnnKind::kGat, GnnKind::kGrat}) {
+    for (const int64_t hidden : {int64_t{32}, int64_t{33}}) {
+      for (const int64_t nodes : {int64_t{29}, int64_t{33}}) {
+        configs.push_back({kind, hidden == 32 ? 8 : 5, hidden, nodes});
+      }
+    }
+  }
+  return configs;
+}
+
+std::shared_ptr<const GnnModel> WideModel(const WideConfig& c) {
+  GnnConfig config;
+  config.kind = c.kind;
+  config.input_dim = c.input_dim;
+  config.hidden_dim = c.hidden_dim;
+  config.num_layers = 3;
+  Rng rng(static_cast<uint64_t>(c.hidden_dim * 100 + c.nodes));
+  return std::shared_ptr<const GnnModel>(
+      CreateGnnModel(config, &rng).value().release());
+}
+
+Graph WideGraph(int64_t nodes) {
+  Rng rng(static_cast<uint64_t>(nodes) * 31 + 7);
+  return nodes < 32 ? BarabasiAlbert(nodes, 3, &rng).value()
+                    : ErdosRenyi(nodes, 3 * nodes, /*directed=*/true, &rng)
+                          .value();
+}
+
+std::string Describe(const WideConfig& c) {
+  return std::string("kind=") + GnnKindToString(c.kind) + " input=" +
+         std::to_string(c.input_dim) + " hidden=" +
+         std::to_string(c.hidden_dim) + " nodes=" + std::to_string(c.nodes);
+}
+
+TEST(InferCheckerTest, ProductionWidthAttentionIsExactDownBothPaths) {
+  for (const WideConfig& c : ProductionWidthConfigs()) {
+    const std::shared_ptr<const GnnModel> model = WideModel(c);
+    const Graph graph = WideGraph(c.nodes);
+    for (const infer::SlotPolicy policy :
+         {infer::SlotPolicy::kRetain, infer::SlotPolicy::kRelease}) {
+      Result<testing::DualPathReport> report =
+          testing::RunDualPath(*model, graph, policy);
+      ASSERT_TRUE(report.ok()) << report.status().message();
+      EXPECT_TRUE(report->AllExact()) << Describe(c) << "\n"
+                                      << report->ToString();
+    }
+  }
+}
+
+TEST(InferCheckerTest, ProductionWidthAttentionHasTheTapesGradients) {
+  for (const WideConfig& c : ProductionWidthConfigs()) {
+    Result<testing::GradientReport> report = testing::RunGradientDualPath(
+        *WideModel(c), WideGraph(c.nodes),
+        InfluenceObjective(InfluenceLossOptions()));
+    ASSERT_TRUE(report.ok()) << report.status().message();
+    EXPECT_TRUE(report->exact && report->loss_exact) << Describe(c) << "\n"
+                                                     << report->ToString();
+  }
+}
+
 TEST(InferCheckerTest, EveryObjectiveHasTheTapesGradients) {
   struct Objective {
     std::string name;

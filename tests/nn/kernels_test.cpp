@@ -1,15 +1,18 @@
 // Randomized correctness checks for the dense/sparse kernel specializations
-// (MatMulATB, MatMulABT, and the transposed-SpMM pullback) against naive
-// references — byte for byte at every register-panel width, including
-// zeros opposite non-finite entries — plus central-difference parity for
-// the MatMul/SpMM pullbacks.
+// (MatMulATB, MatMulABT, the attention aggregation's pullback and the
+// transposed-SpMM pullback) against naive references — byte for byte at
+// every register-panel width and block boundary, on the finite and the
+// masked path, including zeros opposite non-finite entries — plus
+// central-difference parity for the MatMul/SpMM pullbacks.
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "privim/nn/infer/program.h"
 #include "privim/nn/ops.h"
 #include "privim/nn/tensor.h"
 #include "testing/gradcheck.h"
@@ -125,10 +128,16 @@ TEST(KernelsTest, MatMulATBHandlesSparseInput) {
 }
 
 // --- Byte-exact checks at every register-panel width. The kernels reduce
-// each output in fixed-width panels (and 8 outputs at a time for a
-// one-column product); the naive references above sum in the same order,
-// so the results must agree to the byte. Widths 1, 8, 16, 32 and 64 hit
-// each panel form; 21 = 16 + 1 x 5 leaves a tail no panel covers. --------
+// each output in fixed-width panels (and eight rows at a time, one per
+// lane, for a one-column product); the naive references above sum in the
+// same order, so the results must agree to the byte. Widths 1, 8, 16, 32
+// and 64 hit each panel form; 21 = 16 + 1 x 5 leaves a tail no panel
+// covers. Row counts 1-17 cross every ragged eight-row block and 29, 30
+// and 33 are subgraph sizes DP-SGD trains on; depths 7, 9 and 33 leave a
+// ragged eight-column block. Each case also runs on copies with one inf
+// planted in b away from any zero of a: the kernel then takes its masked
+// instantiation, and the reference, which sums inf wherever the kernel
+// does, must still agree. -----------------------------------------------
 
 bool SameBytes(const Tensor& got, const Tensor& want) {
   return got.rows() == want.rows() && got.cols() == want.cols() &&
@@ -150,39 +159,89 @@ Tensor SparseTensor(int64_t rows, int64_t cols, uint64_t seed) {
 }
 
 const int64_t kPanelWidths[] = {1, 8, 16, 32, 64, 21};
+const int64_t kRowCounts[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
+                              12, 13, 14, 15, 16, 17, 29, 30, 33};
+
+// Replaces every +-0 in row r (or column c) of `a` with 0.5, so that no
+// zero of `a` meets the inf planted opposite it.
+void ClearZerosInRow(Tensor* a, int64_t r) {
+  for (int64_t c = 0; c < a->cols(); ++c) {
+    if (a->at(r, c) == 0.0f) a->at(r, c) = 0.5f;
+  }
+}
+
+void ClearZerosInColumn(Tensor* a, int64_t c) {
+  for (int64_t r = 0; r < a->rows(); ++r) {
+    if (a->at(r, c) == 0.0f) a->at(r, c) = 0.5f;
+  }
+}
 
 TEST(KernelsTest, MatMulValuesIsByteEqualToNaiveAtEveryPanelWidth) {
-  for (const int64_t width : kPanelWidths) {
-    for (const int64_t inner : {int64_t{1}, int64_t{9}, int64_t{32}}) {
-      const Tensor a = SparseTensor(19, inner, 100 + width);
-      const Tensor b = RandomTensor(inner, width, 200 + inner);
-      EXPECT_TRUE(SameBytes(MatMulValues(a, b), NaiveMatMul(a, b)))
-          << "width " << width << " inner " << inner;
-      Tensor into(a.rows(), width, 7.0f);  // stale contents are overwritten
-      MatMulValuesInto(a, b, &into);
-      EXPECT_TRUE(SameBytes(into, NaiveMatMul(a, b)));
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const int64_t rows : kRowCounts) {
+    for (const int64_t width : kPanelWidths) {
+      for (const int64_t inner : {1, 7, 9, 32, 33}) {
+        SCOPED_TRACE("rows " + std::to_string(rows) + " width " +
+                     std::to_string(width) + " inner " +
+                     std::to_string(inner));
+        Tensor a = SparseTensor(rows, inner, 100 + width + 1000 * rows);
+        Tensor b = RandomTensor(inner, width, 200 + inner);
+        EXPECT_TRUE(SameBytes(MatMulValues(a, b), NaiveMatMul(a, b)));
+        Tensor into(a.rows(), width, 7.0f);  // stale contents are overwritten
+        MatMulValuesInto(a, b, &into);
+        EXPECT_TRUE(SameBytes(into, NaiveMatMul(a, b)));
+
+        b.at(inner / 2, width / 2) = inf;
+        ClearZerosInColumn(&a, inner / 2);
+        EXPECT_TRUE(SameBytes(MatMulValues(a, b), NaiveMatMul(a, b)))
+            << "inf planted";
+      }
     }
   }
 }
 
 TEST(KernelsTest, MatMulATBIsByteEqualToNaiveAtEveryPanelWidth) {
-  for (const int64_t width : kPanelWidths) {
-    for (const int64_t acols : {int64_t{1}, int64_t{8}, int64_t{19}}) {
-      const Tensor a = SparseTensor(23, acols, 300 + width);
-      const Tensor b = RandomTensor(23, width, 400 + acols);
-      EXPECT_TRUE(SameBytes(MatMulATB(a, b), NaiveATB(a, b)))
-          << "width " << width << " acols " << acols;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const int64_t acols : kRowCounts) {
+    for (const int64_t width : kPanelWidths) {
+      for (const int64_t depth : {7, 9, 23, 33}) {
+        SCOPED_TRACE("acols " + std::to_string(acols) + " width " +
+                     std::to_string(width) + " depth " +
+                     std::to_string(depth));
+        Tensor a = SparseTensor(depth, acols, 300 + width + 1000 * acols);
+        Tensor b = RandomTensor(depth, width, 400 + depth);
+        EXPECT_TRUE(SameBytes(MatMulATB(a, b), NaiveATB(a, b)));
+        std::vector<float> into(static_cast<size_t>(acols * width), 7.0f);
+        MatMulATBInto(a, b, into.data());
+        EXPECT_TRUE(std::memcmp(into.data(), NaiveATB(a, b).data(),
+                                into.size() * sizeof(float)) == 0);
+
+        b.at(depth / 2, width / 2) = inf;
+        ClearZerosInRow(&a, depth / 2);
+        EXPECT_TRUE(SameBytes(MatMulATB(a, b), NaiveATB(a, b)))
+            << "inf planted";
+      }
     }
   }
 }
 
 TEST(KernelsTest, MatMulABTIsByteEqualToNaiveAtEveryPanelWidth) {
-  for (const int64_t width : kPanelWidths) {
-    for (const int64_t inner : {int64_t{1}, int64_t{32}}) {
-      const Tensor a = SparseTensor(19, inner, 500 + width);
-      const Tensor b = RandomTensor(width, inner, 600 + inner);
-      EXPECT_TRUE(SameBytes(MatMulABT(a, b), NaiveABT(a, b)))
-          << "width " << width << " inner " << inner;
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const int64_t rows : kRowCounts) {
+    for (const int64_t width : kPanelWidths) {
+      for (const int64_t inner : {1, 7, 9, 32, 33}) {
+        SCOPED_TRACE("rows " + std::to_string(rows) + " width " +
+                     std::to_string(width) + " inner " +
+                     std::to_string(inner));
+        Tensor a = SparseTensor(rows, inner, 500 + width + 1000 * rows);
+        Tensor b = RandomTensor(width, inner, 600 + inner);
+        EXPECT_TRUE(SameBytes(MatMulABT(a, b), NaiveABT(a, b)));
+
+        b.at(width / 2, inner / 2) = inf;
+        ClearZerosInColumn(&a, inner / 2);
+        EXPECT_TRUE(SameBytes(MatMulABT(a, b), NaiveABT(a, b)))
+            << "inf planted";
+      }
     }
   }
 }
@@ -258,6 +317,85 @@ TEST(KernelsTest, ZeroOppositeNonFiniteContributesNothingAndNaNPropagates) {
     for (int64_t l = 0; l < width; ++l) {
       EXPECT_TRUE(std::isnan(ct.at(7, l))) << "width " << width;
       EXPECT_FALSE(std::isnan(ct.at(1, l))) << "width " << width;
+    }
+  }
+}
+
+// --- The attention aggregation's pullback (infer::EdgeAggregateGradInto)
+// against the tape's operations written out: MulColBroadcast's dot — float
+// products summed in double, j ascending — and GatherRows' scatter, edges
+// ascending. Edge counts 1-17 cross every ragged eight-edge block and 88 is
+// train_sgd's mean attention-edge count; d = 7, 8, 32 and 33 give no full
+// eight-column block, exactly one, four, and four with a ragged tail. A
+// double sum of a few dozen ordinary float products is exact in any order,
+// so each case runs again with a cancelling pair of huge products planted
+// in columns 1 and d - 2 (+2^60, then -2^60): summed in j order the first
+// swallows column 0 and the pair cancels before column d - 1 is added, so
+// any other order gives other bytes. ------------------------------------
+
+void NaiveEdgeAggregateGrad(const Tensor& alpha, const Tensor& t,
+                            const Tensor& g, const std::vector<int32_t>& asrc,
+                            const std::vector<int32_t>& adst, Tensor* dalpha,
+                            Tensor* dt) {
+  for (size_t e = 0; e < asrc.size(); ++e) {
+    double dot = 0.0;
+    for (int64_t j = 0; j < t.cols(); ++j) {
+      dot += g.at(adst[e], j) * t.at(asrc[e], j);
+    }
+    dalpha->at(static_cast<int64_t>(e), 0) = static_cast<float>(dot);
+  }
+  for (size_t e = 0; e < asrc.size(); ++e) {
+    for (int64_t j = 0; j < t.cols(); ++j) {
+      dt->at(asrc[e], j) += alpha.at(static_cast<int64_t>(e), 0) *
+                            g.at(adst[e], j);
+    }
+  }
+}
+
+TEST(KernelsTest, EdgeAggregatePullbackIsByteEqualToNaive) {
+  const int64_t n = 30;
+  std::vector<int64_t> edge_counts;
+  for (int64_t count = 1; count <= 17; ++count) edge_counts.push_back(count);
+  edge_counts.push_back(88);
+  for (const int64_t d : {7, 8, 32, 33}) {
+    for (const int64_t num_edges : edge_counts) {
+      SCOPED_TRACE("d " + std::to_string(d) + " edges " +
+                   std::to_string(num_edges));
+      const uint64_t seed = static_cast<uint64_t>(100 * d + num_edges);
+      Rng rng(seed);
+      std::vector<int32_t> asrc, adst;
+      for (int64_t e = 0; e < num_edges; ++e) {
+        // The last node takes the first edge, so its rows (the ends of t
+        // and g) are read.
+        asrc.push_back(e == 0 ? static_cast<int32_t>(n - 1)
+                              : static_cast<int32_t>(rng.NextBounded(n)));
+        adst.push_back(e == 0 ? static_cast<int32_t>(n - 1)
+                              : static_cast<int32_t>(rng.NextBounded(n)));
+      }
+      const Tensor alpha = RandomTensor(num_edges, 1, seed + 1);
+      Tensor t = RandomTensor(n, d, seed + 2);
+      Tensor g = RandomTensor(n, d, seed + 3);
+      for (const bool cancelling : {false, true}) {
+        if (cancelling) {
+          const float huge = std::ldexp(1.0f, 30);
+          for (int64_t i = 0; i < n; ++i) {
+            g.at(i, 1) = huge;
+            t.at(i, 1) = huge;
+            g.at(i, d - 2) = huge;
+            t.at(i, d - 2) = -huge;
+          }
+        }
+        Tensor want_dalpha(num_edges, 1), want_dt(n, d);
+        NaiveEdgeAggregateGrad(alpha, t, g, asrc, adst, &want_dalpha,
+                               &want_dt);
+        Tensor dalpha(num_edges, 1, 7.0f);  // stale contents are overwritten
+        Tensor dt(n, d);
+        infer::EdgeAggregateGradInto(alpha, t, g, asrc.data(), adst.data(),
+                                     &dalpha, &dt);
+        EXPECT_TRUE(SameBytes(dalpha, want_dalpha)) << "cancelling "
+                                                    << cancelling;
+        EXPECT_TRUE(SameBytes(dt, want_dt)) << "cancelling " << cancelling;
+      }
     }
   }
 }
