@@ -408,6 +408,12 @@ Result<PrivImResult> RunPrivIm(const Graph& train_graph,
   if (!stats.ok()) return stats.status();
   result.train_stats = stats.value();
 
+  // Nothing below reads the extraction state. Free it before the selection
+  // forward, the run's memory peak, so that forward reuses its heap.
+  container = SubgraphContainer();
+  extraction_frequency = std::vector<int64_t>();
+  sampler_state = ckpt::SamplerState();
+
   // ---- Seed selection on the evaluation graph ---------------------------
   obs::TraceSpan selection_span("pipeline/seed_selection");
   Result<Tensor> scores = infer::ScoreGraph(*model, eval_graph);

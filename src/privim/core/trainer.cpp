@@ -97,24 +97,6 @@ Result<TrainStats> TrainDpGnn(GnnModel* model,
 
   TrainStats stats;
 
-  // Message-passing operators and features are immutable per subgraph. They
-  // are built on first use — an iteration touches at most batch_size of the
-  // container's subgraphs, so short runs never pay for the rest — and cached
-  // for all later iterations. Builds happen serially before each batch is
-  // dispatched, outside any arena scope (the cache outlives every tape).
-  std::vector<std::optional<GraphContext>> contexts(
-      static_cast<size_t>(container.size()));
-  std::vector<Tensor> features(static_cast<size_t>(container.size()));
-  auto ensure_context = [&](int64_t index) {
-    std::optional<GraphContext>& ctx = contexts[static_cast<size_t>(index)];
-    if (!ctx.has_value()) {
-      const Subgraph& sub = container.at(index);
-      ctx.emplace(GraphContext::Build(sub.local));
-      features[static_cast<size_t>(index)] = BuildNodeFeatures(
-          sub.local, model->config().input_dim, &sub.global_ids);
-    }
-  };
-
   const std::vector<Variable>& params = model->parameters();
   const size_t param_count = static_cast<size_t>(ParameterCount(params));
   const double noise_stddev =
@@ -159,6 +141,30 @@ Result<TrainStats> TrainDpGnn(GnnModel* model,
           std::shared_ptr<const GnnModel>(), model));
   if (!engine.ok()) return engine.status();
   const infer::InferProgram& program = engine.value()->program();
+
+  // Message-passing operators and features are immutable per subgraph. They
+  // are built on first use — an iteration touches at most batch_size of the
+  // container's subgraphs, so short runs never pay for the rest — and cached
+  // for all later iterations. Builds happen serially before each batch is
+  // dispatched, outside any arena scope (the cache outlives every tape). A
+  // context holds only the operators something reads: the program's, and
+  // the influence adjacency the Eq. 5 objective diffuses over. A custom
+  // objective may read any of them, so it gets them all.
+  const uint32_t context_parts =
+      options.loss_fn ? GraphContext::kAllParts
+                      : program.context_parts() | GraphContext::kInfluenceAdj;
+  std::vector<std::optional<GraphContext>> contexts(
+      static_cast<size_t>(container.size()));
+  std::vector<Tensor> features(static_cast<size_t>(container.size()));
+  auto ensure_context = [&](int64_t index) {
+    std::optional<GraphContext>& ctx = contexts[static_cast<size_t>(index)];
+    if (!ctx.has_value()) {
+      const Subgraph& sub = container.at(index);
+      ctx.emplace(GraphContext::Build(sub.local, context_parts));
+      features[static_cast<size_t>(index)] = BuildNodeFeatures(
+          sub.local, model->config().input_dim, &sub.global_ids);
+    }
+  };
 
   // Per-subgraph gradients are embarrassingly parallel: workers share the
   // read-only model, each runs its batch members' forward/objective/reverse
@@ -212,29 +218,27 @@ Result<TrainStats> TrainDpGnn(GnnModel* model,
     auto subgraph_gradient = [&](Worker* worker, size_t pos) -> Status {
       const int64_t index = batch[pos];
       const GraphContext& ctx = *contexts[static_cast<size_t>(index)];
+      std::vector<float>& grad = per_grad[pos];
+      // Slot 0's copy of the cached features and the objective's tape live
+      // and die inside the worker's pools.
+      nn::ArenaScope scope(&worker->scratch.pools);
       PRIVIM_RETURN_NOT_OK(program.Execute(
           ctx, features[static_cast<size_t>(index)], &worker->scratch,
           &worker->scores));
-      std::vector<float>& grad = per_grad[pos];
-      {
-        // The objective's tape lives and dies inside the worker's pools.
-        nn::ArenaScope scope(&worker->scratch.pools);
-        const Variable scores(worker->scores, /*requires_grad=*/true);
-        Result<Variable> loss =
-            options.loss_fn
-                ? options.loss_fn(scores, ctx, container.at(index))
-                : InfluenceLoss(scores, ctx, options.loss);
-        if (!loss.ok()) return loss.status();
-        per_loss[pos] = loss.value().value().at(0, 0);
-        loss.value().Backward();
-        if (scores.node()->grad_initialized) {
-          PRIVIM_RETURN_NOT_OK(program.Backward(ctx, scores.node()->grad,
-                                                &worker->scratch, &grad));
-        } else {
-          // An objective that ignores the scores: the tape would leave
-          // every parameter gradient unset, i.e. zero.
-          grad.assign(param_count, 0.0f);
-        }
+      const Variable scores(worker->scores, /*requires_grad=*/true);
+      Result<Variable> loss =
+          options.loss_fn ? options.loss_fn(scores, ctx, container.at(index))
+                          : InfluenceLoss(scores, ctx, options.loss);
+      if (!loss.ok()) return loss.status();
+      per_loss[pos] = loss.value().value().at(0, 0);
+      loss.value().Backward();
+      if (scores.node()->grad_initialized) {
+        PRIVIM_RETURN_NOT_OK(program.Backward(ctx, scores.node()->grad,
+                                              &worker->scratch, &grad));
+      } else {
+        // An objective that ignores the scores: the tape would leave every
+        // parameter gradient unset, i.e. zero.
+        grad.assign(param_count, 0.0f);
       }
       per_norm[pos] = ClipL2(&grad, options.clip_bound);  // Alg. 2 line 6
       return Status::OK();

@@ -31,7 +31,9 @@ namespace privim {
 /// The trainer runs the model through its compiled program, hands the hook
 /// a leaf holding the scores, calls Backward() on the returned scalar and
 /// passes the leaf's gradient to the program's reverse pass. The objective
-/// must therefore depend on the model only through `scores`.
+/// must therefore depend on the model only through `scores`. Its `ctx`
+/// holds every operator (GraphContext::kAllParts); without a hook, a
+/// subgraph's context holds only what the program and Eq. 5 read.
 ///
 /// Thread safety: with `DpSgdOptions::parallel` (the default) the hook is
 /// invoked concurrently from pool workers, each with its own scratch

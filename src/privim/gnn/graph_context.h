@@ -18,10 +18,10 @@
 namespace privim {
 
 struct GraphContext {
-  /// The operators Build() can assemble, as bits of `parts`. Training builds
-  /// them all (the loss reads influence_adj whatever the architecture); a
-  /// compiled inference program builds only the ones it reads
-  /// (InferProgram::context_parts()).
+  /// The operators Build() can assemble, as bits of `parts`. A compiled
+  /// program reads only some (InferProgram::context_parts()); training adds
+  /// influence_adj, which the Eq. 5 loss reads whatever the architecture,
+  /// and builds them all for a custom objective, which may read any.
   enum Part : uint32_t {
     kInfluenceAdj = 1u << 0,
     kGcnAdj = 1u << 1,

@@ -50,6 +50,16 @@ std::vector<float> TensorArena::Acquire(size_t n) {
   return buffer;
 }
 
+uint64_t TensorArena::pooled_bytes() const {
+  uint64_t bytes = 0;
+  for (const std::vector<std::vector<float>>& list : free_) {
+    for (const std::vector<float>& buffer : list) {
+      bytes += buffer.capacity() * sizeof(float);
+    }
+  }
+  return bytes;
+}
+
 void TensorArena::Recycle(std::vector<float>&& buffer) {
   const size_t capacity = buffer.capacity();
   if (capacity == 0) return;

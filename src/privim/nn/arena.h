@@ -69,6 +69,9 @@ class TensorArena {
   uint64_t bytes_allocated() const { return bytes_allocated_; }
   uint64_t acquires() const { return acquires_; }
   uint64_t recycles() const { return recycles_; }
+  /// Bytes of capacity waiting in the free lists, donations included: what
+  /// the arena holds that no tensor is using.
+  uint64_t pooled_bytes() const;
 
  private:
   // Classes are powers of two from 2^6 (64 floats) to 2^25; larger requests

@@ -68,21 +68,13 @@ class ProgramBuilder {
     return in.dst;
   }
 
-  int AttnScores(int score_src, int score_dst, float slope) {
+  int AttnSoftmax(int score_src, int score_dst, float slope,
+                  SegArray segments) {
     Instr in;
-    in.op = OpCode::kAttnScores;
+    in.op = OpCode::kAttnSoftmax;
     in.src0 = score_src;
     in.src1 = score_dst;
     in.scalar = slope;
-    in.dst = NewBuffer(RowDomain::kEdges, 1);
-    instrs_.push_back(in);
-    return in.dst;
-  }
-
-  int SegmentSoftmax(int scores, SegArray segments) {
-    Instr in;
-    in.op = OpCode::kSegmentSoftmax;
-    in.src0 = scores;
     in.segments = segments;
     in.dst = NewBuffer(RowDomain::kEdges, 1);
     instrs_.push_back(in);
@@ -182,8 +174,7 @@ class ProgramBuilder {
             return GraphContext::kSumInAdj;
         }
         return 0;
-      case OpCode::kAttnScores:
-      case OpCode::kSegmentSoftmax:
+      case OpCode::kAttnSoftmax:
       case OpCode::kEdgeAggregate:
         return GraphContext::kAttentionLists;
       case OpCode::kDense:
@@ -335,12 +326,12 @@ Result<InferProgram> CompileForInference(const GnnModel& model) {
                                       nullptr, Activation::kNone);
         const int s_dst = accum.Dense(t, RowDomain::kNodes, a_dst.value(),
                                       nullptr, Activation::kNone);
-        const int scores = accum.AttnScores(s_src, s_dst, cfg.leaky_slope);
         // GRAT normalizes over a source's outgoing attention edges (Eq. 39),
         // GAT over a destination's incoming ones (Eq. 35).
-        const int alpha = accum.SegmentSoftmax(
-            scores, cfg.kind == GnnKind::kGrat ? SegArray::kAttentionSrc
-                                               : SegArray::kAttentionDst);
+        const int alpha = accum.AttnSoftmax(
+            s_src, s_dst, cfg.leaky_slope,
+            cfg.kind == GnnKind::kGrat ? SegArray::kAttentionSrc
+                                       : SegArray::kAttentionDst);
         const int agg = accum.EdgeAggregate(alpha, t, hid);
         h = accum.BiasAct(agg, b.value(), Activation::kRelu, hid);
         break;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "privim/gnn/features.h"
+#include "privim/nn/arena.h"
 #include "privim/nn/infer/compile.h"
 
 namespace privim {
@@ -112,8 +113,10 @@ Status InferEngine::VerifyAgainstTape() const {
 Status InferEngine::Forward(const GraphContext& ctx, const Tensor& features,
                             Tensor* out) const {
   // No caller differentiates an engine forward, so each slot goes back to
-  // the leased scratch's arena after its last reader.
+  // the leased scratch's arena after its last reader. Slot 0 is a copy of
+  // the caller's matrix, drawn from that arena so that it returns there.
   ScratchLease lease(this);
+  nn::ArenaScope scope(&lease.get()->pools);
   return program_.Execute(ctx, features, lease.get(), out,
                           /*observer=*/nullptr, SlotPolicy::kRelease);
 }
@@ -122,9 +125,13 @@ Status InferEngine::ForwardGraph(const Graph& graph, Tensor* out,
                                  const std::vector<NodeId>* global_ids) const {
   const GraphContext ctx =
       GraphContext::Build(graph, program_.context_parts());
-  const Tensor features =
-      BuildNodeFeatures(graph, program_.input_dim(), global_ids);
-  return Forward(ctx, features, out);
+  // Nothing else reads the features, so slot 0 takes the matrix itself,
+  // built in the leased scratch's arena like the slots it joins.
+  ScratchLease lease(this);
+  nn::ArenaScope scope(&lease.get()->pools);
+  return program_.Execute(
+      ctx, BuildNodeFeatures(graph, program_.input_dim(), global_ids),
+      lease.get(), out, /*observer=*/nullptr, SlotPolicy::kRelease);
 }
 
 Result<Tensor> ScoreGraph(const GnnModel& model, const Graph& graph) {
@@ -154,6 +161,15 @@ std::unique_ptr<Scratch> InferEngine::AcquireScratch() const {
 void InferEngine::ReleaseScratch(std::unique_ptr<Scratch> scratch) const {
   std::lock_guard<std::mutex> lock(mu_);
   free_scratch_.push_back(std::move(scratch));
+}
+
+uint64_t InferEngine::pooled_arena_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t bytes = 0;
+  for (const std::unique_ptr<Scratch>& scratch : free_scratch_) {
+    bytes += scratch->pools.tensors.pooled_bytes();
+  }
+  return bytes;
 }
 
 }  // namespace infer

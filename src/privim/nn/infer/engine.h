@@ -4,8 +4,9 @@
 // buffers: Create() compiles the model AND verifies it, Forward() runs one
 // prebuilt context, and ForwardGraph() runs one graph — a whole graph or a
 // served subgraph — building only the context operators the program reads.
-// ScoreGraph() is the one-shot form that the pipeline, the baselines and
-// the CLI rank a graph with after training.
+// ScoreGraph() is the one-shot form that the pipeline, the baselines, the
+// CLI and serving's memoized scores rank a graph with: its engine and
+// scratch die with the call, so no whole-graph buffer outlives it.
 //
 // Verification: structural compilation (compile.h) checks parameter shapes
 // but cannot see an overridden Forward(). Create() therefore runs a fixed
@@ -19,6 +20,7 @@
 #ifndef PRIVIM_NN_INFER_ENGINE_H_
 #define PRIVIM_NN_INFER_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -45,18 +47,28 @@ class InferEngine {
   /// score column into *out. Thread-safe; scratch buffers are leased from
   /// an internal pool, so concurrent calls never contend on tensors. Runs
   /// with SlotPolicy::kRelease: a leased scratch holds the program's
-  /// depth-independent footprint, not every slot.
+  /// depth-independent footprint, not every slot. The caller keeps
+  /// `features`, so the program's slot 0 is a copy of it.
   Status Forward(const GraphContext& ctx, const Tensor& features,
                  Tensor* out) const;
 
   /// Forward over the whole of `graph`: builds only the context operators
   /// the program reads, plus node features salted by `global_ids` (a
   /// subgraph's ids in its parent graph; null means the graph's own ids).
+  /// The features it builds move into slot 0, so the forward holds one
+  /// copy of them. A pooled scratch keeps its arena's buffers after the
+  /// call: the next graph of a similar size reuses them, and a whole-graph
+  /// forward that runs once is better served by ScoreGraph(), whose
+  /// engine and scratch die with the call.
   Status ForwardGraph(const Graph& graph, Tensor* out,
                       const std::vector<NodeId>* global_ids = nullptr) const;
 
   const GnnModel& model() const { return *model_; }
   const InferProgram& program() const { return program_; }
+
+  /// Bytes of idle buffers in the arenas of the scratches the pool keeps
+  /// between calls (TensorArena::pooled_bytes).
+  uint64_t pooled_arena_bytes() const;
 
  private:
   InferEngine(std::shared_ptr<const GnnModel> model, InferProgram program)

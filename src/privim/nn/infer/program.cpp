@@ -24,10 +24,8 @@ const char* OpCodeName(OpCode op) {
       return "concat";
     case OpCode::kGinMix:
       return "gin_mix";
-    case OpCode::kAttnScores:
-      return "attn_scores";
-    case OpCode::kSegmentSoftmax:
-      return "segment_softmax";
+    case OpCode::kAttnSoftmax:
+      return "attn_softmax";
     case OpCode::kEdgeAggregate:
       return "edge_aggregate";
     case OpCode::kBiasAct:
@@ -54,8 +52,9 @@ const SparseMatrix* AdjFor(const GraphContext& ctx, AdjKind kind) {
 // template argument so the row loops stay branch-free and vectorize (a
 // per-element switch compiles to a mispredicted branch per ReLU sign).
 template <typename Act>
-void BiasActRows(const float* PRIVIM_RESTRICT bias, int64_t rows,
-                 int64_t cols, float* PRIVIM_RESTRICT data, Act act) {
+PRIVIM_ALWAYS_INLINE void BiasActRows(const float* PRIVIM_RESTRICT bias,
+                                      int64_t rows, int64_t cols,
+                                      float* PRIVIM_RESTRICT data, Act act) {
   for (int64_t i = 0; i < rows; ++i) {
     float* PRIVIM_RESTRICT row = data + i * cols;
     if (bias != nullptr) {
@@ -69,7 +68,10 @@ void BiasActRows(const float* PRIVIM_RESTRICT bias, int64_t rows,
 // The fused bias+activation sweep. Applying act(x + b) in one pass performs
 // the same two float operations, in the same order, as the tape's separate
 // AddRowBroadcast and activation ops; -ffp-contract=off forbids the
-// compiler from contracting them, so the result is bit-identical.
+// compiler from contracting them, so the result is bit-identical. Each
+// element is independent, so the wide clone changes only how many run at
+// once.
+PRIVIM_VEC_CLONES
 void BiasActSweep(const float* bias, Activation act, int64_t rows,
                   int64_t cols, float* data) {
   switch (act) {
@@ -193,11 +195,14 @@ void EdgeAggregateGradKernel(int64_t num_edges, int64_t d,
 // op writes g * act'(x) — ReLU's x > 0 is y > 0 — and its AddRowBroadcast
 // sums those rows into the bias gradient (from +0, rows ascending) and
 // hands them on by const reference, which stores 0 + g. With no bias the
-// activation's product is handed on as is.
+// activation's product is handed on as is. A lane is a column, so each
+// column's bias sum still adds its rows in ascending order at any width.
 template <typename Grad>
-void BiasActGradRows(const float* PRIVIM_RESTRICT y,
-                     float* PRIVIM_RESTRICT bias_grad, int64_t rows,
-                     int64_t cols, float* PRIVIM_RESTRICT g, Grad grad) {
+PRIVIM_ALWAYS_INLINE void BiasActGradRows(const float* PRIVIM_RESTRICT y,
+                                          float* PRIVIM_RESTRICT bias_grad,
+                                          int64_t rows, int64_t cols,
+                                          float* PRIVIM_RESTRICT g,
+                                          Grad grad) {
   if (bias_grad != nullptr) std::fill(bias_grad, bias_grad + cols, 0.0f);
   for (int64_t i = 0; i < rows; ++i) {
     const float* PRIVIM_RESTRICT yrow = y + i * cols;
@@ -214,6 +219,7 @@ void BiasActGradRows(const float* PRIVIM_RESTRICT y,
   }
 }
 
+PRIVIM_VEC_CLONES
 void BiasActGrad(Activation act, const float* y, float* bias_grad,
                  int64_t rows, int64_t cols, float* g) {
   switch (act) {
@@ -262,7 +268,7 @@ void EdgeAggregateGradInto(const Tensor& alpha, const Tensor& t,
                           t.data(), g.data(), dalpha->data(), dt->data());
 }
 
-Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
+Status InferProgram::Execute(const GraphContext& ctx, Tensor features,
                              Scratch* scratch, Tensor* out,
                              const StepObserver& observer,
                              SlotPolicy policy) const {
@@ -297,7 +303,9 @@ Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
     return spec.domain == RowDomain::kNodes ? n : num_edges;
   };
 
-  slots[0] = features;  // the tape copies features into a leaf node too
+  // The tape copies features into a leaf node; the caller has already
+  // copied or handed over its matrix, so slot 0 adopts it.
+  slots[0] = std::move(features);
 
   for (size_t step = 0; step < instrs_.size(); ++step) {
     const Instr& in = instrs_[step];
@@ -350,9 +358,10 @@ Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
         break;
       }
 
-      case OpCode::kAttnScores: {
+      case OpCode::kAttnSoftmax: {
         // Gathered src + dst projections through LeakyRelu, one edge sweep
-        // instead of two gathers, an add and a pointwise op on the tape.
+        // instead of two gathers, an add and a pointwise op on the tape;
+        // then the tape's SegmentSoftmax over those scores, in place.
         const Tensor& ssrc = slots[static_cast<size_t>(in.src0)];
         const Tensor& sdst = slots[static_cast<size_t>(in.src1)];
         const int32_t* asrc = ctx.attention_src.data();
@@ -361,15 +370,9 @@ Status InferProgram::Execute(const GraphContext& ctx, const Tensor& features,
           dst.at(e, 0) = nn::LeakyReluValue(
               ssrc.at(asrc[e], 0) + sdst.at(adst[e], 0), in.scalar);
         }
-        break;
-      }
-
-      case OpCode::kSegmentSoftmax: {
-        const int32_t* segs = in.segments == SegArray::kAttentionSrc
-                                  ? ctx.attention_src.data()
-                                  : ctx.attention_dst.data();
-        SegmentSoftmaxValuesInto(slots[static_cast<size_t>(in.src0)], segs,
-                                 n, &dst);
+        SegmentSoftmaxValuesInto(
+            dst, in.segments == SegArray::kAttentionSrc ? asrc : adst, n,
+            &dst);
         break;
       }
 
@@ -530,10 +533,18 @@ Status InferProgram::Backward(const GraphContext& ctx, const Tensor& dscores,
         break;
       }
 
-      case OpCode::kAttnScores: {
-        // Tape: LeakyRelu(Add(GatherRows(s_src), GatherRows(s_dst))). The
-        // derivative comes from the pre-activation sum; Add hands each
-        // gather 0 + d, and each gather scatter-adds onto zeros.
+      case OpCode::kAttnSoftmax: {
+        // Tape: SegmentSoftmax(LeakyRelu(Add(GatherRows(s_src),
+        // GatherRows(s_dst)))). The softmax pullback reads only the
+        // weights, which the slot holds; it writes the scores' gradient
+        // into a temporary. LeakyRelu's derivative comes from the
+        // pre-activation sum; Add hands each gather 0 + d, and each gather
+        // scatter-adds onto zeros.
+        if (!requires_grad(in.src0) && !requires_grad(in.src1)) break;
+        Tensor dscore = Tensor::Uninitialized(num_edges, 1);
+        SegmentSoftmaxGradInto(
+            y, g, in.segments == SegArray::kAttentionSrc ? asrc : adst, n,
+            &dscore);
         const Tensor& ssrc = slots[static_cast<size_t>(in.src0)];
         const Tensor& sdst = slots[static_cast<size_t>(in.src1)];
         Tensor dsrc = Tensor::Zeros(n, 1);
@@ -541,7 +552,7 @@ Status InferProgram::Backward(const GraphContext& ctx, const Tensor& dscores,
         for (int64_t e = 0; e < num_edges; ++e) {
           const float pre = ssrc.at(asrc[e], 0) + sdst.at(adst[e], 0);
           const float d =
-              0.0f + g.at(e, 0) * (pre > 0.0f ? 1.0f : in.scalar);
+              0.0f + dscore.at(e, 0) * (pre > 0.0f ? 1.0f : in.scalar);
           dsrc.at(asrc[e], 0) += d;
           ddst.at(adst[e], 0) += d;
         }
@@ -551,16 +562,6 @@ Status InferProgram::Backward(const GraphContext& ctx, const Tensor& dscores,
         if (requires_grad(in.src1)) {
           Contribute(in.src1, std::move(ddst), scratch);
         }
-        break;
-      }
-
-      case OpCode::kSegmentSoftmax: {
-        if (!requires_grad(in.src0)) break;
-        const int32_t* segs =
-            in.segments == SegArray::kAttentionSrc ? asrc : adst;
-        Tensor dscore = Tensor::Uninitialized(num_edges, 1);
-        SegmentSoftmaxGradInto(y, g, segs, n, &dscore);
-        Contribute(in.src0, std::move(dscore), scratch);
         break;
       }
 

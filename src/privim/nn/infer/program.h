@@ -27,17 +27,24 @@
 // are bit-identical to the tape under the repo-wide -ffp-contract=off
 // contract (pinned by tests/nn/infer_checker_test.cpp at exact match).
 //
-// Attention aggregation is one sweep too: the tape gathers every edge's
-// source row, scales it by alpha and segment-sums the (edges x hidden)
-// messages; kEdgeAggregate adds each scaled row straight into its
-// destination, in the same edge order, so no per-edge hidden-width buffer
-// exists. Edge-domain buffers are therefore one column wide.
+// Attention is two instructions per layer. kAttnSoftmax writes every
+// edge's LeakyReLU score into its (edges x 1) slot and softmaxes it there
+// in place (SegmentSoftmaxValuesInto reads each score before it writes
+// that element), so scores and weights share one edge buffer. Where the
+// tape then gathers every edge's source row, scales it by alpha and
+// segment-sums the (edges x hidden) messages, kEdgeAggregate adds each
+// scaled row straight into its destination, in the same edge order, so no
+// per-edge hidden-width buffer exists. An attention layer therefore holds
+// one edge buffer, one column wide.
 //
 // Buffers are typed by row domain — kNodes (n rows) or kEdges (one row per
 // attention edge) — with a fixed column count; actual row counts bind to
 // the GraphContext at Execute() time, so one program serves any graph.
 // A program reads only some of a context's operators (context_parts());
 // callers that build a context just to execute it build only those.
+// Slot 0 is the feature matrix itself: Execute() takes it by value, so a
+// caller that has no further use for its matrix moves it in and the
+// forward holds one copy of the features, not two.
 //
 // Reverse pass: Backward() walks the instructions last to first over the
 // slots the forward left in the Scratch and writes the model's flat
@@ -55,8 +62,12 @@
 //     AddRowBroadcast) it stores 0 + d, and so does the pullback here;
 //   * dot products keep the tape's precision (the float product widened
 //     to double in MulColBroadcast and ScaleByScalar, the per-segment
-//     double in SegmentSoftmax), and LeakyReLU's derivative is taken from
-//     the pre-activation score, recomputed with the forward's float add;
+//     double in SegmentSoftmax);
+//   * kAttnSoftmax's pullback is the tape's two: the softmax pullback into
+//     an arena temporary (the forward kept only the weights, which is all
+//     SegmentSoftmaxGradInto reads), then the score pullback, with
+//     LeakyReLU's derivative taken from the pre-activation s_src + s_dst,
+//     recomputed with the forward's float add;
 //   * the attention aggregation's dots run eight edges at a time, one edge
 //     per lane (EdgeAggregateGradInto): each lane adds its widened
 //     products in j order, which is the tape's per-edge double chain;
@@ -85,8 +96,9 @@ enum class OpCode {
   kDense,           ///< dst = act(src0 * weight [+ bias]) — the fused core
   kConcat,          ///< dst = [src0 | src1]
   kGinMix,          ///< dst = src0 + src1 * (1 + omega), omega = *scalar_param
-  kAttnScores,      ///< dst[e] = lrelu(src0[asrc[e]] + src1[adst[e]], scalar)
-  kSegmentSoftmax,  ///< dst = softmax of src0 within `segments`
+  /// dst = softmax within `segments` of the edge scores
+  /// lrelu(src0[asrc[e]] + src1[adst[e]], scalar), computed in dst
+  kAttnSoftmax,
   kEdgeAggregate,   ///< dst[adst[e]] += src0[e] * src1[asrc[e]], e ascending
   kBiasAct,         ///< dst = act(src0 + bias row)
 };
@@ -118,8 +130,8 @@ struct Instr {
   int64_t scalar_grad = -1;
   Activation act = Activation::kNone;
   AdjKind adj = AdjKind::kGcn;                   ///< kSpMM
-  SegArray segments = SegArray::kAttentionDst;   ///< kSegmentSoftmax
-  float scalar = 0.0f;                           ///< kAttnScores leaky slope
+  SegArray segments = SegArray::kAttentionDst;   ///< kAttnSoftmax
+  float scalar = 0.0f;                           ///< kAttnSoftmax leaky slope
 };
 
 enum class RowDomain { kNodes, kEdges };
@@ -176,13 +188,17 @@ class InferProgram {
   /// Runs the program over `ctx` / `features` ((ctx.num_nodes x input_dim)),
   /// writing the (n x 1) output into *out. `out` keeps its storage when the
   /// caller reuses it across calls (no allocation once capacities warm up).
+  /// `features` becomes slot 0: move a matrix in when nothing else reads
+  /// it, pass a copy otherwise. Slot 0's buffer returns to the scratch's
+  /// arena like any slot's, so a caller that reuses a scratch draws the
+  /// matrix from scratch->pools; one built elsewhere is a donation, and a
+  /// donation per call grows the pool per call.
   /// `policy` defaults to retaining every slot for Backward(); kRelease
   /// recycles each slot after its last reader, so the scratch's arena
   /// peaks at a depth-independent footprint instead of every slot's sum,
   /// and Backward() on that scratch fails until a retaining Execute().
-  Status Execute(const GraphContext& ctx, const Tensor& features,
-                 Scratch* scratch, Tensor* out,
-                 const StepObserver& observer = nullptr,
+  Status Execute(const GraphContext& ctx, Tensor features, Scratch* scratch,
+                 Tensor* out, const StepObserver& observer = nullptr,
                  SlotPolicy policy = SlotPolicy::kRetain) const;
 
   /// Reverse pass of the last Execute() on `scratch`, which must have run

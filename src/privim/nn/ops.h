@@ -136,7 +136,9 @@ void SpMMValuesInto(const SparseMatrix& sparse, const Tensor& x, Tensor* y);
 
 /// Per-segment stable softmax of the (E x 1) `scores` into `out` (shaped
 /// E x 1). Exactly the SegmentSoftmax forward, including its max-shift and
-/// denominator clamp.
+/// denominator clamp. `out` may be `&scores`: each score is read before
+/// the same element of `out` is written, and no score is read after that,
+/// so the softmax runs in place (the compiled attention op does).
 void SegmentSoftmaxValuesInto(const Tensor& scores, const int32_t* segments,
                               int64_t num_segments, Tensor* out);
 

@@ -125,11 +125,16 @@ Result<Tensor> ServingAssets::Scores() const {
           "method=model top-k need --model");
     } else if (engine_ != nullptr) {
       obs::TraceSpan span("serve.forward");
-      const Status status = engine_->ForwardGraph(*graph_, &scores_);
-      if (status.ok()) {
+      // One whole-graph forward per snapshot. A scratch leased from
+      // engine_ would go back to its pool with whole-graph buffers that the
+      // subgraph requests it serves never use, for the snapshot's life;
+      // ScoreGraph's engine and scratch die with the call instead.
+      Result<Tensor> scores = infer::ScoreGraph(*model_, *graph_);
+      if (scores.ok()) {
+        scores_ = std::move(scores).value();
         CountFusedForward();
       } else {
-        scores_status_ = status;
+        scores_status_ = scores.status();
       }
     } else {
       obs::TraceSpan span("serve.forward");

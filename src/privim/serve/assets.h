@@ -98,7 +98,9 @@ class ServingAssets {
 
   /// Model scores over the whole graph, computed once per snapshot and
   /// memoized — the forward pass is deterministic, so every
-  /// influence/topk(model) request against this snapshot shares it.
+  /// influence/topk(model) request against this snapshot shares it. The
+  /// fused forward runs through infer::ScoreGraph, so its whole-graph
+  /// buffers are freed when it returns, not pooled in engine().
   Result<Tensor> Scores() const;
 
   /// Forward passes served by the fused engine against this snapshot.

@@ -221,6 +221,31 @@ TEST(TrainDpGnnTest, CustomLossHookIsUsed) {
   EXPECT_EQ(calls.load(), 3 * 8);  // iterations * batch_size
 }
 
+// Without a hook a subgraph's context holds only what the program and
+// Eq. 5 read; a custom objective may read any operator, so its context
+// holds them all — here max-cut's arc lists, which GRAT never reads.
+TEST(TrainDpGnnTest, CustomObjectiveReceivesEveryContextPart) {
+  TrainFixture fixture = MakeFixture(24);
+  Rng rng(25);
+  DpSgdOptions options = FastOptions();
+  options.iterations = 3;
+  std::atomic<int> calls{0};
+  options.loss_fn = [&calls](const Variable& scores, const GraphContext& ctx,
+                             const Subgraph&) {
+    ++calls;
+    EXPECT_EQ(ctx.parts, GraphContext::kAllParts);
+    EXPECT_NE(ctx.influence_adj, nullptr);
+    EXPECT_NE(ctx.gcn_adj, nullptr);
+    EXPECT_NE(ctx.mean_in_adj, nullptr);
+    EXPECT_NE(ctx.sum_in_adj, nullptr);
+    EXPECT_FALSE(ctx.attention_src.empty());
+    return MaxCutLoss(scores, ctx);
+  };
+  ASSERT_TRUE(
+      TrainDpGnn(fixture.model.get(), fixture.container, options, &rng).ok());
+  EXPECT_EQ(calls.load(), 3 * 8);
+}
+
 // A non-finite per-subgraph gradient would pass the clip (a NaN norm is
 // never above C) and poison the release; training stops instead, naming
 // the iteration, before that iteration's step.

@@ -426,6 +426,96 @@ TEST(InferCheckerTest, NoProgramAllocatesAnEdgeByHiddenBuffer) {
   }
 }
 
+// Scores and weights share a slot: kAttnSoftmax softmaxes its LeakyReLU
+// scores in place, so an attention layer holds one (edges x 1) buffer,
+// which its edge aggregate alone reads, and every other kind holds none.
+TEST(InferCheckerTest, EveryAttentionLayerHoldsExactlyOneEdgeBuffer) {
+  for (const GnnKind kind : kAllKinds) {
+    const bool attention = kind == GnnKind::kGat || kind == GnnKind::kGrat;
+    for (int64_t layers = 1; layers <= 3; ++layers) {
+      SCOPED_TRACE(std::string(GnnKindToString(kind)) +
+                   " layers=" + std::to_string(layers));
+      const Result<infer::InferProgram> program =
+          infer::CompileForInference(*RandomModel(kind, layers, 5));
+      ASSERT_TRUE(program.ok()) << program.status().message();
+      const std::vector<infer::BufferSpec>& buffers =
+          program.value().buffers();
+      int64_t edge_buffers = 0;
+      for (const infer::BufferSpec& buffer : buffers) {
+        edge_buffers += buffer.domain == infer::RowDomain::kEdges ? 1 : 0;
+      }
+      EXPECT_EQ(edge_buffers, attention ? layers : 0);
+      for (const infer::Instr& in : program.value().instructions()) {
+        const bool edge_out =
+            buffers[static_cast<size_t>(in.dst)].domain ==
+            infer::RowDomain::kEdges;
+        EXPECT_EQ(edge_out, in.op == infer::OpCode::kAttnSoftmax)
+            << infer::OpCodeName(in.op);
+        if (in.op != infer::OpCode::kAttnSoftmax) continue;
+        int readers = 0;
+        for (const infer::Instr& reader : program.value().instructions()) {
+          if (reader.src0 == in.dst || reader.src1 == in.dst) {
+            ++readers;
+            EXPECT_EQ(reader.op, infer::OpCode::kEdgeAggregate);
+          }
+        }
+        EXPECT_EQ(readers, 1);
+      }
+    }
+  }
+}
+
+// Slot 0 adopts the matrix Execute() is given. A matrix moved in must
+// give the bytes of a copied one, forward and (from retained slots)
+// reverse, on a fresh scratch and on a warm one, under both policies.
+TEST(InferCheckerTest, MovedFeaturesGiveTheBytesOfCopiedOnes) {
+  const Graph graph = RandomGraph(2);
+  for (const GnnKind kind : kAllKinds) {
+    SCOPED_TRACE(GnnKindToString(kind));
+    const std::shared_ptr<const GnnModel> model = RandomModel(kind, 2, 41);
+    const Result<infer::InferProgram> program =
+        infer::CompileForInference(*model);
+    ASSERT_TRUE(program.ok()) << program.status().message();
+    const GraphContext ctx =
+        GraphContext::Build(graph, program.value().context_parts());
+    const Tensor features =
+        BuildNodeFeatures(graph, model->config().input_dim);
+    const Tensor dscores = Tensor::Ones(graph.num_nodes(), 1);
+    for (const infer::SlotPolicy policy :
+         {infer::SlotPolicy::kRetain, infer::SlotPolicy::kRelease}) {
+      infer::Scratch copied_scratch;
+      Tensor copied;
+      ASSERT_TRUE(program.value()
+                      .Execute(ctx, features, &copied_scratch, &copied,
+                               nullptr, policy)
+                      .ok());
+      infer::Scratch moved_scratch;
+      for (int pass = 0; pass < 2; ++pass) {
+        Tensor handed_over = features;
+        Tensor moved;
+        ASSERT_TRUE(program.value()
+                        .Execute(ctx, std::move(handed_over), &moved_scratch,
+                                 &moved, nullptr, policy)
+                        .ok());
+        EXPECT_TRUE(BitEqual(moved, copied)) << "pass " << pass;
+        if (policy == infer::SlotPolicy::kRelease) continue;
+        EXPECT_TRUE(BitEqual(moved_scratch.slots[0], features));
+        std::vector<float> want, got;
+        ASSERT_TRUE(program.value()
+                        .Backward(ctx, dscores, &copied_scratch, &want)
+                        .ok());
+        ASSERT_TRUE(
+            program.value().Backward(ctx, dscores, &moved_scratch, &got).ok());
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "pass " << pass;
+      }
+    }
+  }
+}
+
 TEST(InferCheckerTest, ContextPartsAreExactlyWhatTheProgramReads) {
   const struct {
     GnnKind kind;

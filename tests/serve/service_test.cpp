@@ -3,6 +3,7 @@
 
 #include "privim/serve/service.h"
 
+#include <cstring>
 #include <future>
 #include <memory>
 #include <string>
@@ -13,6 +14,9 @@
 #include "privim/common/rng.h"
 #include "privim/common/thread_pool.h"
 #include "privim/gnn/models.h"
+#include "privim/graph/generators.h"
+#include "privim/graph/subgraph.h"
+#include "privim/nn/infer/engine.h"
 #include "privim/nn/ops.h"
 #include "privim/serve/assets.h"
 #include "privim/serve/request.h"
@@ -479,6 +483,64 @@ TEST(ServiceTest, UnsupportedModelFallsBackToTapeWithCounter) {
               reference->Execute(Request(request)).ToJsonLine());
   }
   EXPECT_EQ(service->GetStats().fused_forwards, 0u);
+}
+
+// A snapshot's whole-graph scores run once, on a scratch that dies with
+// the call: the engine's pool, which serves subgraph requests for the
+// snapshot's whole life, keeps none of the whole-graph buffers. A served
+// subgraph's features come from the leased scratch's arena and return
+// there, so repeated requests do not grow the pool either.
+TEST(ServiceTest, WholeGraphScoresLeaveNoScratchInTheEnginePool) {
+  Rng rng(11);
+  Graph graph = BarabasiAlbert(2000, 4, &rng).value();
+  GnnConfig config;
+  config.kind = GnnKind::kGrat;
+  config.input_dim = 8;
+  config.hidden_dim = 32;
+  config.num_layers = 3;
+  const std::shared_ptr<const GnnModel> model(
+      CreateGnnModel(config, &rng).value().release());
+  const std::shared_ptr<const ServingAssets> assets =
+      ServingAssets::Build(graph, model, nullptr, InferEngineKind::kFused)
+          .value();
+  const infer::InferEngine* engine = assets->engine();
+  ASSERT_NE(engine, nullptr);
+  // Create()'s probe forward leaves one probe-sized scratch in the pool.
+  const uint64_t pooled = engine->pooled_arena_bytes();
+
+  const Result<Tensor> scores = assets->Scores();
+  ASSERT_TRUE(scores.ok()) << scores.status().message();
+  EXPECT_EQ(engine->pooled_arena_bytes(), pooled);
+  EXPECT_EQ(assets->fused_forwards(), 1u);
+
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < 40; ++v) nodes.push_back(v * 37);
+  const Subgraph sub = InducedSubgraph(graph, nodes).value();
+  Tensor sub_scores;
+  // The first call also draws `sub_scores`' buffer from the arena; from
+  // the second on, every call returns to the pool what it took.
+  for (int call = 0; call < 2; ++call) {
+    ASSERT_TRUE(
+        engine->ForwardGraph(sub.local, &sub_scores, &sub.global_ids).ok());
+  }
+  const uint64_t warm = engine->pooled_arena_bytes();
+  for (int call = 0; call < 5; ++call) {
+    ASSERT_TRUE(
+        engine->ForwardGraph(sub.local, &sub_scores, &sub.global_ids).ok());
+    EXPECT_EQ(engine->pooled_arena_bytes(), warm) << "call " << call;
+  }
+
+  // The same bytes as the pooled path, which does keep the buffers: one
+  // 2000 x 32 slot alone is 256 KB.
+  Tensor pooled_scores;
+  ASSERT_TRUE(engine->ForwardGraph(graph, &pooled_scores).ok());
+  ASSERT_TRUE(scores->SameShape(pooled_scores));
+  EXPECT_EQ(std::memcmp(scores->data(), pooled_scores.data(),
+                        static_cast<size_t>(pooled_scores.size()) *
+                            sizeof(float)),
+            0);
+  EXPECT_GE(engine->pooled_arena_bytes(),
+            pooled + uint64_t{2000} * 32 * sizeof(float));
 }
 
 // --- Load shedding: both front ends must speak the same overload bytes.

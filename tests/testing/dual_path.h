@@ -157,19 +157,19 @@ inline Tensor TapeReference(const infer::Instr& in,
                                    scale))
           .value();
     }
-    case infer::OpCode::kAttnScores: {
+    case infer::OpCode::kAttnSoftmax: {
+      // models.cpp: the gathered projections through LeakyRelu, then the
+      // per-segment softmax.
       const Variable src_part =
           GatherRows(s0, std::span<const int32_t>(ctx.attention_src));
       const Variable dst_part =
           GatherRows(leaf(slots[static_cast<size_t>(in.src1)]),
                      std::span<const int32_t>(ctx.attention_dst));
-      return LeakyRelu(Add(src_part, dst_part), in.scalar).value();
-    }
-    case infer::OpCode::kSegmentSoftmax: {
+      const Variable scores = LeakyRelu(Add(src_part, dst_part), in.scalar);
       const std::vector<int32_t>& segments =
           in.segments == infer::SegArray::kAttentionSrc ? ctx.attention_src
                                                         : ctx.attention_dst;
-      return SegmentSoftmax(s0, std::span<const int32_t>(segments),
+      return SegmentSoftmax(scores, std::span<const int32_t>(segments),
                             ctx.num_nodes)
           .value();
     }
