@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 namespace privim {
@@ -11,13 +12,13 @@ GraphContext GraphContext::Build(const Graph& graph, uint32_t parts) {
   const int64_t n = graph.num_nodes();
   const int64_t arcs = graph.num_arcs();
   ctx.num_nodes = n;
+  ctx.graph = &graph;
   ctx.parts = parts;
   const bool influence = (parts & kInfluenceAdj) != 0;
   const bool gcn = (parts & kGcnAdj) != 0;
   const bool mean_in = (parts & kMeanInAdj) != 0;
   const bool sum_in = (parts & kSumInAdj) != 0;
   const bool arc_lists = (parts & kArcLists) != 0;
-  const bool attention = (parts & kAttentionLists) != 0;
 
   std::vector<Triplet> influence_t;
   std::vector<Triplet> gcn_t;
@@ -28,13 +29,9 @@ GraphContext GraphContext::Build(const Graph& graph, uint32_t parts) {
   if (mean_in) mean_in_t.reserve(arcs);
   if (sum_in) sum_in_t.reserve(arcs);
 
-  // The attention lists are the arc lists followed by one self-loop per
-  // node, so the arc pass writes straight into them when they are wanted.
-  std::vector<int32_t>& src_list = attention ? ctx.attention_src : ctx.arc_src;
-  std::vector<int32_t>& dst_list = attention ? ctx.attention_dst : ctx.arc_dst;
-  if (arc_lists || attention) {
-    src_list.reserve(arcs + (attention ? n : 0));
-    dst_list.reserve(arcs + (attention ? n : 0));
+  if (arc_lists) {
+    ctx.arc_src.reserve(arcs);
+    ctx.arc_dst.reserve(arcs);
   }
 
   for (NodeId v = 0; v < n; ++v) {
@@ -66,22 +63,11 @@ GraphContext GraphContext::Build(const Graph& graph, uint32_t parts) {
     if (sum_in) {
       for (const NodeId u : sources) sum_in_t.push_back({v, u, 1.0f});
     }
-    if (arc_lists || attention) {
-      for (const NodeId u : sources) {
-        src_list.push_back(u);
-        dst_list.push_back(v);
-      }
-    }
-  }
-
-  if (attention) {
     if (arc_lists) {
-      ctx.arc_src = ctx.attention_src;
-      ctx.arc_dst = ctx.attention_dst;
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      ctx.attention_src.push_back(v);
-      ctx.attention_dst.push_back(v);
+      for (const NodeId u : sources) {
+        ctx.arc_src.push_back(u);
+        ctx.arc_dst.push_back(v);
+      }
     }
   }
 
@@ -92,6 +78,25 @@ GraphContext GraphContext::Build(const Graph& graph, uint32_t parts) {
   if (mean_in) ctx.mean_in_adj = MakeSparseCsr(n, n, std::move(mean_in_t));
   if (sum_in) ctx.sum_in_adj = MakeSparseCsr(n, n, std::move(sum_in_t));
   return ctx;
+}
+
+AttentionLists BuildAttentionLists(const Graph& graph) {
+  const int64_t n = graph.num_nodes();
+  const std::span<const int64_t> offsets = graph.InCsrOffsets();
+  const std::span<const NodeId> sources = graph.InCsrSources();
+  AttentionLists lists;
+  lists.src.reserve(static_cast<size_t>(graph.num_arcs() + n));
+  lists.dst.reserve(static_cast<size_t>(graph.num_arcs() + n));
+  lists.src.assign(sources.begin(), sources.end());
+  for (NodeId v = 0; v < n; ++v) {
+    lists.dst.insert(lists.dst.end(),
+                     static_cast<size_t>(offsets[v + 1] - offsets[v]), v);
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    lists.src.push_back(v);
+    lists.dst.push_back(v);
+  }
+  return lists;
 }
 
 }  // namespace privim

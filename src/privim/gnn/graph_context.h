@@ -2,8 +2,18 @@
 //
 // Training revisits the same subgraphs every iteration, so the CSR operators
 // each GNN flavor needs (Eq. 2 influence aggregation, GCN-normalized
-// adjacency, mean/sum in-aggregation, raw arc lists for attention) are built
-// once per graph and shared across forward passes.
+// adjacency, mean/sum in-aggregation, raw arc lists for the max-cut
+// objective) are built once per graph and shared across forward passes.
+//
+// Attention (GAT/GRAT) needs no operator: it attends over the graph's arcs
+// plus one self-loop per node, and the compiled program reads those in
+// place from the graph's in-CSR, which the context borrows. The edge order
+// is fixed: edge k < num_arcs is the in-CSR's k-th entry, the arc
+// InCsrSources()[k] -> v with InCsrOffsets()[v] <= k < InCsrOffsets()[v + 1]
+// (destinations ascending, each one's sources ascending), and edge
+// num_arcs + v is v's self-loop. Without self-attention, a node with no
+// in-arcs would collapse to a constant (bias-only) embedding, which on
+// directed graphs destroys the per-node seed ranking.
 
 #ifndef PRIVIM_GNN_GRAPH_CONTEXT_H_
 #define PRIVIM_GNN_GRAPH_CONTEXT_H_
@@ -27,12 +37,15 @@ struct GraphContext {
     kGcnAdj = 1u << 1,
     kMeanInAdj = 1u << 2,
     kSumInAdj = 1u << 3,
-    kArcLists = 1u << 4,        ///< arc_src / arc_dst
-    kAttentionLists = 1u << 5,  ///< attention_src / attention_dst
-    kAllParts = (1u << 6) - 1,
+    kArcLists = 1u << 4,  ///< arc_src / arc_dst
+    kAllParts = (1u << 5) - 1,
   };
 
   int64_t num_nodes = 0;
+
+  /// The graph Build() read, borrowed: attention reads its in-CSR, so the
+  /// graph must outlive the context.
+  const Graph* graph = nullptr;
 
   /// The Part bits Build() assembled; the other members stay empty.
   uint32_t parts = 0;
@@ -55,15 +68,19 @@ struct GraphContext {
   std::vector<int32_t> arc_src;
   std::vector<int32_t> arc_dst;
 
-  /// Arcs plus one self-loop per node — the edge set attention layers
-  /// (GAT/GRAT) attend over. Without self-attention, a node with no
-  /// in-arcs would collapse to a constant (bias-only) embedding, which on
-  /// directed graphs destroys the per-node seed ranking.
-  std::vector<int32_t> attention_src;
-  std::vector<int32_t> attention_dst;
-
   static GraphContext Build(const Graph& graph, uint32_t parts = kAllParts);
+  /// A context borrows its graph, so a temporary cannot be its graph.
+  static GraphContext Build(Graph&& graph, uint32_t parts = kAllParts) = delete;
 };
+
+/// The attention edge set as parallel source and destination lists, in the
+/// order above. Only the tape's GAT/GRAT, the test oracle of the compiled
+/// program, materializes them, once per forward.
+struct AttentionLists {
+  std::vector<int32_t> src;
+  std::vector<int32_t> dst;
+};
+AttentionLists BuildAttentionLists(const Graph& graph);
 
 }  // namespace privim
 

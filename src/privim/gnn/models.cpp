@@ -1,5 +1,6 @@
 #include "privim/gnn/models.h"
 
+#include <memory>
 #include <utility>
 
 #include "privim/nn/ops.h"
@@ -201,27 +202,34 @@ class AttentionModel : public HeadedGnn {
 
   Variable Forward(const GraphContext& ctx,
                    const Variable& features) const override {
+    // The tape's ops view their index lists, so the lists ride on the
+    // output node and live as long as anything can run Backward() through
+    // this forward.
+    const auto lists =
+        std::make_shared<const AttentionLists>(BuildAttentionLists(*ctx.graph));
     Variable h = features;
     for (size_t l = 0; l < weights_.size(); ++l) {
       const Variable transformed = MatMul(h, weights_[l]);  // n x d
       // GATv1 trick: a^T [Wh_u || Wh_v] = (Wh_u . a_src) + (Wh_v . a_dst).
       const Variable score_src = MatMul(transformed, attn_src_[l]);  // n x 1
       const Variable score_dst = MatMul(transformed, attn_dst_[l]);  // n x 1
-      const Variable edge_scores = LeakyRelu(
-          Add(GatherRows(score_src, ctx.attention_src),
-              GatherRows(score_dst, ctx.attention_dst)),
-          config_.leaky_slope);
+      const Variable edge_scores =
+          LeakyRelu(Add(GatherRows(score_src, lists->src),
+                        GatherRows(score_dst, lists->dst)),
+                    config_.leaky_slope);
       const std::vector<int32_t>& norm_segments =
-          normalize_by_source_ ? ctx.attention_src : ctx.attention_dst;
+          normalize_by_source_ ? lists->src : lists->dst;
       const Variable alpha =
           SegmentSoftmax(edge_scores, norm_segments, ctx.num_nodes);
-      const Variable messages = MulColBroadcast(
-          alpha, GatherRows(transformed, ctx.attention_src));
+      const Variable messages =
+          MulColBroadcast(alpha, GatherRows(transformed, lists->src));
       const Variable aggregated =
-          SegmentSum(messages, ctx.attention_dst, ctx.num_nodes);
+          SegmentSum(messages, lists->dst, ctx.num_nodes);
       h = Relu(AddRowBroadcast(aggregated, biases_[l]));
     }
-    return Head(h);
+    Variable out = Head(h);
+    out.node()->keepalive = lists;
+    return out;
   }
 
  private:

@@ -18,10 +18,22 @@ Graph Graph::FromCsr(int64_t num_nodes, graph_internal::CsrParts parts,
   graph.out_offsets_ = std::move(parts.out_offsets);
   graph.out_neighbors_ = std::move(parts.out_neighbors);
   graph.out_weights_ = std::move(parts.out_weights);
-  graph.in_offsets_ = std::move(parts.in_offsets);
-  graph.in_neighbors_ = std::move(parts.in_neighbors);
-  graph.in_weights_ = std::move(parts.in_weights);
+  if (undirected) {
+    graph.in_offsets_ = std::vector<int64_t>();
+  } else {
+    graph.in_offsets_ = std::move(parts.in_offsets);
+    graph.in_neighbors_ = std::move(parts.in_neighbors);
+    graph.in_weights_ = std::move(parts.in_weights);
+  }
   return graph;
+}
+
+int64_t Graph::CsrBytes() const {
+  const auto bytes = [](const auto& array) {
+    return static_cast<int64_t>(array.size() * sizeof(array[0]));
+  };
+  return bytes(out_offsets_) + bytes(out_neighbors_) + bytes(out_weights_) +
+         bytes(in_offsets_) + bytes(in_neighbors_) + bytes(in_weights_);
 }
 
 bool Graph::HasArc(NodeId u, NodeId v) const {
@@ -81,7 +93,10 @@ Result<Graph> GraphBuilder::BuildParallel(
   tasks.reserve(task_edges.size());
   for (const std::vector<Edge>& task : task_edges) tasks.emplace_back(task);
   Result<graph_internal::CsrParts> parts = graph_internal::BuildCsrParallel(
-      num_nodes, tasks, /*expand_reverse=*/undirected, /*validate=*/true);
+      num_nodes, tasks,
+      undirected ? graph_internal::ArcSet::kExpandReverse
+                 : graph_internal::ArcSet::kDirected,
+      /*validate=*/true);
   if (!parts.ok()) return parts.status();
   task_edges.clear();
   return Graph::FromCsr(num_nodes, std::move(parts).value(), undirected);
@@ -110,7 +125,10 @@ Result<Graph> GraphBuilder::Build() {
                        static_cast<size_t>(std::min(per_task, num_arcs - begin)));
   }
   Result<graph_internal::CsrParts> parts = graph_internal::BuildCsrParallel(
-      num_nodes_, tasks, /*expand_reverse=*/false, /*validate=*/false);
+      num_nodes_, tasks,
+      undirected_ ? graph_internal::ArcSet::kSymmetric
+                  : graph_internal::ArcSet::kDirected,
+      /*validate=*/false);
   if (!parts.ok()) return parts.status();
   edges_.clear();
   edges_.shrink_to_fit();

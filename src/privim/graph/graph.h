@@ -3,9 +3,11 @@
 // The paper works on directed, edge-weighted graphs (Def. 1, Eq. 2): the
 // weight w_uv on edge (u, v) is the probability that u influences v under
 // the Independent Cascade model. Undirected inputs are symmetrized into two
-// directed arcs. Both out- and in-adjacency are materialized because
-// diffusion walks out-edges while GNN message passing aggregates in-edges
-// (Eq. 2 stores A_uv = w_vu for v in N_in(u)).
+// directed arcs. Diffusion walks out-edges while GNN message passing
+// aggregates in-edges (Eq. 2 stores A_uv = w_vu for v in N_in(u)), so a
+// directed graph materializes both adjacencies. An undirected graph is
+// symmetric — its in-CSR is byte-equal to its out-CSR — so it holds the
+// out-CSR alone, and its in-accessors read that.
 
 #ifndef PRIVIM_GRAPH_GRAPH_H_
 #define PRIVIM_GRAPH_GRAPH_H_
@@ -48,7 +50,8 @@ class Graph {
     return out_offsets_[v + 1] - out_offsets_[v];
   }
   int64_t InDegree(NodeId v) const {
-    return in_offsets_[v + 1] - in_offsets_[v];
+    const std::vector<int64_t>& offsets = in_offsets();
+    return offsets[v + 1] - offsets[v];
   }
 
   /// Successors of v (targets of out-arcs).
@@ -63,14 +66,23 @@ class Graph {
   }
   /// Predecessors of v (sources of in-arcs).
   std::span<const NodeId> InNeighbors(NodeId v) const {
-    return {in_neighbors_.data() + in_offsets_[v],
+    return {in_neighbors().data() + in_offsets()[v],
             static_cast<size_t>(InDegree(v))};
   }
   /// Weight of the arc (InNeighbors(v)[i], v) — i.e. w_uv for u -> v.
   std::span<const float> InWeights(NodeId v) const {
-    return {in_weights_.data() + in_offsets_[v],
+    return {in_weights().data() + in_offsets()[v],
             static_cast<size_t>(InDegree(v))};
   }
+
+  /// The whole in-CSR: InNeighbors(v) is InCsrSources()[InCsrOffsets()[v]
+  /// .. InCsrOffsets()[v + 1]). Attention kernels walk it in place.
+  std::span<const int64_t> InCsrOffsets() const { return in_offsets(); }
+  std::span<const NodeId> InCsrSources() const { return in_neighbors(); }
+
+  /// Bytes of the CSR arrays the graph holds: one direction when
+  /// undirected, both otherwise.
+  int64_t CsrBytes() const;
 
   /// Mean out-degree (equals mean in-degree).
   double AverageDegree() const {
@@ -105,11 +117,25 @@ class Graph {
   /// num_nodes + 1 entries, each out-row sorted by target with no duplicate
   /// and no self-loop, and the in-CSR holding the same arcs and weights,
   /// each in-row sorted by source. Pass `undirected` only when every arc
-  /// has its reverse (see undirected()).
+  /// has its reverse with the same weight (see undirected()): the out-CSR
+  /// is then the in-CSR, so the in-arrays are not adopted (they may be
+  /// empty) and the graph holds one direction.
   static Graph FromCsr(int64_t num_nodes, graph_internal::CsrParts parts,
                        bool undirected = false);
 
  private:
+  // An undirected graph's in-CSR is its out-CSR; its in_* members stay
+  // empty.
+  const std::vector<int64_t>& in_offsets() const {
+    return undirected_ ? out_offsets_ : in_offsets_;
+  }
+  const std::vector<NodeId>& in_neighbors() const {
+    return undirected_ ? out_neighbors_ : in_neighbors_;
+  }
+  const std::vector<float>& in_weights() const {
+    return undirected_ ? out_weights_ : in_weights_;
+  }
+
   int64_t num_nodes_ = 0;
   bool undirected_ = false;
   std::vector<int64_t> out_offsets_{0};

@@ -68,10 +68,11 @@ void StableSortRowByTarget(Edge* first, Edge* last) {
 
 Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
                                   std::span<const std::span<const Edge>> tasks,
-                                  bool expand_reverse, bool validate) {
+                                  ArcSet arcs, bool validate) {
+  const bool expand_reverse = arcs == ArcSet::kExpandReverse;
+  const bool symmetric = arcs != ArcSet::kDirected;
   CsrParts parts;
   parts.out_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
-  parts.in_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
 
   const ShardLayout layout = ShardLayout::For(num_nodes);
   const int64_t S = layout.num_shards;
@@ -153,9 +154,9 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
   // a stable sort of each row by target is the global stable sort
   // restricted to the shard. Degree counts write only to this shard's node
   // range (disjoint across workers); the (src shard, dst shard) counts feed
-  // phase 5, which a reverse-expanded build skips.
-  std::vector<int64_t> dst_counts(
-      expand_reverse ? 0 : static_cast<size_t>(S * S), 0);
+  // phase 5, which a symmetric build skips.
+  std::vector<int64_t> dst_counts(symmetric ? 0 : static_cast<size_t>(S * S),
+                                  0);
   pool.ParallelFor(static_cast<size_t>(S), [&](size_t s) {
     const int64_t base = layout.ShardBegin(static_cast<int64_t>(s));
     const int64_t rows = layout.ShardEnd(static_cast<int64_t>(s)) - base;
@@ -182,7 +183,7 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
     b.erase(std::unique(b.begin(), b.end(), EdgeSameEndpoints), b.end());
     for (const Edge& e : b) {
       ++parts.out_offsets[static_cast<size_t>(e.src) + 1];
-      if (!expand_reverse) {
+      if (!symmetric) {
         ++dst_counts[static_cast<size_t>(static_cast<int64_t>(s) * S +
                                          layout.ShardOf(e.dst))];
       }
@@ -208,18 +209,10 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
     }
   });
 
-  // A reverse-expanded build is symmetric: the first edge that names {u, v}
-  // in either orientation inserted both arcs with its weight, so keep-first
-  // dedup kept both with that weight. In-row v (the sources of arcs into v,
-  // ascending) is then out-row v (the targets of arcs out of v, ascending):
-  // copy it, and skip the rebucket and the counting sort.
-  if (expand_reverse) {
-    bucket.clear();
-    parts.in_offsets = parts.out_offsets;
-    parts.in_neighbors = parts.out_neighbors;
-    parts.in_weights = parts.out_weights;
-    return parts;
-  }
+  // A symmetric build's in-CSR is its out-CSR (see BuildCsrParallel's
+  // contract): it skips the rebucket and the counting sort, and holds no
+  // copy.
+  if (symmetric) return parts;
 
   // Phase 5: rebucket the deduped arcs by dst shard. Offsets are src-shard
   // major, and src shards are ascending node ranges, so every dst bucket
@@ -256,6 +249,7 @@ Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
   // Phase 6: in-degrees (dst lives in shard d: disjoint writes), prefix,
   // then a per-shard counting sort by dst. Walking each dst bucket in its
   // stored (src-ascending) order keeps every in-list sorted by source.
+  parts.in_offsets.assign(static_cast<size_t>(num_nodes) + 1, 0);
   pool.ParallelFor(static_cast<size_t>(S), [&](size_t d) {
     for (const Edge& e : dbucket[d]) {
       ++parts.in_offsets[static_cast<size_t>(e.dst) + 1];

@@ -69,7 +69,8 @@ struct ShardLayout {
 namespace graph_internal {
 
 /// The six CSR arrays of a graph, as BuildCsrParallel and InducedSubgraph
-/// produce them and Graph::FromCsr adopts them.
+/// produce them and Graph::FromCsr adopts them. A symmetric build leaves
+/// the in-arrays empty: its out-CSR is also its in-CSR.
 struct CsrParts {
   std::vector<int64_t> out_offsets;
   std::vector<NodeId> out_neighbors;
@@ -79,24 +80,37 @@ struct CsrParts {
   std::vector<float> in_weights;
 };
 
-/// Builds both CSR directions from the concatenation of `tasks` (task
-/// order, then insertion order within a task) on the global ThreadPool.
+/// What the arcs handed to BuildCsrParallel are.
+enum class ArcSet {
+  /// Directed arcs: both CSR directions are built.
+  kDirected,
+  /// Arcs that already hold every reverse, each inserted right after its
+  /// forward arc with its weight (an undirected GraphBuilder's AddEdge
+  /// order): the graph is symmetric, so only the out-CSR is built.
+  kSymmetric,
+  /// Edges each of which also contributes its reverse arc, inserted
+  /// immediately after the forward one; then as kSymmetric.
+  kExpandReverse,
+};
+
+/// Builds the CSR from the concatenation of `tasks` (task order, then
+/// insertion order within a task) on the global ThreadPool.
 ///
 /// Arcs come out in stable (src, dst) order, duplicates keep the first
 /// weight in concatenation order, and in-neighbor lists are sorted by
-/// source.
-/// When `expand_reverse` is set every edge also contributes its reverse
-/// arc, inserted immediately after the forward one (the AddEdge order for
-/// undirected builders); the graph is then symmetric, and the in-CSR is a
-/// copy of the out-CSR. When `validate` is set, endpoints are checked
-/// with the same error codes and messages AddEdge produces; pass false
-/// only for edges that already went through AddEdge.
+/// source. A symmetric arc set (see ArcSet) builds the out-CSR alone and
+/// leaves the in-arrays empty: the first edge that names {u, v} in either
+/// orientation inserted both arcs with its weight, so keep-first dedup
+/// keeps both with that weight, and in-row v (the sources of arcs into v,
+/// ascending) is byte-equal to out-row v. When `validate` is set,
+/// endpoints are checked with the same error codes and messages AddEdge
+/// produces; pass false only for edges that already went through AddEdge.
 ///
 /// Deterministic: the output depends only on (num_nodes, task contents,
 /// task order) — never on thread count.
 Result<CsrParts> BuildCsrParallel(int64_t num_nodes,
                                   std::span<const std::span<const Edge>> tasks,
-                                  bool expand_reverse, bool validate);
+                                  ArcSet arcs, bool validate);
 
 }  // namespace graph_internal
 

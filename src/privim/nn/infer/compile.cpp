@@ -69,7 +69,7 @@ class ProgramBuilder {
   }
 
   int AttnSoftmax(int score_src, int score_dst, float slope,
-                  SegArray segments) {
+                  Segments segments) {
     Instr in;
     in.op = OpCode::kAttnSoftmax;
     in.src0 = score_src;
@@ -120,6 +120,8 @@ class ProgramBuilder {
     InferProgram program;
     for (Instr& in : instrs_) {
       program.context_parts_ |= ContextPart(in);
+      program.reads_graph_ |= in.op == OpCode::kAttnSoftmax ||
+                              in.op == OpCode::kEdgeAggregate;
       in.weight_grad = grad_offset(in.weight);
       in.bias_grad = grad_offset(in.bias);
       in.scalar_grad = grad_offset(in.scalar_param);
@@ -161,7 +163,8 @@ class ProgramBuilder {
   }
 
  private:
-  /// The GraphContext operator `in` reads, if any.
+  /// The GraphContext operator `in` reads, if any. Attention reads the
+  /// context's graph, not an operator.
   static uint32_t ContextPart(const Instr& in) {
     switch (in.op) {
       case OpCode::kSpMM:
@@ -176,7 +179,6 @@ class ProgramBuilder {
         return 0;
       case OpCode::kAttnSoftmax:
       case OpCode::kEdgeAggregate:
-        return GraphContext::kAttentionLists;
       case OpCode::kDense:
       case OpCode::kConcat:
       case OpCode::kGinMix:
@@ -330,8 +332,8 @@ Result<InferProgram> CompileForInference(const GnnModel& model) {
         // GAT over a destination's incoming ones (Eq. 35).
         const int alpha = accum.AttnSoftmax(
             s_src, s_dst, cfg.leaky_slope,
-            cfg.kind == GnnKind::kGrat ? SegArray::kAttentionSrc
-                                       : SegArray::kAttentionDst);
+            cfg.kind == GnnKind::kGrat ? Segments::kBySource
+                                       : Segments::kByDestination);
         const int agg = accum.EdgeAggregate(alpha, t, hid);
         h = accum.BiasAct(agg, b.value(), Activation::kRelu, hid);
         break;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -89,25 +91,287 @@ void BiasActSweep(const float* bias, Activation act, int64_t rows,
   }
 }
 
-// The attention aggregation out[adst[e]] += alpha[e] * t[asrc[e]], edges
-// ascending. The tape rounds each scaled message to float (MulColBroadcast
-// of the gathered row) and then adds the messages per destination in edge
-// order (SegmentSum); this sweep performs that multiply and that add in
-// that order, and -ffp-contract=off keeps them two roundings, so the sums
-// are bit-identical without the (edges x d) message buffer.
+// LeakyReluValue(x, slope), x > 0 ? x : slope * x, with the select built
+// from bits: as a conditional the compiler branches on every score's sign.
+PRIVIM_ALWAYS_INLINE float LeakyReluSelect(float x, float slope) {
+  const uint32_t keep = 0u - static_cast<uint32_t>(x > 0.0f);
+  return std::bit_cast<float>((std::bit_cast<uint32_t>(x) & keep) |
+                              (std::bit_cast<uint32_t>(slope * x) & ~keep));
+}
+
+// GAT's attention weights (Eq. 35): the scores lrelu(s_src[u] + s_dst[v])
+// softmaxed over each destination's edges, in place. A destination's edges
+// are its in-row and then its self-loop, which is the order in which the
+// tape's SegmentSoftmax visits that segment, so each max, double exp-sum
+// and division is the tape's, in the tape's order, with no per-node table.
 PRIVIM_VEC_CLONES
-void EdgeAggregateKernel(int64_t num_edges, int64_t d,
-                         const int32_t* PRIVIM_RESTRICT asrc,
-                         const int32_t* PRIVIM_RESTRICT adst,
-                         const float* PRIVIM_RESTRICT alpha,
-                         const float* PRIVIM_RESTRICT t,
-                         float* PRIVIM_RESTRICT out) {
-  for (int64_t e = 0; e < num_edges; ++e) {
-    const float s = alpha[e];
-    const float* PRIVIM_RESTRICT trow = t + static_cast<int64_t>(asrc[e]) * d;
-    float* PRIVIM_RESTRICT orow = out + static_cast<int64_t>(adst[e]) * d;
-    for (int64_t j = 0; j < d; ++j) orow[j] += s * trow[j];
+void AttnSoftmaxByDestination(const AttentionEdges& edges,
+                              const float* PRIVIM_RESTRICT ssrc,
+                              const float* PRIVIM_RESTRICT sdst, float slope,
+                              float* PRIVIM_RESTRICT out) {
+  const int64_t n = edges.num_nodes;
+  const int64_t* PRIVIM_RESTRICT offsets = edges.offsets;
+  const int32_t* PRIVIM_RESTRICT sources = edges.sources;
+  float* PRIVIM_RESTRICT self = out + offsets[n];
+  for (int64_t v = 0; v < n; ++v) {
+    const int64_t begin = offsets[v];
+    const int64_t end = offsets[v + 1];
+    const float sv = sdst[v];
+    float max = -std::numeric_limits<float>::infinity();
+    for (int64_t k = begin; k < end; ++k) {
+      out[k] = LeakyReluSelect(ssrc[sources[k]] + sv, slope);
+      max = std::max(max, out[k]);
+    }
+    self[v] = LeakyReluSelect(ssrc[v] + sv, slope);
+    max = std::max(max, self[v]);
+    double sum = 0.0;
+    for (int64_t k = begin; k < end; ++k) {
+      out[k] = std::exp(out[k] - max);
+      sum += out[k];
+    }
+    self[v] = std::exp(self[v] - max);
+    sum += self[v];
+    const double denom = std::max(sum, 1e-30);
+    for (int64_t k = begin; k < end; ++k) {
+      out[k] = static_cast<float>(out[k] / denom);
+    }
+    self[v] = static_cast<float>(self[v] / denom);
   }
+}
+
+// GRAT's attention weights (Eq. 39): the scores softmaxed over each
+// source's edges, in place — the tape's SegmentSoftmax passes (max, exp
+// and double sum, division) over per-source tables, edges ascending. An
+// arc's segment is its in-CSR entry and a self-loop's is its node, so only
+// the scores read a destination.
+PRIVIM_VEC_CLONES
+void AttnSoftmaxBySource(const AttentionEdges& edges,
+                         const float* PRIVIM_RESTRICT ssrc,
+                         const float* PRIVIM_RESTRICT sdst, float slope,
+                         float* PRIVIM_RESTRICT seg_max, DoubleTable* seg_sum,
+                         float* PRIVIM_RESTRICT out) {
+  const int64_t n = edges.num_nodes;
+  const int64_t* PRIVIM_RESTRICT offsets = edges.offsets;
+  const int32_t* PRIVIM_RESTRICT sources = edges.sources;
+  const int64_t arcs = offsets[n];
+  float* PRIVIM_RESTRICT self = out + arcs;
+  std::fill(seg_max, seg_max + n, -std::numeric_limits<float>::infinity());
+  for (int64_t v = 0; v < n; ++v) {
+    const float sv = sdst[v];
+    for (int64_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+      out[k] = LeakyReluSelect(ssrc[sources[k]] + sv, slope);
+      seg_max[sources[k]] = std::max(seg_max[sources[k]], out[k]);
+    }
+  }
+  for (int64_t v = 0; v < n; ++v) {
+    self[v] = LeakyReluSelect(ssrc[v] + sdst[v], slope);
+    seg_max[v] = std::max(seg_max[v], self[v]);
+  }
+  for (int64_t k = 0; k < arcs; ++k) {
+    out[k] = std::exp(out[k] - seg_max[sources[k]]);
+    seg_sum->Add(sources[k], out[k]);
+  }
+  for (int64_t v = 0; v < n; ++v) {
+    self[v] = std::exp(self[v] - seg_max[v]);
+    seg_sum->Add(v, self[v]);
+  }
+  for (int64_t k = 0; k < arcs; ++k) {
+    const double denom = std::max((*seg_sum)[sources[k]], 1e-30);
+    out[k] = static_cast<float>(out[k] / denom);
+  }
+  for (int64_t v = 0; v < n; ++v) {
+    const double denom = std::max((*seg_sum)[v], 1e-30);
+    self[v] = static_cast<float>(self[v] / denom);
+  }
+}
+
+// The softmax pullback, in place: g enters as the weights' gradient and
+// leaves as the scores' — g[e] = alpha[e] * (g[e] - sum over e's segment
+// of alpha * g), the sum in double over the segment's edges in edge
+// order. GAT's segments are its destinations, summed in registers; GRAT's
+// are its sources, summed in a table.
+PRIVIM_VEC_CLONES
+void AttnSoftmaxGradByDestination(const AttentionEdges& edges,
+                                  const float* PRIVIM_RESTRICT alpha,
+                                  float* PRIVIM_RESTRICT g) {
+  const int64_t n = edges.num_nodes;
+  const int64_t* PRIVIM_RESTRICT offsets = edges.offsets;
+  const int64_t arcs = offsets[n];
+  for (int64_t v = 0; v < n; ++v) {
+    const int64_t begin = offsets[v];
+    const int64_t end = offsets[v + 1];
+    double dot = 0.0;
+    for (int64_t k = begin; k < end; ++k) {
+      dot += static_cast<double>(alpha[k]) * g[k];
+    }
+    dot += static_cast<double>(alpha[arcs + v]) * g[arcs + v];
+    const float segment = static_cast<float>(dot);
+    for (int64_t k = begin; k < end; ++k) g[k] = alpha[k] * (g[k] - segment);
+    g[arcs + v] = alpha[arcs + v] * (g[arcs + v] - segment);
+  }
+}
+
+PRIVIM_VEC_CLONES
+void AttnSoftmaxGradBySource(const AttentionEdges& edges,
+                             const float* PRIVIM_RESTRICT alpha,
+                             DoubleTable* seg_dot, float* PRIVIM_RESTRICT g) {
+  const int64_t n = edges.num_nodes;
+  const int64_t arcs = edges.num_arcs();
+  const int32_t* PRIVIM_RESTRICT sources = edges.sources;
+  for (int64_t k = 0; k < arcs; ++k) {
+    seg_dot->Add(sources[k], static_cast<double>(alpha[k]) * g[k]);
+  }
+  for (int64_t v = 0; v < n; ++v) {
+    seg_dot->Add(v, static_cast<double>(alpha[arcs + v]) * g[arcs + v]);
+  }
+  for (int64_t k = 0; k < arcs; ++k) {
+    g[k] = alpha[k] * (g[k] - static_cast<float>((*seg_dot)[sources[k]]));
+  }
+  for (int64_t v = 0; v < n; ++v) {
+    g[arcs + v] = alpha[arcs + v] *
+                  (g[arcs + v] - static_cast<float>((*seg_dot)[v]));
+  }
+}
+
+// LeakyReLU's derivative at x, x > 0 ? 1 : slope, selected from bits.
+PRIVIM_ALWAYS_INLINE float LeakyReluSlope(float x, float slope) {
+  const uint32_t keep = 0u - static_cast<uint32_t>(x > 0.0f);
+  return std::bit_cast<float>((std::bit_cast<uint32_t>(1.0f) & keep) |
+                              (std::bit_cast<uint32_t>(slope) & ~keep));
+}
+
+// The score pullback: LeakyReLU's derivative, from the pre-activation
+// s_src[u] + s_dst[v] recomputed with the forward's float add, times the
+// scores' gradient dscore, handed on as 0 + d (the tape's Add) and
+// scatter-added onto both projections, edges ascending (the tape's two
+// GatherRows pullbacks onto zeros).
+PRIVIM_VEC_CLONES
+void AttnScoreGrad(const AttentionEdges& edges,
+                   const float* PRIVIM_RESTRICT dscore,
+                   const float* PRIVIM_RESTRICT ssrc,
+                   const float* PRIVIM_RESTRICT sdst, float slope,
+                   float* PRIVIM_RESTRICT dsrc, float* PRIVIM_RESTRICT ddst) {
+  const int64_t n = edges.num_nodes;
+  const int64_t* PRIVIM_RESTRICT offsets = edges.offsets;
+  const int32_t* PRIVIM_RESTRICT sources = edges.sources;
+  for (int64_t v = 0; v < n; ++v) {
+    const float sv = sdst[v];
+    for (int64_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+      const float d =
+          0.0f + dscore[k] * LeakyReluSlope(ssrc[sources[k]] + sv, slope);
+      dsrc[sources[k]] += d;
+      ddst[v] += d;
+    }
+  }
+  const float* PRIVIM_RESTRICT self = dscore + offsets[n];
+  for (int64_t v = 0; v < n; ++v) {
+    const float d = 0.0f + self[v] * LeakyReluSlope(ssrc[v] + sdst[v], slope);
+    dsrc[v] += d;
+    ddst[v] += d;
+  }
+}
+
+// acc[q] += alpha * trow[8q .. 8q + 7], q < kVecs: one edge's scaled
+// source row, added to a destination's row block in registers.
+template <int kVecs>
+PRIVIM_ALWAYS_INLINE void AddScaledRow(const float* alpha, const float* trow,
+                                       nn::Lanes8* acc) {
+  nn::Lanes8 s;
+  nn::Broadcast(alpha, &s);
+#pragma GCC unroll 4
+  for (int q = 0; q < kVecs; ++q) {
+    nn::Lanes8 x;
+    nn::LoadLanes(trow + 8 * q, &x);
+    acc[q] += s * x;
+  }
+}
+
+// Columns [j, j + 8 * kVecs) of every destination's aggregate. The block
+// starts at +0 (the tape's zeroed SegmentSum row), takes each edge's
+// scaled source row — the destination's in-row, then its self-loop — and
+// is stored once.
+template <int kVecs>
+PRIVIM_ALWAYS_INLINE void AggregateColumns(const AttentionEdges& edges,
+                                           int64_t d, int64_t j,
+                                           const float* alpha, const float* t,
+                                           float* out) {
+  const int64_t n = edges.num_nodes;
+  const int64_t arcs = edges.num_arcs();
+  for (int64_t v = 0; v < n; ++v) {
+    nn::Lanes8 acc[kVecs];
+#pragma GCC unroll 4
+    for (int q = 0; q < kVecs; ++q) acc[q] = nn::Lanes8{};
+    for (int64_t k = edges.offsets[v]; k < edges.offsets[v + 1]; ++k) {
+      AddScaledRow<kVecs>(alpha + k,
+                          t + static_cast<int64_t>(edges.sources[k]) * d + j,
+                          acc);
+    }
+    AddScaledRow<kVecs>(alpha + arcs + v, t + v * d + j, acc);
+#pragma GCC unroll 4
+    for (int q = 0; q < kVecs; ++q) {
+      nn::StoreLanes(acc[q], out + v * d + j + 8 * q);
+    }
+  }
+}
+
+// AddScaledRow for the first `count` < 8 columns, loaded zero-padded.
+PRIVIM_ALWAYS_INLINE void AddScaledTail(const float* alpha, const float* trow,
+                                        int64_t count, nn::Lanes8* acc) {
+  nn::Lanes8 s, x;
+  nn::Broadcast(alpha, &s);
+  nn::LoadFirstLanes(trow, count, &x);
+  *acc += s * x;
+}
+
+// AggregateColumns for the last `count` < 8 columns; only the valid lanes
+// are stored.
+PRIVIM_ALWAYS_INLINE void AggregateTailColumns(const AttentionEdges& edges,
+                                               int64_t d, int64_t j,
+                                               int64_t count,
+                                               const float* alpha,
+                                               const float* t, float* out) {
+  const int64_t n = edges.num_nodes;
+  const int64_t arcs = edges.num_arcs();
+  for (int64_t v = 0; v < n; ++v) {
+    nn::Lanes8 acc = nn::Lanes8{};
+    for (int64_t k = edges.offsets[v]; k < edges.offsets[v + 1]; ++k) {
+      AddScaledTail(alpha + k,
+                    t + static_cast<int64_t>(edges.sources[k]) * d + j, count,
+                    &acc);
+    }
+    AddScaledTail(alpha + arcs + v, t + v * d + j, count, &acc);
+    nn::StoreFirstLanes(acc, count, out + v * d + j);
+  }
+}
+
+// The attention aggregation out[v] = sum over v's edges u -> v of alpha[e]
+// * t[u]. The tape rounds each scaled message to float (MulColBroadcast of
+// the gathered row) and then adds the messages per destination in edge
+// order onto a zeroed row (SegmentSum); each lane here performs that
+// multiply and that add, in that order, and -ffp-contract=off keeps them
+// two roundings, so the sums are bit-identical without the (edges x d)
+// message buffer. The destination's row stays in registers, 32 columns at
+// a time, across its edges.
+PRIVIM_VEC_CLONES
+void EdgeAggregateKernel(const AttentionEdges& edges, int64_t d,
+                         const float* alpha, const float* t, float* out) {
+  int64_t j = 0;
+  for (; j + 32 <= d; j += 32) AggregateColumns<4>(edges, d, j, alpha, t, out);
+  switch ((d - j) / 8) {
+    case 3:
+      AggregateColumns<3>(edges, d, j, alpha, t, out);
+      break;
+    case 2:
+      AggregateColumns<2>(edges, d, j, alpha, t, out);
+      break;
+    case 1:
+      AggregateColumns<1>(edges, d, j, alpha, t, out);
+      break;
+    default:
+      break;
+  }
+  j += (d - j) / 8 * 8;
+  if (j < d) AggregateTailColumns(edges, d, j, d - j, alpha, t, out);
 }
 
 // Adds the widened products of columns j..j+count-1 to eight edges' dots:
@@ -130,29 +394,48 @@ PRIVIM_ALWAYS_INLINE void AddWidenedProducts(const nn::Lanes8* p,
 // dalpha[e], and scales the row by alpha[e] into the gathered rows'
 // gradient, which GatherRows scatter-adds onto the source nodes, edges
 // ascending. This performs those operations without the (edges x d)
-// buffers: first every dot product, eight edges at a time — the float
-// products of eight g and t rows, an 8 x 8 block per eight columns,
-// transposed so that a lane is an edge, then widened and added in j order
-// (lanes past the last edge repeat it and are not stored; a column tail is
-// loaded zero-padded and only its valid columns are added) — then the
-// scatter in edge order. `dt` must be zero on entry.
+// buffers, eight edges at a time: the dot products — the float products
+// of eight g and t rows, an 8 x 8 block per eight columns, transposed so
+// that a lane is an edge, then widened and added in j order (lanes past
+// the last edge repeat it and are not stored; a column tail is loaded
+// zero-padded and only its valid columns are added) — then the block's
+// scatter, edge by edge, so every row of dt still takes its terms in edge
+// order. An arc's source is its in-CSR entry and its destination comes
+// from a cursor over the offsets, which only moves forward (one
+// conditional step, not a branch, covers an arc that starts the next
+// row; the loop only runs past empty rows); a self-loop's ends are its
+// node. `dt` must be zero on entry.
 PRIVIM_VEC_CLONES
-void EdgeAggregateGradKernel(int64_t num_edges, int64_t d,
-                             const int32_t* PRIVIM_RESTRICT asrc,
-                             const int32_t* PRIVIM_RESTRICT adst,
+void EdgeAggregateGradKernel(const AttentionEdges& edges, int64_t d,
                              const float* PRIVIM_RESTRICT alpha,
                              const float* PRIVIM_RESTRICT t,
                              const float* PRIVIM_RESTRICT g,
                              float* PRIVIM_RESTRICT dalpha,
                              float* PRIVIM_RESTRICT dt) {
+  const int64_t n = edges.num_nodes;
+  const int64_t* PRIVIM_RESTRICT offsets = edges.offsets;
+  const int32_t* PRIVIM_RESTRICT sources = edges.sources;
+  const int64_t arcs = offsets[n];
+  const int64_t num_edges = arcs + n;
+  int64_t cursor = 0;  // the destination of the last arc looked up
   for (int64_t e = 0; e < num_edges; e += 8) {
     const int64_t count = std::min<int64_t>(8, num_edges - e);
     const float* grow[8];
     const float* trow[8];
+    float* drow[8];
     for (int r = 0; r < 8; ++r) {
       const int64_t edge = e + (r < count ? r : count - 1);
-      grow[r] = g + static_cast<int64_t>(adst[edge]) * d;
-      trow[r] = t + static_cast<int64_t>(asrc[edge]) * d;
+      int64_t u = edge - arcs;
+      int64_t v = u;
+      if (edge < arcs) {
+        cursor += offsets[cursor + 1] <= edge;
+        while (offsets[cursor + 1] <= edge) ++cursor;
+        u = sources[edge];
+        v = cursor;
+      }
+      grow[r] = g + v * d;
+      trow[r] = t + u * d;
+      drow[r] = dt + u * d;
     }
     nn::Doubles4 lo = nn::Doubles4{};
     nn::Doubles4 hi = nn::Doubles4{};
@@ -181,12 +464,12 @@ void EdgeAggregateGradKernel(int64_t num_edges, int64_t d,
     } else {
       nn::StoreFirstLanes(dots, count, dalpha + e);
     }
-  }
-  for (int64_t e = 0; e < num_edges; ++e) {
-    const float s = alpha[e];
-    const float* PRIVIM_RESTRICT grow = g + static_cast<int64_t>(adst[e]) * d;
-    float* PRIVIM_RESTRICT drow = dt + static_cast<int64_t>(asrc[e]) * d;
-    for (int64_t j = 0; j < d; ++j) drow[j] += s * grow[j];
+    for (int64_t r = 0; r < count; ++r) {
+      const float s = alpha[e + r];
+      const float* PRIVIM_RESTRICT gr = grow[r];
+      float* PRIVIM_RESTRICT dr = drow[r];
+      for (int64_t c = 0; c < d; ++c) dr[c] += s * gr[c];
+    }
   }
 }
 
@@ -259,13 +542,34 @@ void Contribute(int slot, Tensor&& delta, Scratch* scratch) {
 
 }  // namespace
 
+AttentionEdges AttentionEdges::Of(const Graph& graph) {
+  return {graph.num_nodes(), graph.InCsrOffsets().data(),
+          graph.InCsrSources().data()};
+}
+
 void EdgeAggregateGradInto(const Tensor& alpha, const Tensor& t,
-                           const Tensor& g, const int32_t* asrc,
-                           const int32_t* adst, Tensor* dalpha, Tensor* dt) {
-  assert(alpha.cols() == 1 && dalpha->SameShape(alpha));
-  assert(g.cols() == t.cols() && dt->SameShape(t));
-  EdgeAggregateGradKernel(alpha.rows(), t.cols(), asrc, adst, alpha.data(),
-                          t.data(), g.data(), dalpha->data(), dt->data());
+                           const Tensor& g, const AttentionEdges& edges,
+                           Tensor* dalpha, Tensor* dt) {
+  assert(alpha.cols() == 1 && alpha.rows() == edges.num_edges() &&
+         dalpha->SameShape(alpha));
+  assert(g.cols() == t.cols() && g.rows() == edges.num_nodes &&
+         dt->SameShape(t));
+  EdgeAggregateGradKernel(edges, t.cols(), alpha.data(), t.data(), g.data(),
+                          dalpha->data(), dt->data());
+}
+
+Status InferProgram::CheckContext(const GraphContext& ctx) const {
+  if ((ctx.parts & context_parts_) != context_parts_) {
+    return Status::InvalidArgument(
+        "graph context lacks operators the compiled program reads");
+  }
+  if (reads_graph_ &&
+      (ctx.graph == nullptr || ctx.graph->num_nodes() != ctx.num_nodes)) {
+    return Status::InvalidArgument(
+        "graph context borrows no graph of its node count for the compiled "
+        "program's attention to read");
+  }
+  return Status::OK();
 }
 
 Status InferProgram::Execute(const GraphContext& ctx, Tensor features,
@@ -284,12 +588,11 @@ Status InferProgram::Execute(const GraphContext& ctx, Tensor features,
         " columns but the compiled model expects input_dim = " +
         std::to_string(input_dim_));
   }
-  if ((ctx.parts & context_parts_) != context_parts_) {
-    return Status::InvalidArgument(
-        "graph context lacks operators the compiled program reads");
-  }
+  PRIVIM_RETURN_NOT_OK(CheckContext(ctx));
   const int64_t n = ctx.num_nodes;
-  const int64_t num_edges = static_cast<int64_t>(ctx.attention_src.size());
+  const AttentionEdges edges =
+      reads_graph_ ? AttentionEdges::Of(*ctx.graph) : AttentionEdges{};
+  const int64_t num_edges = reads_graph_ ? edges.num_edges() : 0;
 
   // Route every slot (re)allocation through the scratch's arena: slot
   // assignment recycles the old buffer and acquires a same-class one, so a
@@ -359,28 +662,25 @@ Status InferProgram::Execute(const GraphContext& ctx, Tensor features,
       }
 
       case OpCode::kAttnSoftmax: {
-        // Gathered src + dst projections through LeakyRelu, one edge sweep
+        // The src + dst projections through LeakyRelu, one edge sweep
         // instead of two gathers, an add and a pointwise op on the tape;
         // then the tape's SegmentSoftmax over those scores, in place.
-        const Tensor& ssrc = slots[static_cast<size_t>(in.src0)];
-        const Tensor& sdst = slots[static_cast<size_t>(in.src1)];
-        const int32_t* asrc = ctx.attention_src.data();
-        const int32_t* adst = ctx.attention_dst.data();
-        for (int64_t e = 0; e < num_edges; ++e) {
-          dst.at(e, 0) = nn::LeakyReluValue(
-              ssrc.at(asrc[e], 0) + sdst.at(adst[e], 0), in.scalar);
+        const float* ssrc = slots[static_cast<size_t>(in.src0)].data();
+        const float* sdst = slots[static_cast<size_t>(in.src1)].data();
+        if (in.segments == Segments::kByDestination) {
+          AttnSoftmaxByDestination(edges, ssrc, sdst, in.scalar, dst.data());
+        } else {
+          Tensor seg_max = Tensor::Uninitialized(n, 1);
+          DoubleTable seg_sum(n);
+          AttnSoftmaxBySource(edges, ssrc, sdst, in.scalar, seg_max.data(),
+                              &seg_sum, dst.data());
         }
-        SegmentSoftmaxValuesInto(
-            dst, in.segments == SegArray::kAttentionSrc ? asrc : adst, n,
-            &dst);
         break;
       }
 
       case OpCode::kEdgeAggregate: {
         const Tensor& t = slots[static_cast<size_t>(in.src1)];
-        dst.Fill(0.0f);
-        EdgeAggregateKernel(num_edges, t.cols(), ctx.attention_src.data(),
-                            ctx.attention_dst.data(),
+        EdgeAggregateKernel(edges, t.cols(),
                             slots[static_cast<size_t>(in.src0)].data(),
                             t.data(), dst.data());
         break;
@@ -416,12 +716,11 @@ Status InferProgram::Execute(const GraphContext& ctx, Tensor features,
 Status InferProgram::Backward(const GraphContext& ctx, const Tensor& dscores,
                               Scratch* scratch,
                               std::vector<float>* grad) const {
-  if ((ctx.parts & context_parts_) != context_parts_) {
-    return Status::InvalidArgument(
-        "graph context lacks operators the compiled program reads");
-  }
+  PRIVIM_RETURN_NOT_OK(CheckContext(ctx));
   const int64_t n = ctx.num_nodes;
-  const int64_t num_edges = static_cast<int64_t>(ctx.attention_src.size());
+  const AttentionEdges edges =
+      reads_graph_ ? AttentionEdges::Of(*ctx.graph) : AttentionEdges{};
+  const int64_t num_edges = reads_graph_ ? edges.num_edges() : 0;
   std::vector<Tensor>& slots = scratch->slots;
   // A released slot is 0 x 0, and every buffer has at least one column.
   bool retained = slots.size() == buffers_.size();
@@ -443,9 +742,6 @@ Status InferProgram::Backward(const GraphContext& ctx, const Tensor& dscores,
         std::to_string(dscores.cols()) + ", the program's output is " +
         std::to_string(out.rows()) + "x" + std::to_string(out.cols()));
   }
-  const int32_t* asrc = ctx.attention_src.data();
-  const int32_t* adst = ctx.attention_dst.data();
-
   nn::ArenaScope scope(&scratch->pools);
   std::vector<Tensor>& grads = scratch->grads;
   grads.resize(buffers_.size());
@@ -536,26 +832,23 @@ Status InferProgram::Backward(const GraphContext& ctx, const Tensor& dscores,
       case OpCode::kAttnSoftmax: {
         // Tape: SegmentSoftmax(LeakyRelu(Add(GatherRows(s_src),
         // GatherRows(s_dst)))). The softmax pullback reads only the
-        // weights, which the slot holds; it writes the scores' gradient
-        // into a temporary. LeakyRelu's derivative comes from the
-        // pre-activation sum; Add hands each gather 0 + d, and each gather
-        // scatter-adds onto zeros.
+        // weights, which the slot holds, and the weights' gradient, which
+        // it turns into the scores' gradient in place. LeakyRelu's
+        // derivative comes from the pre-activation sum; Add hands each
+        // gather 0 + d, and each gather scatter-adds onto zeros.
         if (!requires_grad(in.src0) && !requires_grad(in.src1)) break;
-        Tensor dscore = Tensor::Uninitialized(num_edges, 1);
-        SegmentSoftmaxGradInto(
-            y, g, in.segments == SegArray::kAttentionSrc ? asrc : adst, n,
-            &dscore);
-        const Tensor& ssrc = slots[static_cast<size_t>(in.src0)];
-        const Tensor& sdst = slots[static_cast<size_t>(in.src1)];
+        if (in.segments == Segments::kByDestination) {
+          AttnSoftmaxGradByDestination(edges, y.data(), g.data());
+        } else {
+          DoubleTable seg_dot(n);
+          AttnSoftmaxGradBySource(edges, y.data(), &seg_dot, g.data());
+        }
         Tensor dsrc = Tensor::Zeros(n, 1);
         Tensor ddst = Tensor::Zeros(n, 1);
-        for (int64_t e = 0; e < num_edges; ++e) {
-          const float pre = ssrc.at(asrc[e], 0) + sdst.at(adst[e], 0);
-          const float d =
-              0.0f + dscore.at(e, 0) * (pre > 0.0f ? 1.0f : in.scalar);
-          dsrc.at(asrc[e], 0) += d;
-          ddst.at(adst[e], 0) += d;
-        }
+        AttnScoreGrad(edges, g.data(),
+                      slots[static_cast<size_t>(in.src0)].data(),
+                      slots[static_cast<size_t>(in.src1)].data(), in.scalar,
+                      dsrc.data(), ddst.data());
         if (requires_grad(in.src0)) {
           Contribute(in.src0, std::move(dsrc), scratch);
         }
@@ -569,8 +862,8 @@ Status InferProgram::Backward(const GraphContext& ctx, const Tensor& dscores,
         const Tensor& t = slots[static_cast<size_t>(in.src1)];
         Tensor dalpha = Tensor::Uninitialized(num_edges, 1);
         Tensor dt = Tensor::Zeros(t.rows(), t.cols());
-        EdgeAggregateGradInto(slots[static_cast<size_t>(in.src0)], t, g, asrc,
-                              adst, &dalpha, &dt);
+        EdgeAggregateGradInto(slots[static_cast<size_t>(in.src0)], t, g,
+                              edges, &dalpha, &dt);
         if (requires_grad(in.src0)) {
           Contribute(in.src0, std::move(dalpha), scratch);
         }

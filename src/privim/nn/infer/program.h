@@ -27,15 +27,23 @@
 // are bit-identical to the tape under the repo-wide -ffp-contract=off
 // contract (pinned by tests/nn/infer_checker_test.cpp at exact match).
 //
-// Attention is two instructions per layer. kAttnSoftmax writes every
+// Attention is two instructions per layer, and both read the attention
+// edges in place from the graph the context borrows (AttentionEdges): the
+// in-CSR's arcs, destinations ascending, then one self-loop per node —
+// the order in which the tape's GAT/GRAT lists them (BuildAttentionLists,
+// gnn/graph_context.h). So every per-destination sum, every per-segment
+// softmax and every scatter below adds in the tape's edge order, and no
+// edge list is ever copied out of the graph. kAttnSoftmax writes every
 // edge's LeakyReLU score into its (edges x 1) slot and softmaxes it there
-// in place (SegmentSoftmaxValuesInto reads each score before it writes
-// that element), so scores and weights share one edge buffer. Where the
-// tape then gathers every edge's source row, scales it by alpha and
-// segment-sums the (edges x hidden) messages, kEdgeAggregate adds each
-// scaled row straight into its destination, in the same edge order, so no
-// per-edge hidden-width buffer exists. An attention layer therefore holds
-// one edge buffer, one column wide.
+// in place, so scores and weights share one edge buffer: GAT normalizes
+// over a destination's edges, which are its in-row and its self-loop, in
+// registers; GRAT over a source's, with per-node tables drawn from the
+// scratch's arena. Where the tape then gathers every edge's source row,
+// scales it by alpha and segment-sums the (edges x hidden) messages,
+// kEdgeAggregate accumulates each destination's row in registers across
+// its in-row and self-loop and stores it once, so no per-edge
+// hidden-width buffer exists. An attention layer therefore holds one edge
+// buffer, one column wide.
 //
 // Buffers are typed by row domain — kNodes (n rows) or kEdges (one row per
 // attention edge) — with a fixed column count; actual row counts bind to
@@ -63,14 +71,17 @@
 //   * dot products keep the tape's precision (the float product widened
 //     to double in MulColBroadcast and ScaleByScalar, the per-segment
 //     double in SegmentSoftmax);
-//   * kAttnSoftmax's pullback is the tape's two: the softmax pullback into
-//     an arena temporary (the forward kept only the weights, which is all
-//     SegmentSoftmaxGradInto reads), then the score pullback, with
-//     LeakyReLU's derivative taken from the pre-activation s_src + s_dst,
-//     recomputed with the forward's float add;
+//   * kAttnSoftmax's pullback is the tape's two: the softmax pullback, in
+//     place over the weights' gradient (the forward kept only the
+//     weights, which is all it reads besides that gradient), then the
+//     score pullback, with LeakyReLU's derivative taken from the
+//     pre-activation s_src + s_dst, recomputed with the forward's float
+//     add;
 //   * the attention aggregation's dots run eight edges at a time, one edge
 //     per lane (EdgeAggregateGradInto): each lane adds its widened
-//     products in j order, which is the tape's per-edge double chain;
+//     products in j order, which is the tape's per-edge double chain. An
+//     edge's source is its in-CSR entry, and its destination comes from a
+//     cursor over the offsets;
 //   * a kDense weight's gradient is written straight into its span of the
 //     flat gradient (MatMulATBInto), and the input's gradient runs the
 //     a * b tiles on the weight's transpose (MatMulABT), packed in
@@ -85,6 +96,7 @@
 
 #include "privim/common/status.h"
 #include "privim/gnn/graph_context.h"
+#include "privim/graph/graph.h"
 #include "privim/nn/arena.h"
 #include "privim/nn/tensor.h"
 
@@ -97,9 +109,12 @@ enum class OpCode {
   kConcat,          ///< dst = [src0 | src1]
   kGinMix,          ///< dst = src0 + src1 * (1 + omega), omega = *scalar_param
   /// dst = softmax within `segments` of the edge scores
-  /// lrelu(src0[asrc[e]] + src1[adst[e]], scalar), computed in dst
+  /// lrelu(src0[u] + src1[v], scalar) of the attention edges u -> v,
+  /// computed in dst
   kAttnSoftmax,
-  kEdgeAggregate,   ///< dst[adst[e]] += src0[e] * src1[asrc[e]], e ascending
+  /// dst[v] = the sum over v's attention edges e = u -> v, in edge order,
+  /// of src0[e] * src1[u]
+  kEdgeAggregate,
   kBiasAct,         ///< dst = act(src0 + bias row)
 };
 
@@ -108,8 +123,10 @@ const char* OpCodeName(OpCode op);
 /// Which precomputed GraphContext operator a kSpMM reads.
 enum class AdjKind { kGcn, kMeanIn, kSumIn };
 
-/// Which GraphContext index array a segment op groups by.
-enum class SegArray { kAttentionSrc, kAttentionDst };
+/// Whose attention edges a kAttnSoftmax normalizes over: a source's
+/// outgoing ones (GRAT, Eq. 39) or a destination's incoming ones (GAT,
+/// Eq. 35).
+enum class Segments { kBySource, kByDestination };
 
 enum class Activation { kNone, kRelu, kSigmoid };
 
@@ -130,7 +147,7 @@ struct Instr {
   int64_t scalar_grad = -1;
   Activation act = Activation::kNone;
   AdjKind adj = AdjKind::kGcn;                   ///< kSpMM
-  SegArray segments = SegArray::kAttentionDst;   ///< kAttnSoftmax
+  Segments segments = Segments::kByDestination;  ///< kAttnSoftmax
   float scalar = 0.0f;                           ///< kAttnSoftmax leaky slope
 };
 
@@ -171,21 +188,37 @@ using StepObserver =
     std::function<void(size_t step, const Instr& instr,
                        const std::vector<Tensor>& slots)>;
 
+/// A graph's attention edges, read in place from its in-CSR in the order
+/// gnn/graph_context.h fixes: edge k < num_arcs() is the arc sources[k] ->
+/// v for the v with offsets[v] <= k < offsets[v + 1], and edge num_arcs()
+/// + v is v's self-loop.
+struct AttentionEdges {
+  int64_t num_nodes = 0;
+  const int64_t* offsets = nullptr;  ///< num_nodes + 1 entries
+  const int32_t* sources = nullptr;  ///< num_arcs() entries
+
+  int64_t num_arcs() const { return offsets[num_nodes]; }
+  int64_t num_edges() const { return num_arcs() + num_nodes; }
+
+  static AttentionEdges Of(const Graph& graph);
+};
+
 /// The kEdgeAggregate pullback Backward() runs, for the output gradient g
-/// (n x d) of out[adst[e]] += alpha[e] * t[asrc[e]]: dalpha[e] (E x 1) is
-/// the double sum over j ascending of the float products g[adst[e]][j] *
-/// t[asrc[e]][j], rounded to float, and dt[asrc[e]] += alpha[e] *
-/// g[adst[e]], e ascending. `dt` is shaped like t and must be zero on
-/// entry; `dalpha` is overwritten.
+/// (n x d) of out[v] += alpha[e] * t[u] over the attention edges e = u ->
+/// v: dalpha[e] (E x 1) is the double sum over j ascending of the float
+/// products g[v][j] * t[u][j], rounded to float, and dt[u] += alpha[e] *
+/// g[v], e ascending. `dt` is shaped like t and must be zero on entry;
+/// `dalpha` is overwritten.
 void EdgeAggregateGradInto(const Tensor& alpha, const Tensor& t,
-                           const Tensor& g, const int32_t* asrc,
-                           const int32_t* adst, Tensor* dalpha, Tensor* dt);
+                           const Tensor& g, const AttentionEdges& edges,
+                           Tensor* dalpha, Tensor* dt);
 
 /// A compiled model. Immutable after compilation; safe to Execute from many
 /// threads concurrently as long as each call brings its own Scratch.
 class InferProgram {
  public:
   /// Runs the program over `ctx` / `features` ((ctx.num_nodes x input_dim)),
+  /// reading attention from the graph `ctx` borrows.
   /// writing the (n x 1) output into *out. `out` keeps its storage when the
   /// caller reuses it across calls (no allocation once capacities warm up).
   /// `features` becomes slot 0: move a matrix in when nothing else reads
@@ -213,7 +246,8 @@ class InferProgram {
                   Scratch* scratch, std::vector<float>* grad) const;
 
   /// The GraphContext::Part bits Execute() reads; a context built with at
-  /// least these runs the program.
+  /// least these runs the program. Attention reads no part, only the
+  /// context's graph.
   uint32_t context_parts() const { return context_parts_; }
 
   /// Length of Backward()'s flat gradient: the model's scalar parameters.
@@ -228,6 +262,10 @@ class InferProgram {
  private:
   friend class ProgramBuilder;
 
+  /// InvalidArgument unless `ctx` holds the parts the program reads and,
+  /// when the program attends, borrows a graph of its node count.
+  Status CheckContext(const GraphContext& ctx) const;
+
   std::vector<Instr> instrs_;
   std::vector<BufferSpec> buffers_;
   /// Per slot, the index of the last instruction that reads it; -1 for the
@@ -236,6 +274,8 @@ class InferProgram {
   int64_t input_dim_ = 0;
   int output_slot_ = -1;
   uint32_t context_parts_ = 0;
+  /// Some instruction reads the attention edges of the context's graph.
+  bool reads_graph_ = false;
   int64_t parameter_count_ = 0;
 };
 

@@ -134,26 +134,6 @@ void SpMMTransposeValuesInto(const SparseMatrix& sparse, const Tensor& g,
                       dx->data());
 }
 
-void SegmentSoftmaxGradInto(const Tensor& alpha, const Tensor& dalpha,
-                            const int32_t* segments, int64_t num_segments,
-                            Tensor* dscores) {
-  assert(alpha.cols() == 1 && dalpha.SameShape(alpha) &&
-         dscores->SameShape(alpha));
-  // Reused scratch; capacity persists across calls.
-  static thread_local std::vector<double> seg_dot;
-  seg_dot.assign(static_cast<size_t>(num_segments), 0.0);
-  const int64_t edge_count = alpha.rows();
-  for (int64_t e = 0; e < edge_count; ++e) {
-    seg_dot[segments[e]] +=
-        static_cast<double>(alpha.at(e, 0)) * dalpha.at(e, 0);
-  }
-  for (int64_t e = 0; e < edge_count; ++e) {
-    dscores->at(e, 0) =
-        alpha.at(e, 0) *
-        (dalpha.at(e, 0) - static_cast<float>(seg_dot[segments[e]]));
-  }
-}
-
 void SpMMValuesInto(const SparseMatrix& sparse, const Tensor& x, Tensor* y) {
   assert(sparse.cols == x.rows() && sparse.rows == y->rows() &&
          x.cols() == y->cols());
@@ -163,33 +143,59 @@ void SpMMValuesInto(const SparseMatrix& sparse, const Tensor& x, Tensor* y) {
              y->data());
 }
 
+namespace {
+
+// Per-segment stable softmax of the (E x 1) `scores` into `out` (shaped
+// E x 1): the SegmentSoftmax forward, with its max-shift and denominator
+// clamp.
 void SegmentSoftmaxValuesInto(const Tensor& scores, const int32_t* segments,
                               int64_t num_segments, Tensor* out) {
   assert(scores.cols() == 1 && out->rows() == scores.rows() &&
          out->cols() == 1);
   const int64_t num_edges = scores.rows();
 
-  // Reused scratch: per-segment max and exp-sum. Capacity persists across
-  // calls so the attention hot loop does not allocate here.
-  static thread_local std::vector<float> seg_max;
-  static thread_local std::vector<double> seg_sum;
-  seg_max.assign(static_cast<size_t>(num_segments),
-                 -std::numeric_limits<float>::infinity());
-  seg_sum.assign(static_cast<size_t>(num_segments), 0.0);
+  // Per-segment max and exp-sum, drawn from the active arena.
+  Tensor seg_max(num_segments, 1, -std::numeric_limits<float>::infinity());
+  DoubleTable seg_sum(num_segments);
 
   for (int64_t e = 0; e < num_edges; ++e) {
-    seg_max[segments[e]] = std::max(seg_max[segments[e]], scores.at(e, 0));
+    seg_max.at(segments[e], 0) =
+        std::max(seg_max.at(segments[e], 0), scores.at(e, 0));
   }
   for (int64_t e = 0; e < num_edges; ++e) {
-    const float shifted = scores.at(e, 0) - seg_max[segments[e]];
+    const float shifted = scores.at(e, 0) - seg_max.at(segments[e], 0);
     out->at(e, 0) = std::exp(shifted);
-    seg_sum[segments[e]] += out->at(e, 0);
+    seg_sum.Add(segments[e], out->at(e, 0));
   }
   for (int64_t e = 0; e < num_edges; ++e) {
     const double denom = std::max(seg_sum[segments[e]], 1e-30);
     out->at(e, 0) = static_cast<float>(out->at(e, 0) / denom);
   }
 }
+
+// The SegmentSoftmax pullback into `dscores` (shaped E x 1): from the
+// softmax output `alpha` and its gradient `dalpha`, dscores_e = alpha_e *
+// (dalpha_e - sum over e' in e's segment of alpha_e' * dalpha_e'), the
+// segment sums accumulated in double.
+void SegmentSoftmaxGradInto(const Tensor& alpha, const Tensor& dalpha,
+                            const int32_t* segments, int64_t num_segments,
+                            Tensor* dscores) {
+  assert(alpha.cols() == 1 && dalpha.SameShape(alpha) &&
+         dscores->SameShape(alpha));
+  DoubleTable seg_dot(num_segments);
+  const int64_t edge_count = alpha.rows();
+  for (int64_t e = 0; e < edge_count; ++e) {
+    seg_dot.Add(segments[e],
+                static_cast<double>(alpha.at(e, 0)) * dalpha.at(e, 0));
+  }
+  for (int64_t e = 0; e < edge_count; ++e) {
+    dscores->at(e, 0) =
+        alpha.at(e, 0) *
+        (dalpha.at(e, 0) - static_cast<float>(seg_dot[segments[e]]));
+  }
+}
+
+}  // namespace
 
 Variable MatMul(const Variable& a, const Variable& b) {
   assert(a.cols() == b.rows());

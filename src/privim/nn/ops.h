@@ -15,6 +15,7 @@
 #define PRIVIM_NN_OPS_H_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -134,14 +135,6 @@ Variable SpMM(std::shared_ptr<const SparseMatrix> sparse, const Variable& x);
 /// previous contents are overwritten). Exactly the SpMM forward.
 void SpMMValuesInto(const SparseMatrix& sparse, const Tensor& x, Tensor* y);
 
-/// Per-segment stable softmax of the (E x 1) `scores` into `out` (shaped
-/// E x 1). Exactly the SegmentSoftmax forward, including its max-shift and
-/// denominator clamp. `out` may be `&scores`: each score is read before
-/// the same element of `out` is written, and no score is read after that,
-/// so the softmax runs in place (the compiled attention op does).
-void SegmentSoftmaxValuesInto(const Tensor& scores, const int32_t* segments,
-                              int64_t num_segments, Tensor* out);
-
 // The compiled program's reverse pass (nn/infer) shares these pullback
 // halves with the tape in the same way.
 
@@ -150,13 +143,33 @@ void SegmentSoftmaxValuesInto(const Tensor& scores, const int32_t* segments,
 void SpMMTransposeValuesInto(const SparseMatrix& sparse, const Tensor& g,
                              Tensor* dx);
 
-/// The SegmentSoftmax pullback into `dscores` (shaped E x 1): from the
-/// softmax output `alpha` and its gradient `dalpha`, dscores_e = alpha_e *
-/// (dalpha_e - sum over e' in e's segment of alpha_e' * dalpha_e'), the
-/// segment sums accumulated in double.
-void SegmentSoftmaxGradInto(const Tensor& alpha, const Tensor& dalpha,
-                            const int32_t* segments, int64_t num_segments,
-                            Tensor* dscores);
+/// A zeroed table of `size` doubles whose storage is a float buffer from
+/// the active TensorArena, two floats an entry: the per-node double sums
+/// of the attention softmax (the tape's SegmentSoftmax and the compiled
+/// GRAT's), which return to the arena (or the heap) when the table dies,
+/// where a thread_local table would stay allocated for the thread's life.
+/// Entries are read and written through memcpy, which compiles to plain
+/// loads and stores.
+class DoubleTable {
+ public:
+  explicit DoubleTable(int64_t size) : storage_(Tensor::Zeros(size, 2)) {}
+
+  double operator[](int64_t i) const {
+    double value;
+    std::memcpy(&value, storage_.data() + 2 * i, sizeof(value));
+    return value;
+  }
+  void Add(int64_t i, double x) {
+    float* slot = storage_.data() + 2 * i;
+    double value;
+    std::memcpy(&value, slot, sizeof(value));
+    value += x;
+    std::memcpy(slot, &value, sizeof(value));
+  }
+
+ private:
+  Tensor storage_;
+};
 
 // ---------------------------------------------------------------------------
 // Segment ops (edge-level attention)

@@ -231,14 +231,14 @@ TEST(TrainDpGnnTest, CustomObjectiveReceivesEveryContextPart) {
   options.iterations = 3;
   std::atomic<int> calls{0};
   options.loss_fn = [&calls](const Variable& scores, const GraphContext& ctx,
-                             const Subgraph&) {
+                             const Subgraph& subgraph) {
     ++calls;
     EXPECT_EQ(ctx.parts, GraphContext::kAllParts);
     EXPECT_NE(ctx.influence_adj, nullptr);
     EXPECT_NE(ctx.gcn_adj, nullptr);
     EXPECT_NE(ctx.mean_in_adj, nullptr);
     EXPECT_NE(ctx.sum_in_adj, nullptr);
-    EXPECT_FALSE(ctx.attention_src.empty());
+    EXPECT_EQ(ctx.graph, &subgraph.local);
     return MaxCutLoss(scores, ctx);
   };
   ASSERT_TRUE(

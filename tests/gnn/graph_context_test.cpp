@@ -102,17 +102,46 @@ TEST(GraphContextTest, ArcListsMatchGraph) {
 
 TEST(GraphContextTest, AttentionListsAddOneSelfLoopPerNode) {
   const Graph graph = MakeGraph(3, {{0, 1}, {1, 2}, {2, 0}});
-  const GraphContext ctx = GraphContext::Build(graph);
-  ASSERT_EQ(ctx.attention_src.size(), 6u);  // 3 arcs + 3 self-loops
+  const AttentionLists lists = BuildAttentionLists(graph);
+  ASSERT_EQ(lists.src.size(), 6u);  // 3 arcs + 3 self-loops
+  ASSERT_EQ(lists.dst.size(), 6u);
   int self_loops = 0;
-  for (size_t e = 0; e < ctx.attention_src.size(); ++e) {
-    if (ctx.attention_src[e] == ctx.attention_dst[e]) {
+  for (size_t e = 0; e < lists.src.size(); ++e) {
+    if (lists.src[e] == lists.dst[e]) {
       ++self_loops;
     } else {
-      EXPECT_TRUE(graph.HasArc(ctx.attention_src[e], ctx.attention_dst[e]));
+      EXPECT_TRUE(graph.HasArc(lists.src[e], lists.dst[e]));
     }
   }
   EXPECT_EQ(self_loops, 3);
+}
+
+// The lists are the in-CSR in place order: destinations ascending, each
+// one's sources ascending, then the self-loops — on a directed graph, on
+// an undirected one (whose in-rows are its out-rows) and with isolated
+// nodes, whose only edge is their self-loop.
+TEST(GraphContextTest, AttentionListsWalkTheInCsrThenTheSelfLoops) {
+  Rng rng(45);
+  std::vector<Graph> graphs;
+  graphs.push_back(ErdosRenyi(30, 90, /*directed=*/true, &rng).value());
+  graphs.push_back(BarabasiAlbert(30, 3, &rng).value());
+  graphs.push_back(MakeGraph(6, {{4, 0}, {2, 0}, {0, 2}, {5, 2}}));
+  for (const Graph& graph : graphs) {
+    std::vector<int32_t> want_src, want_dst;
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      for (const NodeId u : graph.InNeighbors(v)) {
+        want_src.push_back(u);
+        want_dst.push_back(v);
+      }
+    }
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      want_src.push_back(v);
+      want_dst.push_back(v);
+    }
+    const AttentionLists lists = BuildAttentionLists(graph);
+    EXPECT_EQ(lists.src, want_src);
+    EXPECT_EQ(lists.dst, want_dst);
+  }
 }
 
 TEST(GraphContextTest, EmptyGraph) {
@@ -192,11 +221,10 @@ TEST(GraphContextTest, PartialBuildsMatchTheFullBuild) {
     expect_operator(ctx.sum_in_adj, full.sum_in_adj,
                     (parts & GraphContext::kSumInAdj) != 0);
     const bool arcs = (parts & GraphContext::kArcLists) != 0;
-    const bool attention = (parts & GraphContext::kAttentionLists) != 0;
     EXPECT_EQ(ctx.arc_src, arcs ? full.arc_src : none);
     EXPECT_EQ(ctx.arc_dst, arcs ? full.arc_dst : none);
-    EXPECT_EQ(ctx.attention_src, attention ? full.attention_src : none);
-    EXPECT_EQ(ctx.attention_dst, attention ? full.attention_dst : none);
+    // Every build borrows its graph, which attention reads in place.
+    EXPECT_EQ(ctx.graph, &graph);
   }
 }
 

@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <iomanip>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "privim/common/rng.h"
 #include "privim/common/thread_pool.h"
+#include "privim/graph/generators.h"
 #include "privim/graph/graph.h"
+#include "privim/graph/graph_io.h"
 #include "privim/graph/traversal.h"
 #include "testing/reference_csr.h"
 
@@ -283,14 +288,17 @@ TEST(PartitionedBuildReferenceTest, BuilderMatchesSerialAssembly) {
     const std::vector<Edge> edges =
         ArcsWithDuplicates(size.nodes, size.arcs, 11 + size.arcs);
     for (const bool undirected : {false, true}) {
+      const graph_internal::CsrParts reference_csr =
+          testing::ReferenceBuildCsr(size.nodes, edges, undirected);
       const Graph reference =
           testing::ReferenceBuildGraph(size.nodes, edges, undirected);
       for (const size_t threads : kThreadCounts) {
         SetGlobalThreadPoolSize(threads);
-        EXPECT_EQ(testing::CsrDifference(
-                      BuildWithBuilder(size.nodes, edges, undirected),
-                      reference),
-                  "")
+        const Graph built = BuildWithBuilder(size.nodes, edges, undirected);
+        EXPECT_EQ(testing::CsrDifference(built, reference), "")
+            << size.arcs << " arcs, undirected " << undirected << ", "
+            << threads << " threads";
+        EXPECT_EQ(testing::InCsrDifference(built, reference_csr), "")
             << size.arcs << " arcs, undirected " << undirected << ", "
             << threads << " threads";
       }
@@ -303,6 +311,8 @@ TEST(PartitionedBuildReferenceTest, BuildParallelMatchesSerialAssembly) {
   for (const int64_t nodes : {int64_t{500}, int64_t{30000}}) {
     const std::vector<Edge> edges = ArcsWithDuplicates(nodes, 20000, 3);
     for (const bool undirected : {false, true}) {
+      const graph_internal::CsrParts reference_csr =
+          testing::ReferenceBuildCsr(nodes, edges, undirected);
       const Graph reference =
           testing::ReferenceBuildGraph(nodes, edges, undirected);
       for (const size_t threads : kThreadCounts) {
@@ -311,6 +321,9 @@ TEST(PartitionedBuildReferenceTest, BuildParallelMatchesSerialAssembly) {
             nodes, undirected, SplitIntoTasks(edges, 5));
         ASSERT_TRUE(graph.ok());
         EXPECT_EQ(testing::CsrDifference(graph.value(), reference), "")
+            << nodes << " nodes, undirected " << undirected << ", "
+            << threads << " threads";
+        EXPECT_EQ(testing::InCsrDifference(graph.value(), reference_csr), "")
             << nodes << " nodes, undirected " << undirected << ", "
             << threads << " threads";
       }
@@ -339,10 +352,11 @@ TEST(PartitionedBuildReferenceTest, DuplicatesKeepTheFirstWeight) {
 }
 
 TEST(PartitionedBuildReferenceTest, ReverseExpandedPairsKeepTheFirstWeight) {
-  // An undirected BuildParallel copies its out-CSR into the in-CSR. Pair
+  // An undirected BuildParallel holds its out-CSR as its in-CSR. Pair
   // {a, b} comes first as (b, a) with 0.5, then as (a, b) and (b, a) again
-  // with other weights in later tasks: both arcs must keep 0.5. On 9000
-  // nodes a and b sit in different shards, among random arcs with repeats.
+  // with other weights in later tasks: both arcs must keep 0.5, and the
+  // transposed reference's in-rows must be the out-rows. On 9000 nodes a
+  // and b sit in different shards, among random arcs with repeats.
   for (const int64_t nodes : {int64_t{6}, int64_t{9000}}) {
     const NodeId a = 2;
     const NodeId b = nodes > 4096 ? 8500 : 4;
@@ -356,6 +370,8 @@ TEST(PartitionedBuildReferenceTest, ReverseExpandedPairsKeepTheFirstWeight) {
         {edges.begin(), edges.begin() + 2},
         {edges.begin() + 2, edges.end() - 2},
         {edges.end() - 2, edges.end()}};
+    const graph_internal::CsrParts reference_csr =
+        testing::ReferenceBuildCsr(nodes, edges, /*undirected=*/true);
     const Graph reference =
         testing::ReferenceBuildGraph(nodes, edges, /*undirected=*/true);
     for (const size_t threads : kThreadCounts) {
@@ -364,6 +380,8 @@ TEST(PartitionedBuildReferenceTest, ReverseExpandedPairsKeepTheFirstWeight) {
           GraphBuilder::BuildParallel(nodes, /*undirected=*/true, tasks);
       ASSERT_TRUE(graph.ok());
       EXPECT_EQ(testing::CsrDifference(graph.value(), reference), "")
+          << nodes << " nodes, " << threads << " threads";
+      EXPECT_EQ(testing::InCsrDifference(graph.value(), reference_csr), "")
           << nodes << " nodes, " << threads << " threads";
       const auto out = graph->OutNeighbors(a);
       const auto at = std::find(out.begin(), out.end(), b) - out.begin();
@@ -428,6 +446,94 @@ TEST(PartitionedBuildReferenceTest, HubRowsMatchSerialAssembly) {
     }
   }
   SetGlobalThreadPoolSize(0);
+}
+
+// --------------------------------------------------- one CSR, undirected --
+
+// The bytes of one CSR direction of `graph`: offsets, sources, weights.
+int64_t OneDirectionBytes(const Graph& graph) {
+  return (graph.num_nodes() + 1) * static_cast<int64_t>(sizeof(int64_t)) +
+         graph.num_arcs() *
+             static_cast<int64_t>(sizeof(NodeId) + sizeof(float));
+}
+
+// An undirected graph holds its out-CSR alone: its in-accessors read those
+// arrays, and they are byte-equal to the transposed in-CSR the serial
+// reference assembles from the same edges.
+void ExpectOneCsrEqualToTheReference(const Graph& graph,
+                                     const std::vector<Edge>& edges) {
+  ASSERT_TRUE(graph.undirected());
+  EXPECT_EQ(graph.CsrBytes(), OneDirectionBytes(graph));
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    ASSERT_EQ(graph.InNeighbors(v).data(), graph.OutNeighbors(v).data());
+    ASSERT_EQ(graph.InWeights(v).data(), graph.OutWeights(v).data());
+  }
+  EXPECT_EQ(testing::InCsrDifference(
+                graph, testing::ReferenceBuildCsr(graph.num_nodes(), edges,
+                                                  /*undirected=*/true)),
+            "");
+}
+
+TEST(PartitionedBuildReferenceTest, UndirectedGraphsHoldOneCsr) {
+  // The loader: ids in first-appearance order are the file's ids, so the
+  // file's lines are the reference's edges. Repeats of a pair in either
+  // orientation carry other weights, which keep-first dedup drops.
+  const std::vector<Edge> loaded_edges = ArcsWithDuplicates(40, 300, 23);
+  const std::string path = ::testing::TempDir() + "/one_csr_edges.txt";
+  {
+    std::ofstream file(path);
+    file << std::setprecision(9);  // every float weight round-trips
+    for (NodeId v = 1; v < 40; ++v) file << v - 1 << " " << v << " 0.5\n";
+    for (const Edge& e : loaded_edges) {
+      file << e.src << " " << e.dst << " " << e.weight << "\n";
+    }
+  }
+  std::vector<Edge> file_edges;
+  for (NodeId v = 1; v < 40; ++v) file_edges.push_back({v - 1, v, 0.5f});
+  file_edges.insert(file_edges.end(), loaded_edges.begin(),
+                    loaded_edges.end());
+  Result<Graph> loaded = LoadEdgeList(path, /*undirected=*/true);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  {
+    SCOPED_TRACE("LoadEdgeList");
+    ExpectOneCsrEqualToTheReference(loaded.value(), file_edges);
+  }
+
+  for (const int64_t nodes : {int64_t{300}, int64_t{9000}}) {
+    SCOPED_TRACE("GraphBuilder::Build, " + std::to_string(nodes) + " nodes");
+    const std::vector<Edge> edges = ArcsWithDuplicates(nodes, 20000, 29);
+    ExpectOneCsrEqualToTheReference(
+        BuildWithBuilder(nodes, edges, /*undirected=*/true), edges);
+  }
+
+  // The BA generator assembles through BuildParallel; its arcs, each pair
+  // in both orientations with one weight, are the reference's edges.
+  Result<Graph> ba = BarabasiAlbertParallel(20000, 4, /*seed=*/5);
+  ASSERT_TRUE(ba.ok());
+  {
+    SCOPED_TRACE("BuildParallel (BarabasiAlbertParallel)");
+    ExpectOneCsrEqualToTheReference(ba.value(), ba->ToEdgeList());
+  }
+}
+
+// A directed graph keeps both directions, and its in-CSR is not its
+// out-CSR.
+TEST(PartitionedBuildReferenceTest, DirectedGraphKeepsADistinctInCsr) {
+  const std::vector<Edge> edges = ArcsWithDuplicates(300, 2000, 31);
+  const Graph graph = BuildWithBuilder(300, edges, /*undirected=*/false);
+  EXPECT_EQ(graph.CsrBytes(), 2 * OneDirectionBytes(graph));
+  EXPECT_NE(graph.InCsrSources().data(), graph.OutNeighbors(0).data());
+  EXPECT_EQ(testing::InCsrDifference(
+                graph, testing::ReferenceBuildCsr(300, edges, false)),
+            "");
+  int differing_rows = 0;
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    const auto in = graph.InNeighbors(v);
+    const auto out = graph.OutNeighbors(v);
+    differing_rows +=
+        std::equal(in.begin(), in.end(), out.begin(), out.end()) ? 0 : 1;
+  }
+  EXPECT_GT(differing_rows, 0);
 }
 
 TEST(PartitionedBuildReferenceTest, ValidationErrorsKeepCodesAndMessages) {

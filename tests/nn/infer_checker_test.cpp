@@ -6,6 +6,8 @@
 // of models it cannot prove equivalent (exotic Forward overrides, unknown
 // parameter layouts).
 
+#include <malloc.h>
+
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -243,6 +245,56 @@ TEST(InferCheckerTest, ProductionWidthAttentionHasTheTapesGradients) {
   }
 }
 
+// Whole-graph attention reads the in-CSR in place. On a directed graph the
+// in-CSR is its own arrays, not the out-CSR; on a graph with isolated
+// nodes a node's segment holds its self-loop alone, and a node that only
+// sends has an empty in-row. GAT and GRAT at production width give the
+// tape's bytes there: per op under both slot policies, through ScoreGraph,
+// and in the reverse pass.
+TEST(InferCheckerTest, WholeGraphAttentionMatchesTheTapeOnDirectedGraphs) {
+  Rng rng(97);
+  std::vector<Graph> graphs;
+  graphs.push_back(ErdosRenyi(600, 2400, /*directed=*/true, &rng).value());
+  graphs.push_back(ErdosRenyi(400, 150, /*directed=*/true, &rng).value());
+  bool isolated = false;
+  for (NodeId v = 0; v < graphs.back().num_nodes(); ++v) {
+    isolated |= graphs.back().InDegree(v) == 0 &&
+                graphs.back().OutDegree(v) == 0;
+  }
+  ASSERT_TRUE(isolated);
+  for (const GnnKind kind : {GnnKind::kGat, GnnKind::kGrat}) {
+    GnnConfig config;
+    config.kind = kind;
+    Rng model_rng(static_cast<uint64_t>(kind) + 300);
+    const std::shared_ptr<const GnnModel> model(
+        CreateGnnModel(config, &model_rng).value().release());
+    for (size_t g = 0; g < graphs.size(); ++g) {
+      SCOPED_TRACE(std::string(GnnKindToString(kind)) + " graph " +
+                   std::to_string(g));
+      const Graph& graph = graphs[g];
+      ASSERT_FALSE(graph.undirected());
+      for (const infer::SlotPolicy policy :
+           {infer::SlotPolicy::kRetain, infer::SlotPolicy::kRelease}) {
+        Result<testing::DualPathReport> report =
+            testing::RunDualPath(*model, graph, policy);
+        ASSERT_TRUE(report.ok()) << report.status().message();
+        EXPECT_TRUE(report->AllExact()) << report->ToString();
+      }
+      const Result<Tensor> scores = infer::ScoreGraph(*model, graph);
+      ASSERT_TRUE(scores.ok()) << scores.status().message();
+      const GraphContext ctx = GraphContext::Build(graph);
+      const Tensor features = BuildNodeFeatures(graph, config.input_dim);
+      EXPECT_TRUE(BitEqual(scores.value(),
+                           model->Run(ctx, features).value().value()));
+      Result<testing::GradientReport> gradient = testing::RunGradientDualPath(
+          *model, graph, InfluenceObjective(InfluenceLossOptions()));
+      ASSERT_TRUE(gradient.ok()) << gradient.status().message();
+      EXPECT_TRUE(gradient->exact && gradient->loss_exact)
+          << gradient->ToString();
+    }
+  }
+}
+
 TEST(InferCheckerTest, EveryObjectiveHasTheTapesGradients) {
   struct Objective {
     std::string name;
@@ -318,7 +370,8 @@ TEST(InferCheckerTest, BackwardRejectsInputsThatDoNotMatchItsForward) {
   infer::Scratch scratch;
   Tensor out;
   ASSERT_TRUE(program.value().Execute(ctx, features, &scratch, &out).ok());
-  const GraphContext other = GraphContext::Build(RandomGraph(2));
+  const Graph other_graph = RandomGraph(2);
+  const GraphContext other = GraphContext::Build(other_graph);
   EXPECT_EQ(program.value().Backward(other, dscores, &scratch, &grad).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(program.value()
@@ -326,8 +379,10 @@ TEST(InferCheckerTest, BackwardRejectsInputsThatDoNotMatchItsForward) {
                           &grad)
                 .code(),
             StatusCode::kInvalidArgument);
-  const GraphContext lacking =
-      GraphContext::Build(graph, GraphContext::kGcnAdj);
+  // Attention reads the in-CSR of the context's graph: a context that
+  // borrows none lacks it.
+  GraphContext lacking = GraphContext::Build(graph, GraphContext::kGcnAdj);
+  lacking.graph = nullptr;
   EXPECT_EQ(program.value().Backward(lacking, dscores, &scratch, &grad).code(),
             StatusCode::kInvalidArgument);
   EXPECT_TRUE(program.value().Backward(ctx, dscores, &scratch, &grad).ok());
@@ -516,16 +571,19 @@ TEST(InferCheckerTest, MovedFeaturesGiveTheBytesOfCopiedOnes) {
   }
 }
 
+// Attention reads no operator but the in-CSR of the graph the context
+// borrows; every other kind reads one operator and no graph.
 TEST(InferCheckerTest, ContextPartsAreExactlyWhatTheProgramReads) {
   const struct {
     GnnKind kind;
     uint32_t parts;
+    bool reads_graph;
   } kCases[] = {
-      {GnnKind::kGcn, GraphContext::kGcnAdj},
-      {GnnKind::kSage, GraphContext::kMeanInAdj},
-      {GnnKind::kGat, GraphContext::kAttentionLists},
-      {GnnKind::kGrat, GraphContext::kAttentionLists},
-      {GnnKind::kGin, GraphContext::kSumInAdj},
+      {GnnKind::kGcn, GraphContext::kGcnAdj, false},
+      {GnnKind::kSage, GraphContext::kMeanInAdj, false},
+      {GnnKind::kGat, 0, true},
+      {GnnKind::kGrat, 0, true},
+      {GnnKind::kGin, GraphContext::kSumInAdj, false},
   };
   const Graph graph = RandomGraph(3);
   const GraphContext full = GraphContext::Build(graph);
@@ -547,8 +605,29 @@ TEST(InferCheckerTest, ContextPartsAreExactlyWhatTheProgramReads) {
         program.value().Execute(minimal, features, &scratch, &got).ok());
     EXPECT_TRUE(BitEqual(got, want));
 
-    const GraphContext lacking =
+    GraphContext graphless = minimal;
+    graphless.graph = nullptr;
+    if (c.reads_graph) {
+      EXPECT_EQ(
+          program.value().Execute(graphless, features, &scratch, &got).code(),
+          StatusCode::kInvalidArgument);
+      Rng rng(8);
+      const Graph smaller =
+          ErdosRenyi(12, 30, /*directed=*/true, &rng).value();
+      GraphContext mismatched = minimal;
+      mismatched.graph = &smaller;
+      EXPECT_EQ(
+          program.value().Execute(mismatched, features, &scratch, &got).code(),
+          StatusCode::kInvalidArgument);
+    } else {
+      ASSERT_TRUE(
+          program.value().Execute(graphless, features, &scratch, &got).ok());
+      EXPECT_TRUE(BitEqual(got, want));
+    }
+
+    GraphContext lacking =
         GraphContext::Build(graph, GraphContext::kAllParts & ~c.parts);
+    if (c.reads_graph) lacking.graph = nullptr;
     EXPECT_EQ(program.value().Execute(lacking, features, &scratch, &got).code(),
               StatusCode::kInvalidArgument);
   }
@@ -774,6 +853,41 @@ TEST(InferCheckerTest, ScoreGraphMatchesTapeForwardForEveryKind) {
       EXPECT_TRUE(BitEqual(scores.value(), want))
           << GnnKindToString(kind) << " graph_seed=" << graph_seed;
     }
+  }
+}
+
+// The whole-graph forward keeps nothing after it returns: the engine, its
+// scratch and every per-node table the attention softmax and the probe's
+// tape draw die with the call. Measured on a thread that has scored only a
+// small graph before, so a table kept per thread — 1.2 MB for the per-node
+// max and sum at 100k nodes — would show as growth. glibc counts the small
+// freed chunks its per-thread cache keeps (at most seven of each size up
+// to 1 KiB) as in use, so the heap returns to its pre-call value within
+// those few hundred bytes; the bound allows 16 KiB.
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(InferCheckerTest, ScoreGraphLeavesTheHeapAsItFoundIt) {
+  const Graph graph = BarabasiAlbertParallel(100000, 5, /*seed=*/3).value();
+  const Graph small = RandomGraph(1);
+  for (const GnnKind kind : {GnnKind::kGat, GnnKind::kGrat}) {
+    SCOPED_TRACE(GnnKindToString(kind));
+    GnnConfig config;
+    config.kind = kind;
+    Rng rng(61);
+    const std::unique_ptr<GnnModel> model =
+        CreateGnnModel(config, &rng).value();
+    size_t before = 0;
+    size_t after = 0;
+    std::thread([&] {
+      ASSERT_TRUE(infer::ScoreGraph(*model, small).ok());
+      before = HeapInUse();
+      ASSERT_TRUE(infer::ScoreGraph(*model, graph).ok());
+      after = HeapInUse();
+    }).join();
+    EXPECT_LE(after, before + (16 << 10));
   }
 }
 

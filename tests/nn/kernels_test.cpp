@@ -5,6 +5,7 @@
 // masked path, including zeros opposite non-finite entries — plus
 // central-difference parity for the MatMul/SpMM pullbacks.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -324,14 +325,64 @@ TEST(KernelsTest, ZeroOppositeNonFiniteContributesNothingAndNaNPropagates) {
 // --- The attention aggregation's pullback (infer::EdgeAggregateGradInto)
 // against the tape's operations written out: MulColBroadcast's dot — float
 // products summed in double, j ascending — and GatherRows' scatter, edges
-// ascending. Edge counts 1-17 cross every ragged eight-edge block and 88 is
-// train_sgd's mean attention-edge count; d = 7, 8, 32 and 33 give no full
-// eight-column block, exactly one, four, and four with a ragged tail. A
-// double sum of a few dozen ordinary float products is exact in any order,
-// so each case runs again with a cancelling pair of huge products planted
-// in columns 1 and d - 2 (+2^60, then -2^60): summed in j order the first
-// swallows column 0 and the pair cancels before column d - 1 is added, so
-// any other order gives other bytes. ------------------------------------
+// ascending. The kernel reads the attention edges from an in-CSR; the
+// reference reads them as the tape's lists, expanded from that CSR in the
+// documented order (the arcs, destinations ascending, then one self-loop
+// per node). Edge counts 1-17 cross every ragged eight-edge block and 88 is
+// train_sgd's mean attention-edge count; each CSR has num_edges / 3 nodes
+// (at least one), some of them with no in-arcs, so blocks straddle empty
+// rows and the arcs' end. d = 7, 8, 32 and 33 give no full eight-column
+// block, exactly one, four, and four with a ragged tail. A double sum of a
+// few dozen ordinary float products is exact in any order, so each case
+// runs again with a cancelling pair of huge products planted in columns 1
+// and d - 2 (+2^60, then -2^60): summed in j order the first swallows
+// column 0 and the pair cancels before column d - 1 is added, so any other
+// order gives other bytes. ----------------------------------------------
+
+// A random in-CSR holding `num_edges` attention edges: n nodes and
+// num_edges - n arcs with random destinations and sources.
+struct RandomAttentionCsr {
+  int64_t n = 0;
+  std::vector<int64_t> offsets;
+  std::vector<int32_t> sources;
+
+  RandomAttentionCsr(int64_t num_edges, Rng* rng)
+      : n(std::max<int64_t>(1, num_edges / 3)) {
+    const int64_t arcs = num_edges - n;
+    std::vector<int32_t> dst;
+    for (int64_t k = 0; k < arcs; ++k) {
+      dst.push_back(static_cast<int32_t>(rng->NextBounded(n)));
+    }
+    std::sort(dst.begin(), dst.end());
+    offsets.assign(static_cast<size_t>(n) + 1, 0);
+    for (const int32_t v : dst) ++offsets[static_cast<size_t>(v) + 1];
+    for (int64_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
+    for (int64_t k = 0; k < arcs; ++k) {
+      // The last node is the first arc's source, so its t row is read by
+      // an arc as well as by its self-loop.
+      sources.push_back(k == 0 ? static_cast<int32_t>(n - 1)
+                               : static_cast<int32_t>(rng->NextBounded(n)));
+    }
+  }
+
+  infer::AttentionEdges edges() const {
+    return {n, offsets.data(), sources.data()};
+  }
+
+  /// The tape's lists: the arcs in CSR order, then the self-loops.
+  void Lists(std::vector<int32_t>* asrc, std::vector<int32_t>* adst) const {
+    for (int64_t v = 0; v < n; ++v) {
+      for (int64_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+        asrc->push_back(sources[static_cast<size_t>(k)]);
+        adst->push_back(static_cast<int32_t>(v));
+      }
+    }
+    for (int64_t v = 0; v < n; ++v) {
+      asrc->push_back(static_cast<int32_t>(v));
+      adst->push_back(static_cast<int32_t>(v));
+    }
+  }
+};
 
 void NaiveEdgeAggregateGrad(const Tensor& alpha, const Tensor& t,
                             const Tensor& g, const std::vector<int32_t>& asrc,
@@ -353,7 +404,6 @@ void NaiveEdgeAggregateGrad(const Tensor& alpha, const Tensor& t,
 }
 
 TEST(KernelsTest, EdgeAggregatePullbackIsByteEqualToNaive) {
-  const int64_t n = 30;
   std::vector<int64_t> edge_counts;
   for (int64_t count = 1; count <= 17; ++count) edge_counts.push_back(count);
   edge_counts.push_back(88);
@@ -363,15 +413,11 @@ TEST(KernelsTest, EdgeAggregatePullbackIsByteEqualToNaive) {
                    std::to_string(num_edges));
       const uint64_t seed = static_cast<uint64_t>(100 * d + num_edges);
       Rng rng(seed);
+      const RandomAttentionCsr csr(num_edges, &rng);
+      const int64_t n = csr.n;
       std::vector<int32_t> asrc, adst;
-      for (int64_t e = 0; e < num_edges; ++e) {
-        // The last node takes the first edge, so its rows (the ends of t
-        // and g) are read.
-        asrc.push_back(e == 0 ? static_cast<int32_t>(n - 1)
-                              : static_cast<int32_t>(rng.NextBounded(n)));
-        adst.push_back(e == 0 ? static_cast<int32_t>(n - 1)
-                              : static_cast<int32_t>(rng.NextBounded(n)));
-      }
+      csr.Lists(&asrc, &adst);
+      ASSERT_EQ(static_cast<int64_t>(asrc.size()), num_edges);
       const Tensor alpha = RandomTensor(num_edges, 1, seed + 1);
       Tensor t = RandomTensor(n, d, seed + 2);
       Tensor g = RandomTensor(n, d, seed + 3);
@@ -390,8 +436,8 @@ TEST(KernelsTest, EdgeAggregatePullbackIsByteEqualToNaive) {
                                &want_dt);
         Tensor dalpha(num_edges, 1, 7.0f);  // stale contents are overwritten
         Tensor dt(n, d);
-        infer::EdgeAggregateGradInto(alpha, t, g, asrc.data(), adst.data(),
-                                     &dalpha, &dt);
+        infer::EdgeAggregateGradInto(alpha, t, g, csr.edges(), &dalpha,
+                                     &dt);
         EXPECT_TRUE(SameBytes(dalpha, want_dalpha)) << "cancelling "
                                                     << cancelling;
         EXPECT_TRUE(SameBytes(dt, want_dt)) << "cancelling " << cancelling;

@@ -159,26 +159,27 @@ inline Tensor TapeReference(const infer::Instr& in,
     }
     case infer::OpCode::kAttnSoftmax: {
       // models.cpp: the gathered projections through LeakyRelu, then the
-      // per-segment softmax.
+      // per-segment softmax, over the tape's attention lists.
+      const AttentionLists lists = BuildAttentionLists(*ctx.graph);
       const Variable src_part =
-          GatherRows(s0, std::span<const int32_t>(ctx.attention_src));
+          GatherRows(s0, std::span<const int32_t>(lists.src));
       const Variable dst_part =
           GatherRows(leaf(slots[static_cast<size_t>(in.src1)]),
-                     std::span<const int32_t>(ctx.attention_dst));
+                     std::span<const int32_t>(lists.dst));
       const Variable scores = LeakyRelu(Add(src_part, dst_part), in.scalar);
       const std::vector<int32_t>& segments =
-          in.segments == infer::SegArray::kAttentionSrc ? ctx.attention_src
-                                                        : ctx.attention_dst;
+          in.segments == infer::Segments::kBySource ? lists.src : lists.dst;
       return SegmentSoftmax(scores, std::span<const int32_t>(segments),
                             ctx.num_nodes)
           .value();
     }
     case infer::OpCode::kEdgeAggregate: {
       // models.cpp: alpha-scaled source rows, summed per destination.
+      const AttentionLists lists = BuildAttentionLists(*ctx.graph);
       const Variable messages = MulColBroadcast(
           s0, GatherRows(leaf(slots[static_cast<size_t>(in.src1)]),
-                         std::span<const int32_t>(ctx.attention_src)));
-      return SegmentSum(messages, std::span<const int32_t>(ctx.attention_dst),
+                         std::span<const int32_t>(lists.src)));
+      return SegmentSum(messages, std::span<const int32_t>(lists.dst),
                         ctx.num_nodes)
           .value();
     }

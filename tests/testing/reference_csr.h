@@ -5,8 +5,10 @@
 // The library counting-sorts each shard's arcs by source and stable-sorts
 // every row by target. The reference does it the plain way: one global
 // std::stable_sort of the arc sequence by (src, dst), a keep-first
-// std::unique, then both CSR directions filled in one pass. The tests
-// demand the same bytes: all six CSR arrays, weights compared bitwise.
+// std::unique, then both CSR directions filled in one pass — the in-CSR by
+// transposing, for undirected graphs too, which the library stores as one
+// CSR. The tests demand the same bytes: every CSR row, weights compared
+// bitwise, and an undirected graph's in-rows against the transposed ones.
 
 #ifndef PRIVIM_TESTS_TESTING_REFERENCE_CSR_H_
 #define PRIVIM_TESTS_TESTING_REFERENCE_CSR_H_
@@ -24,11 +26,12 @@
 namespace privim {
 namespace testing {
 
-/// The graph a GraphBuilder(num_nodes, undirected) builds after AddEdge-ing
-/// `edges` in order, assembled serially. Endpoints must be valid.
-inline Graph ReferenceBuildGraph(int64_t num_nodes,
-                                 const std::vector<Edge>& edges,
-                                 bool undirected = false) {
+/// The CSR arrays of the graph a GraphBuilder(num_nodes, undirected)
+/// builds after AddEdge-ing `edges` in order, assembled serially: both
+/// directions, whatever `undirected` says. Endpoints must be valid.
+inline graph_internal::CsrParts ReferenceBuildCsr(
+    int64_t num_nodes, const std::vector<Edge>& edges,
+    bool undirected = false) {
   // AddEdge's insertion order: each reverse arc right after its edge.
   std::vector<Edge> edges_;
   edges_.reserve(edges.size() * (undirected ? 2 : 1));
@@ -82,7 +85,45 @@ inline Graph ReferenceBuildGraph(int64_t num_nodes,
   // In-neighbor lists come out sorted by source automatically because the
   // outer iteration is sorted by src.
 
-  return Graph::FromCsr(num_nodes, std::move(graph), undirected);
+  return graph;
+}
+
+/// The graph ReferenceBuildCsr's arrays make.
+inline Graph ReferenceBuildGraph(int64_t num_nodes,
+                                 const std::vector<Edge>& edges,
+                                 bool undirected = false) {
+  return Graph::FromCsr(num_nodes,
+                        ReferenceBuildCsr(num_nodes, edges, undirected),
+                        undirected);
+}
+
+/// Empty when `graph`'s in-accessors read exactly the in-CSR of
+/// `reference` (ReferenceBuildCsr's arrays): per node the same sources and
+/// bitwise-equal weights. Otherwise names the first difference.
+inline std::string InCsrDifference(const Graph& graph,
+                                   const graph_internal::CsrParts& reference) {
+  if (static_cast<int64_t>(reference.in_offsets.size()) !=
+      graph.num_nodes() + 1) {
+    return "node counts differ";
+  }
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    const int64_t begin = reference.in_offsets[static_cast<size_t>(v)];
+    const int64_t end = reference.in_offsets[static_cast<size_t>(v) + 1];
+    const auto sources = graph.InNeighbors(v);
+    const auto weights = graph.InWeights(v);
+    const std::string at = " of node " + std::to_string(v);
+    if (static_cast<int64_t>(sources.size()) != end - begin ||
+        !std::equal(sources.begin(), sources.end(),
+                    reference.in_neighbors.begin() + begin)) {
+      return "in-row" + at;
+    }
+    if (weights.size() > 0 &&
+        std::memcmp(weights.data(), reference.in_weights.data() + begin,
+                    weights.size() * sizeof(float)) != 0) {
+      return "in-weights" + at;
+    }
+  }
+  return "";
 }
 
 /// Empty when the two graphs hold the same CSR bytes (node count, direction

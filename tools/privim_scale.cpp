@@ -17,8 +17,9 @@
 //   * `mem_hwm_bytes` / `mem_rss_bytes` — VmHWM / VmRSS from
 //     /proc/self/status, the evidence behind the linear-memory assertion:
 //     CI checks hwm_bytes <= budget_per_arc * arcs + fixed slack.
-//   * `csr_bytes` — the bytes of the graph's six CSR arrays (both
-//     directions).
+//   * `csr_bytes` — the bytes of the CSR arrays the graph holds
+//     (Graph::CsrBytes): one direction for the undirected generators,
+//     whose in-CSR is their out-CSR.
 //
 // Exit status: 0 on success, 1 on any stage failure.
 
@@ -171,12 +172,7 @@ int Run(const Flags& flags) {
   const MemStats mem = ReadMemStats();
   report.Set("mem_rss_bytes", serve::JsonValue::Int(mem.rss_bytes));
   report.Set("mem_hwm_bytes", serve::JsonValue::Int(mem.hwm_bytes));
-  report.Set("csr_bytes",
-             serve::JsonValue::Int(
-                 2 * (graph.num_arcs() *
-                          static_cast<int64_t>(sizeof(NodeId) + sizeof(float)) +
-                      (graph.num_nodes() + 1) *
-                          static_cast<int64_t>(sizeof(int64_t)))));
+  report.Set("csr_bytes", serve::JsonValue::Int(graph.CsrBytes()));
   if (graph.num_arcs() > 0 && mem.hwm_bytes > 0) {
     report.Set("hwm_bytes_per_arc",
                serve::JsonValue::Number(
