@@ -426,13 +426,11 @@ std::vector<serve::ServeRequest> ServeBenchRequests() {
   return requests;
 }
 
-// Model-driven workload for rows 2 and 3: 96 subgraph-influence requests,
-// each a contiguous 256-node window. Contiguous windows of a small-world
-// graph keep nearly all of their arcs under induction (unlike random node
-// sets, which are arc-starved), so the GNN forward dominates and the
-// tape-vs-fused engine choice is what the two rows measure (row 2 = tape,
-// row 3 = fused, one compiled forward per request). Responses are
-// bit-identical between the rows.
+// Model-driven workload for row 3: 96 subgraph-influence requests, each a
+// contiguous 256-node window. Contiguous windows of a small-world graph
+// keep nearly all of their arcs under induction (unlike random node sets,
+// which are arc-starved), so the GNN forward dominates: the row measures
+// one compiled forward per request.
 std::vector<serve::ServeRequest> ServeSubgraphRequests() {
   std::vector<serve::ServeRequest> requests;
   requests.reserve(96);
@@ -452,10 +450,10 @@ std::vector<serve::ServeRequest> ServeSubgraphRequests() {
 void BM_ServeThroughput(benchmark::State& state) {
   const int64_t mode = state.range(0);
   const bool batched = mode != 0;
-  const bool with_model = mode >= 2;
+  const bool with_model = mode == 3;
   SetGlobalThreadPoolSize(4);
   Rng graph_rng(51);
-  // Rows 0/1 (spread workload): heavy-tailed BA graph. Rows 2/3 (model
+  // Rows 0/1 (spread workload): heavy-tailed BA graph. Row 3 (model
   // workload): small-world graph so the contiguous request windows stay
   // arc-dense after induction.
   Result<Graph> base = with_model ? WattsStrogatz(2000, 8, 0.05, &graph_rng)
@@ -464,8 +462,6 @@ void BM_ServeThroughput(benchmark::State& state) {
   options.queue_capacity = 128;  // the whole stream stays in flight
   options.max_batch = 32;
   options.cache_capacity = 0;  // force real computation every iteration
-  options.infer_engine = mode == 3 ? serve::InferEngineKind::kFused
-                                   : serve::InferEngineKind::kTape;
   std::shared_ptr<const GnnModel> model;
   if (with_model) {
     GnnConfig config;
@@ -503,7 +499,7 @@ void BM_ServeThroughput(benchmark::State& state) {
                           static_cast<int64_t>(requests.size()));
   SetGlobalThreadPoolSize(1);
 }
-BENCHMARK(BM_ServeThroughput)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->UseRealTime();
+BENCHMARK(BM_ServeThroughput)->Arg(0)->Arg(1)->Arg(3)->UseRealTime();
 
 // Latency of a response served from the sharded LRU cache, measured
 // against a CELF top-k request whose cold computation costs milliseconds:
@@ -609,8 +605,7 @@ void BM_TopK_Sketch(benchmark::State& state) {
   }
   Result<std::shared_ptr<const serve::ServingAssets>> assets =
       serve::ServingAssets::Build(graph, /*model=*/nullptr,
-                                  std::move(index).value(),
-                                  options.infer_engine);
+                                  std::move(index).value());
   if (!assets.ok()) {
     state.SkipWithError("serving assets setup failed");
     return;

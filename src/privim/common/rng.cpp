@@ -100,25 +100,6 @@ double Rng::NextLaplace(double scale) {
   return -scale * std::copysign(std::log(1.0 - 2.0 * abs_u), u);
 }
 
-uint64_t Rng::NextBinomial(uint64_t n, double p) {
-  p = std::clamp(p, 0.0, 1.0);
-  if (n == 0 || p == 0.0) return 0;
-  if (p == 1.0) return n;
-  // Exact Bernoulli summation for small n; BTPE-quality approximations are
-  // unnecessary here because subsampling batches are small.
-  if (n <= 256) {
-    uint64_t count = 0;
-    for (uint64_t i = 0; i < n; ++i) count += NextBernoulli(p) ? 1 : 0;
-    return count;
-  }
-  // Normal approximation with continuity correction, clamped to [0, n].
-  const double mean = static_cast<double>(n) * p;
-  const double stddev = std::sqrt(mean * (1.0 - p));
-  const double sample = std::round(NextGaussian(mean, stddev));
-  return static_cast<uint64_t>(
-      std::clamp(sample, 0.0, static_cast<double>(n)));
-}
-
 size_t Rng::NextDiscrete(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) total += w;

@@ -77,10 +77,6 @@ class Rng {
   /// Standard Laplace (location 0, scale b).
   double NextLaplace(double scale);
 
-  /// Binomial(n, p) sample. Exact inversion for small n, normal
-  /// approximation with correction for large n*p.
-  uint64_t NextBinomial(uint64_t n, double p);
-
   /// Samples an index in [0, weights.size()) proportionally to `weights`.
   /// All weights must be >= 0 with a positive sum; returns size() on a
   /// degenerate (all-zero) input so callers can detect it.

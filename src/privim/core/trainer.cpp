@@ -12,7 +12,7 @@
 #include "privim/dp/sensitivity.h"
 #include "privim/gnn/features.h"
 #include "privim/nn/arena.h"
-#include "privim/nn/infer/engine.h"
+#include "privim/nn/infer/compile.h"
 #include "privim/nn/optimizer.h"
 #include "privim/obs/metrics.h"
 #include "privim/obs/trace.h"
@@ -131,16 +131,11 @@ Result<TrainStats> TrainDpGnn(GnnModel* model,
     stats.mean_loss_last = options.resume->mean_loss_last;
   }
 
-  // The model is differentiated through its compiled program, compiled and
-  // probe-verified against its tape Forward() once per call. The program
-  // borrows the parameter tensors, which the optimizer updates in place
-  // between batches, so it stays valid for the whole run. The engine
-  // borrows the model without owning it.
-  Result<std::unique_ptr<infer::InferEngine>> engine =
-      infer::InferEngine::Create(std::shared_ptr<const GnnModel>(
-          std::shared_ptr<const GnnModel>(), model));
-  if (!engine.ok()) return engine.status();
-  const infer::InferProgram& program = engine.value()->program();
+  // The model is differentiated through its compiled program, compiled
+  // once per call. The program borrows the parameter tensors, which the
+  // optimizer updates in place between batches, so it stays valid for the
+  // whole run.
+  const infer::InferProgram program = infer::CompileForInference(*model);
 
   // Message-passing operators and features are immutable per subgraph. They
   // are built on first use — an iteration touches at most batch_size of the

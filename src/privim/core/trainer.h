@@ -119,12 +119,10 @@ struct TrainStats {
 
 /// Trains `model` in place on the container. Deterministic in (*rng).
 /// Each subgraph's gradient comes from the model's compiled program
-/// (nn/infer): its forward, the objective on the tape over the scores, and
-/// the program's reverse pass — byte-equal to a tape Backward() through
-/// model.Forward(). Unimplemented when the model's parameter layout is not
-/// a known architecture, FailedPrecondition when its Forward() diverges
-/// from the compiled program on the probe graph; there is no tape
-/// fallback.
+/// (nn/infer/compile.h), which every model has: its forward, the objective
+/// on the tape over the scores, and the program's reverse pass —
+/// byte-equal to a tape Backward() through model.Forward(), which
+/// tests/nn/infer_checker_test.cpp and the trainer replay test pin.
 Result<TrainStats> TrainDpGnn(GnnModel* model,
                               const SubgraphContainer& container,
                               const DpSgdOptions& options, Rng* rng);

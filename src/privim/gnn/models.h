@@ -3,10 +3,18 @@
 // GIN. Each model maps (graph, node features) to a per-node probability of
 // being selected into the seed set (sigmoid head), which the Eq. 5 loss and
 // top-k seed selection consume.
+//
+// A GnnModel is one of these five kinds and nothing else: its config plus
+// its parameters, laid out as ParamLayout declares. Only CreateGnnModel and
+// ReadGnnModel (gnn/serialization.h) build one, so every model compiles to
+// the fused program (nn/infer/compile.h). Forward() is the autograd tape
+// forward of that program; it is the test oracle the program is checked
+// against, not the path that training, selection or serving run.
 
 #ifndef PRIVIM_GNN_MODELS_H_
 #define PRIVIM_GNN_MODELS_H_
 
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,48 +41,117 @@ struct GnnConfig {
   float leaky_slope = 0.2f;  ///< LeakyReLU slope in attention scores
 };
 
-/// A GNN whose Forward emits an (n x 1) column of seed probabilities.
-class GnnModel {
+/// What a parameter is for.
+enum class ParamRole {
+  kWeight,      ///< the layer's (or head's) weight; GIN's first MLP weight
+  kBias,        ///< the layer's (or head's) bias row; GIN's first MLP bias
+  kAttnSrc,     ///< GAT/GRAT: the source half of the attention vector
+  kAttnDst,     ///< GAT/GRAT: the destination half
+  kMlp2Weight,  ///< GIN: the second MLP weight
+  kMlp2Bias,    ///< GIN: the second MLP bias
+  kOmega,       ///< GIN: the learnable (1 + omega) self-weight, 1 x 1
+};
+
+/// The shape and initializer of one parameter tensor of a layout.
+struct ParamSpec {
+  int64_t rows = 0;
+  int64_t cols = 0;
+  bool glorot = false;  ///< a Glorot-uniform draw at creation; else zeros
+};
+
+/// The one declaration of every architecture's parameters, in
+/// GnnModel::parameters() order. The head's weight (h x 1) and bias (1 x 1)
+/// come first, then each layer's, where `in` is the layer's input width
+/// (input_dim for layer 0, h = hidden_dim after):
+///
+///   GCN        W (in x h), b (1 x h)
+///   SAGE       W (2in x h), b (1 x h)     W multiplies [h | mean]
+///   GAT, GRAT  W (in x h), a_src (h x 1), a_dst (h x 1), b (1 x h)
+///   GIN        W (in x h), b (1 x h), W2 (h x h), b2 (1 x h), omega (1 x 1)
+///
+/// Weights and attention vectors are Glorot draws, taken in this order;
+/// biases and omega start at zero. CreateGnnModel, ReadGnnModel, the tape
+/// Forward() and the compiler all read it, so none of them can disagree.
+/// A spec is computed on demand, so a layout costs nothing to hold whatever
+/// the configured sizes.
+class ParamLayout {
  public:
-  virtual ~GnnModel() = default;
+  static constexpr int64_t kHead = -1;
 
-  /// Runs the model. `features` must be (ctx.num_nodes x input_dim).
-  virtual Variable Forward(const GraphContext& ctx,
-                           const Variable& features) const = 0;
+  /// InvalidArgument unless the kind is one of the five, every dimension
+  /// is positive, and the parameter count and the total element count both
+  /// fit in int64_t.
+  static Result<ParamLayout> Of(const GnnConfig& config);
 
-  /// Validated Forward for library callers fed with external input (the
-  /// inference probe, serving's tape path): checks that `features` is
-  /// (ctx.num_nodes x input_dim) and returns InvalidArgument instead of
-  /// tripping the shape asserts inside the ops. Hot training loops that
-  /// construct their own matching features keep calling Forward directly.
-  /// When `pools` is non-null, the forward tape draws its tensor and node
-  /// storage from it (and returns it there), so repeated calls with the
-  /// same pools are allocation-free after the first.
+  const GnnConfig& config() const { return config_; }
+  /// Number of parameter tensors.
+  int64_t size() const;
+  /// Parameter `index`, 0 <= index < size().
+  ParamSpec at(int64_t index) const;
+  /// Where `layer`'s `role` parameter sits in parameters() (kHead: the
+  /// head's). The kind must have that role.
+  int64_t IndexOf(int64_t layer, ParamRole role) const;
+
+ private:
+  explicit ParamLayout(const GnnConfig& config) : config_(config) {}
+
+  GnnConfig config_;
+};
+
+/// A GNN whose Forward emits an (n x 1) column of seed probabilities.
+class GnnModel final {
+ public:
+  /// The tape forward. `features` must be (ctx.num_nodes x input_dim).
+  Variable Forward(const GraphContext& ctx, const Variable& features) const;
+
+  /// Validated Forward for callers fed with external input: checks that
+  /// `features` is (ctx.num_nodes x input_dim) and returns InvalidArgument
+  /// instead of tripping the shape asserts inside the ops. When `pools` is
+  /// non-null, the forward tape draws its tensor and node storage from it
+  /// (and returns it there), so repeated calls with the same pools are
+  /// allocation-free after the first.
   Result<Variable> Run(const GraphContext& ctx, const Tensor& features,
                        nn::MemoryPools* pools = nullptr) const;
 
-  /// Trainable parameters, in a stable order (DP-SGD flattening relies on
+  /// Trainable parameters in ParamLayout order (DP-SGD flattening relies on
   /// this order being identical across calls).
   const std::vector<Variable>& parameters() const { return params_; }
 
-  const GnnConfig& config() const { return config_; }
+  /// `layer`'s `role` parameter; layer ParamLayout::kHead is the head.
+  const Variable& param(int64_t layer, ParamRole role) const {
+    return params_[static_cast<size_t>(layout_.IndexOf(layer, role))];
+  }
+
+  const GnnConfig& config() const { return layout_.config(); }
 
   /// Deep-copies parameter values from `other` (same architecture).
   Status CopyParametersFrom(const GnnModel& other);
 
- protected:
-  explicit GnnModel(GnnConfig config) : config_(config) {}
+ private:
+  friend Result<std::unique_ptr<GnnModel>> CreateGnnModel(
+      const GnnConfig& config, Rng* rng);
+  friend Result<std::unique_ptr<GnnModel>> ReadGnnModel(std::istream& in);
 
-  /// Registers a Glorot-initialized weight matrix.
-  Variable AddParameter(int64_t rows, int64_t cols, Rng* rng);
-  /// Registers a zero-initialized parameter (biases, GIN epsilon).
-  Variable AddZeroParameter(int64_t rows, int64_t cols);
+  /// `params` must have `layout`'s shapes.
+  GnnModel(ParamLayout layout, std::vector<Variable> params)
+      : layout_(layout), params_(std::move(params)) {}
 
-  GnnConfig config_;
+  /// The shared sigmoid output head p = sigmoid(H W_out + b_out).
+  Variable Head(const Variable& hidden) const;
+  Variable GcnForward(const GraphContext& ctx, const Variable& features) const;
+  Variable SageForward(const GraphContext& ctx,
+                       const Variable& features) const;
+  Variable GinForward(const GraphContext& ctx, const Variable& features) const;
+  Variable AttentionForward(const GraphContext& ctx,
+                            const Variable& features) const;
+
+  ParamLayout layout_;
   std::vector<Variable> params_;
 };
 
-/// Builds a model of the configured kind with freshly initialized weights.
+/// Builds a model of the configured kind with freshly initialized weights:
+/// ParamLayout's Glorot draws from `rng`, in layout order. InvalidArgument
+/// when ParamLayout::Of rejects the config.
 Result<std::unique_ptr<GnnModel>> CreateGnnModel(const GnnConfig& config,
                                                  Rng* rng);
 

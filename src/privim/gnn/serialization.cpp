@@ -1,9 +1,13 @@
 #include "privim/gnn/serialization.h"
 
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "privim/common/atomic_file.h"
 
@@ -43,14 +47,57 @@ Status SaveGnnModel(const GnnModel& model, const std::string& path) {
 
 namespace {
 
-Status ExpectKey(std::istream& in, const std::string& key,
-                 std::string* value) {
-  std::string actual;
-  if (!(in >> actual) || actual != key) {
-    return Status::IOError("expected key '" + key + "' in model file");
+/// The next whitespace-separated token; IOError naming `what` at the end
+/// of the stream.
+Result<std::string> NextToken(std::istream& in, const char* what) {
+  std::string token;
+  if (!(in >> token)) {
+    return Status::IOError(std::string("truncated model file: missing ") +
+                           what);
   }
-  if (!(in >> *value)) {
-    return Status::IOError("missing value for key '" + key + "'");
+  return token;
+}
+
+Status BadToken(const char* what, const std::string& token) {
+  return Status::IOError(std::string("bad ") + what + " in model file: " +
+                         token);
+}
+
+/// The next token as a whole int64_t; IOError on anything else (junk
+/// after the digits, overflow).
+Result<int64_t> ReadInt(std::istream& in, const char* what) {
+  Result<std::string> token = NextToken(in, what);
+  if (!token.ok()) return token.status();
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(token->c_str(), &end, 10);
+  if (end != token->c_str() + token->size() || errno == ERANGE) {
+    return BadToken(what, token.value());
+  }
+  return static_cast<int64_t>(value);
+}
+
+/// The next token as a whole float: hex (as written) or decimal, inf and
+/// nan included, out-of-range values rounded to inf or zero as strtof
+/// does.
+Result<float> ReadFloat(std::istream& in, const char* what) {
+  Result<std::string> token = NextToken(in, what);
+  if (!token.ok()) return token.status();
+  char* end = nullptr;
+  const float value = std::strtof(token->c_str(), &end);
+  if (end != token->c_str() + token->size()) {
+    return BadToken(what, token.value());
+  }
+  return value;
+}
+
+/// IOError unless the next token is `key`.
+Status ExpectKey(std::istream& in, const char* key) {
+  Result<std::string> name = NextToken(in, key);
+  if (!name.ok()) return name.status();
+  if (name.value() != key) {
+    return Status::IOError(std::string("expected key '") + key +
+                           "' in model file");
   }
   return Status::OK();
 }
@@ -64,52 +111,64 @@ Result<std::unique_ptr<GnnModel>> ReadGnnModel(std::istream& in) {
     return Status::IOError("not a privim-model v1 file");
   }
 
-  std::string value;
   GnnConfig config;
-  PRIVIM_RETURN_NOT_OK(ExpectKey(in, "kind", &value));
-  Result<GnnKind> kind = GnnKindFromString(value);
-  if (!kind.ok()) return kind.status();
+  PRIVIM_RETURN_NOT_OK(ExpectKey(in, "kind"));
+  Result<std::string> kind_name = NextToken(in, "kind");
+  if (!kind_name.ok()) return kind_name.status();
+  Result<GnnKind> kind = GnnKindFromString(kind_name.value());
+  if (!kind.ok()) return Status::IOError(kind.status().message());
   config.kind = kind.value();
-  PRIVIM_RETURN_NOT_OK(ExpectKey(in, "input_dim", &value));
-  config.input_dim = std::strtoll(value.c_str(), nullptr, 10);
-  PRIVIM_RETURN_NOT_OK(ExpectKey(in, "hidden_dim", &value));
-  config.hidden_dim = std::strtoll(value.c_str(), nullptr, 10);
-  PRIVIM_RETURN_NOT_OK(ExpectKey(in, "num_layers", &value));
-  config.num_layers = std::strtoll(value.c_str(), nullptr, 10);
-  PRIVIM_RETURN_NOT_OK(ExpectKey(in, "leaky_slope", &value));
-  config.leaky_slope = std::strtof(value.c_str(), nullptr);
+  for (const auto& [key, field] :
+       {std::pair{"input_dim", &config.input_dim},
+        std::pair{"hidden_dim", &config.hidden_dim},
+        std::pair{"num_layers", &config.num_layers}}) {
+    PRIVIM_RETURN_NOT_OK(ExpectKey(in, key));
+    Result<int64_t> number = ReadInt(in, key);
+    if (!number.ok()) return number.status();
+    *field = number.value();
+  }
+  PRIVIM_RETURN_NOT_OK(ExpectKey(in, "leaky_slope"));
+  Result<float> slope = ReadFloat(in, "leaky_slope");
+  if (!slope.ok()) return slope.status();
+  config.leaky_slope = slope.value();
+  PRIVIM_RETURN_NOT_OK(ExpectKey(in, "params"));
+  Result<int64_t> param_count = ReadInt(in, "params");
+  if (!param_count.ok()) return param_count.status();
 
-  PRIVIM_RETURN_NOT_OK(ExpectKey(in, "params", &value));
-  const int64_t param_count = std::strtoll(value.c_str(), nullptr, 10);
-
-  // Build the architecture (weights are about to be overwritten, so the
-  // initializer RNG seed is irrelevant).
-  Rng rng(0);
-  Result<std::unique_ptr<GnnModel>> model = CreateGnnModel(config, &rng);
-  if (!model.ok()) return model.status();
-  if (static_cast<int64_t>(model.value()->parameters().size()) !=
-      param_count) {
+  // The header must describe a layout before anything is allocated, and
+  // each tensor grows only as its values arrive, so a header that claims
+  // more than the stream holds fails at the stream's end instead of
+  // reserving what it claims.
+  Result<ParamLayout> layout = ParamLayout::Of(config);
+  if (!layout.ok()) {
+    return Status::IOError("bad model file header: " +
+                           layout.status().message());
+  }
+  if (param_count.value() != layout->size()) {
     return Status::IOError("parameter count mismatch in model file");
   }
-
-  for (const Variable& param : model.value()->parameters()) {
-    int64_t rows = 0, cols = 0;
-    if (!(in >> rows >> cols)) {
-      return Status::IOError("truncated parameter header in model file");
-    }
-    Tensor& target = const_cast<Variable&>(param).mutable_value();
-    if (rows != target.rows() || cols != target.cols()) {
+  std::vector<Variable> params;
+  for (int64_t p = 0; p < layout->size(); ++p) {
+    const ParamSpec spec = layout->at(p);
+    Result<int64_t> rows = ReadInt(in, "parameter rows");
+    if (!rows.ok()) return rows.status();
+    Result<int64_t> cols = ReadInt(in, "parameter cols");
+    if (!cols.ok()) return cols.status();
+    if (rows.value() != spec.rows || cols.value() != spec.cols) {
       return Status::IOError("parameter shape mismatch in model file");
     }
-    for (int64_t i = 0; i < target.size(); ++i) {
-      std::string token;
-      if (!(in >> token)) {
-        return Status::IOError("truncated parameter data in model file");
-      }
-      target.data()[i] = std::strtof(token.c_str(), nullptr);
+    std::vector<float> values;
+    for (int64_t i = 0; i < spec.rows * spec.cols; ++i) {
+      Result<float> value = ReadFloat(in, "parameter value");
+      if (!value.ok()) return value.status();
+      values.push_back(value.value());
     }
+    params.emplace_back(
+        Tensor::FromVector(spec.rows, spec.cols, std::move(values)),
+        /*requires_grad=*/true);
   }
-  return model;
+  return std::unique_ptr<GnnModel>(
+      new GnnModel(layout.value(), std::move(params)));
 }
 
 Result<std::unique_ptr<GnnModel>> LoadGnnModel(const std::string& path) {

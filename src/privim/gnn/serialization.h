@@ -27,7 +27,10 @@ namespace privim {
 Status WriteGnnModel(const GnnModel& model, std::ostream& out);
 
 /// Reconstructs a model from a stream written by WriteGnnModel. Weight
-/// values are restored bit-exactly (hex float encoding).
+/// values are restored bit-exactly (hex float encoding). The header must
+/// describe a ParamLayout and every tensor must have its shape; a tensor
+/// is allocated as its values arrive, so memory is bounded by the bytes
+/// read, whatever the header claims. Every failure is IOError.
 Result<std::unique_ptr<GnnModel>> ReadGnnModel(std::istream& in);
 
 /// Writes architecture + parameter values to `path`. The write is atomic

@@ -15,31 +15,6 @@ uint64_t ArcKey(NodeId src, NodeId dst) {
 
 }  // namespace
 
-Result<Graph> ErdosRenyi(int64_t num_nodes, int64_t num_edges, bool directed,
-                         Rng* rng) {
-  if (num_nodes < 2) return Status::InvalidArgument("need >= 2 nodes");
-  const int64_t max_edges = directed ? num_nodes * (num_nodes - 1)
-                                     : num_nodes * (num_nodes - 1) / 2;
-  if (num_edges > max_edges) {
-    return Status::InvalidArgument("more edges than the graph can hold");
-  }
-  GraphBuilder builder(num_nodes, /*undirected=*/!directed);
-  builder.Reserve(num_edges);
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(static_cast<size_t>(num_edges) * 2);
-  int64_t added = 0;
-  while (added < num_edges) {
-    NodeId u = static_cast<NodeId>(rng->NextBounded(num_nodes));
-    NodeId v = static_cast<NodeId>(rng->NextBounded(num_nodes));
-    if (u == v) continue;
-    if (!directed && u > v) std::swap(u, v);
-    if (!seen.insert(ArcKey(u, v)).second) continue;
-    PRIVIM_RETURN_NOT_OK(builder.AddEdge(u, v));
-    ++added;
-  }
-  return builder.Build();
-}
-
 Result<Graph> BarabasiAlbert(int64_t num_nodes, int64_t edges_per_node,
                              Rng* rng) {
   if (edges_per_node < 1) {

@@ -14,10 +14,6 @@
 
 namespace privim {
 
-/// G(n, m): exactly `num_edges` distinct edges chosen uniformly.
-Result<Graph> ErdosRenyi(int64_t num_nodes, int64_t num_edges, bool directed,
-                         Rng* rng);
-
 /// Undirected Barabasi-Albert preferential attachment; each arriving node
 /// attaches `edges_per_node` edges. Requires edges_per_node >= 1.
 Result<Graph> BarabasiAlbert(int64_t num_nodes, int64_t edges_per_node,

@@ -1,5 +1,5 @@
-// Breadth-first traversal utilities: r-hop balls (the N_r(v0) constraint in
-// Alg. 1), distances, and weakly connected components.
+// Breadth-first traversal utilities: the r-hop ball (the N_r(v0) constraint
+// in Alg. 1) and the undirected neighbour visitor.
 
 #ifndef PRIVIM_GRAPH_TRAVERSAL_H_
 #define PRIVIM_GRAPH_TRAVERSAL_H_
@@ -12,23 +12,15 @@
 
 namespace privim {
 
-/// Nodes within `r` hops of `source` following out-arcs (including the
-/// source itself at distance 0), in BFS order.
-std::vector<NodeId> RHopBall(const Graph& graph, NodeId source, int r);
-
-/// Like RHopBall but over the underlying undirected structure (both arc
-/// directions). Random-walk subgraph extraction uses this so walks do not
-/// strand at sink nodes of directed graphs.
-std::vector<NodeId> UndirectedRHopBall(const Graph& graph, NodeId source,
-                                       int r);
-
-/// Sharded-scratch variant of UndirectedRHopBall: identical output (same
-/// BFS, same order), but distances live in `visits` — the function bumps
-/// its epoch, so a call costs O(ball + shards entered) instead of the
-/// O(num_nodes) clear of the dense version. After the call, membership
-/// tests are `visits->Get(v) != -1` until the next epoch bump; this is how
-/// the RWR sampler keeps a walk inside N_r(v0) without an O(n) set. The
-/// map must cover the graph (layout().num_nodes >= graph.num_nodes()).
+/// Nodes within `r` hops of `source` in the underlying undirected
+/// structure (both arc directions; the source itself at distance 0), in
+/// BFS order. Random-walk subgraph extraction uses this so walks do not
+/// strand at sink nodes of directed graphs. Distances live in `visits` —
+/// the function bumps its epoch, so a call costs O(ball + shards entered),
+/// not an O(num_nodes) clear. After the call, membership tests are
+/// `visits->Get(v) != -1` until the next epoch bump; this is how the RWR
+/// sampler keeps a walk inside N_r(v0) without an O(n) set. The map must
+/// cover the graph (layout().num_nodes >= graph.num_nodes()).
 std::vector<NodeId> UndirectedRHopBall(const Graph& graph, NodeId source,
                                        int r, ShardedVisitMap* visits);
 
@@ -51,16 +43,6 @@ void ForEachUndirectedNeighbor(const Graph& graph, NodeId v, Fn&& fn) {
     fn(u);
   }
 }
-
-/// BFS hop distance from `source` along out-arcs; -1 for unreachable nodes.
-std::vector<int> BfsDistances(const Graph& graph, NodeId source);
-
-/// Weakly connected component label per node (labels are 0-based and dense).
-struct ComponentInfo {
-  std::vector<NodeId> label;  ///< component id per node
-  int64_t num_components = 0;
-};
-ComponentInfo WeaklyConnectedComponents(const Graph& graph);
 
 }  // namespace privim
 

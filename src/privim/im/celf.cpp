@@ -57,39 +57,6 @@ Result<SeedSelectionResult> CelfGreedy(const SpreadOracle& oracle, int64_t k) {
   return result;
 }
 
-Result<SeedSelectionResult> PlainGreedy(const SpreadOracle& oracle,
-                                        int64_t k) {
-  if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  const int64_t n = oracle.num_nodes();
-  k = std::min(k, n);
-
-  SeedSelectionResult result;
-  std::vector<uint8_t> chosen(n, 0);
-  std::vector<NodeId> trial;
-  double current_spread = 0.0;
-  for (int64_t round = 0; round < k; ++round) {
-    double best_gain = -1.0;
-    NodeId best_node = -1;
-    for (NodeId v = 0; v < n; ++v) {
-      if (chosen[v]) continue;
-      trial = result.seeds;
-      trial.push_back(v);
-      const double gain = oracle.Spread(trial) - current_spread;
-      ++result.evaluations;
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_node = v;
-      }
-    }
-    if (best_node < 0) break;
-    chosen[best_node] = 1;
-    result.seeds.push_back(best_node);
-    current_spread += best_gain;
-  }
-  result.spread = current_spread;
-  return result;
-}
-
 std::vector<NodeId> TopDegreeSeeds(const Graph& graph, int64_t k) {
   const int64_t n = graph.num_nodes();
   k = std::min(k, n);

@@ -23,10 +23,6 @@ struct SeedSelectionResult {
 /// bounds from submodularity. Selects min(k, n) seeds.
 Result<SeedSelectionResult> CelfGreedy(const SpreadOracle& oracle, int64_t k);
 
-/// Non-lazy greedy; O(n k) oracle calls. Reference implementation used to
-/// validate CELF in tests.
-Result<SeedSelectionResult> PlainGreedy(const SpreadOracle& oracle, int64_t k);
-
 /// Top-k nodes by out-degree.
 std::vector<NodeId> TopDegreeSeeds(const Graph& graph, int64_t k);
 

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <initializer_list>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -192,160 +191,72 @@ class ProgramBuilder {
   std::vector<BufferSpec> buffers_;
 };
 
-namespace {
-
-Status LayoutMismatch(const GnnModel& model, const std::string& detail) {
-  return Status::Unimplemented(
-      std::string("cannot compile model for fused inference: ") + detail +
-      " (kind " + GnnKindToString(model.config().kind) + ", " +
-      std::to_string(model.parameters().size()) + " parameters)");
-}
-
-/// The parameter tensor at `index`, checked against the expected shape.
-Result<const Tensor*> Param(const GnnModel& model, size_t index,
-                            int64_t rows, int64_t cols) {
-  const std::vector<Variable>& params = model.parameters();
-  if (index >= params.size()) {
-    return LayoutMismatch(model, "parameter " + std::to_string(index) +
-                                     " is missing");
-  }
-  const Tensor& value = params[index].value();
-  if (value.rows() != rows || value.cols() != cols) {
-    return LayoutMismatch(
-        model, "parameter " + std::to_string(index) + " is " +
-                   std::to_string(value.rows()) + "x" +
-                   std::to_string(value.cols()) + ", expected " +
-                   std::to_string(rows) + "x" + std::to_string(cols));
-  }
-  return &value;
-}
-
-}  // namespace
-
-Result<InferProgram> CompileForInference(const GnnModel& model) {
+InferProgram CompileForInference(const GnnModel& model) {
   const GnnConfig& cfg = model.config();
-  if (cfg.input_dim < 1 || cfg.hidden_dim < 1 || cfg.num_layers < 1) {
-    return LayoutMismatch(model, "non-positive config dimensions");
-  }
-  const int64_t in_dim = cfg.input_dim;
-  const int64_t hid = cfg.hidden_dim;
-  const size_t layers = static_cast<size_t>(cfg.num_layers);
-
-  // Every built-in architecture shares the HeadedGnn prefix: parameter 0 is
-  // the (hidden x 1) head weight, parameter 1 the (1 x 1) head bias, and
-  // per-layer parameters follow in construction order (models.cpp).
-  Result<const Tensor*> head_w = Param(model, 0, hid, 1);
-  if (!head_w.ok()) return head_w.status();
-  Result<const Tensor*> head_b = Param(model, 1, 1, 1);
-  if (!head_b.ok()) return head_b.status();
-
-  const size_t per_layer = [&]() -> size_t {
-    switch (cfg.kind) {
-      case GnnKind::kGcn:
-      case GnnKind::kSage:
-        return 2;  // weight, bias
-      case GnnKind::kGat:
-      case GnnKind::kGrat:
-        return 4;  // weight, attn_src, attn_dst, bias
-      case GnnKind::kGin:
-        return 5;  // mlp1, mlp1_bias, mlp2, mlp2_bias, omega
-    }
-    return 0;
-  }();
-  if (per_layer == 0) {
-    return LayoutMismatch(model, "unknown architecture kind");
-  }
-  const size_t expected = 2 + per_layer * layers;
-  if (model.parameters().size() != expected) {
-    return LayoutMismatch(model, "expected " + std::to_string(expected) +
-                                     " parameters");
-  }
-
-  ProgramBuilder accum(in_dim);
+  const auto param = [&model](int64_t layer, ParamRole role) {
+    return &model.param(layer, role).value();
+  };
+  ProgramBuilder accum(cfg.input_dim);
   int h = 0;  // slot of the current hidden state
-  int64_t layer_in = in_dim;
+  int64_t layer_in = cfg.input_dim;
 
-  for (size_t l = 0; l < layers; ++l) {
-    const size_t base = 2 + per_layer * l;
+  for (int64_t l = 0; l < cfg.num_layers; ++l) {
+    const Tensor* w = param(l, ParamRole::kWeight);
+    const Tensor* b = param(l, ParamRole::kBias);
     switch (cfg.kind) {
       case GnnKind::kGcn: {
-        Result<const Tensor*> w = Param(model, base, layer_in, hid);
-        if (!w.ok()) return w.status();
-        Result<const Tensor*> b = Param(model, base + 1, 1, hid);
-        if (!b.ok()) return b.status();
         const int agg = accum.SpMM(AdjKind::kGcn, h, layer_in);
-        h = accum.Dense(agg, RowDomain::kNodes, w.value(), b.value(),
-                        Activation::kRelu);
+        h = accum.Dense(agg, RowDomain::kNodes, w, b, Activation::kRelu);
         break;
       }
 
       case GnnKind::kSage: {
-        Result<const Tensor*> w = Param(model, base, 2 * layer_in, hid);
-        if (!w.ok()) return w.status();
-        Result<const Tensor*> b = Param(model, base + 1, 1, hid);
-        if (!b.ok()) return b.status();
         const int mean = accum.SpMM(AdjKind::kMeanIn, h, layer_in);
         const int cat = accum.Concat(h, mean, 2 * layer_in);
-        h = accum.Dense(cat, RowDomain::kNodes, w.value(), b.value(),
-                        Activation::kRelu);
+        h = accum.Dense(cat, RowDomain::kNodes, w, b, Activation::kRelu);
         break;
       }
 
       case GnnKind::kGin: {
-        Result<const Tensor*> mlp1 = Param(model, base, layer_in, hid);
-        if (!mlp1.ok()) return mlp1.status();
-        Result<const Tensor*> mlp1_b = Param(model, base + 1, 1, hid);
-        if (!mlp1_b.ok()) return mlp1_b.status();
-        Result<const Tensor*> mlp2 = Param(model, base + 2, hid, hid);
-        if (!mlp2.ok()) return mlp2.status();
-        Result<const Tensor*> mlp2_b = Param(model, base + 3, 1, hid);
-        if (!mlp2_b.ok()) return mlp2_b.status();
-        Result<const Tensor*> omega = Param(model, base + 4, 1, 1);
-        if (!omega.ok()) return omega.status();
         const int agg = accum.SpMM(AdjKind::kSumIn, h, layer_in);
-        const int mixed = accum.GinMix(agg, h, omega.value(), layer_in);
-        const int hidden = accum.Dense(mixed, RowDomain::kNodes,
-                                       mlp1.value(), mlp1_b.value(),
-                                       Activation::kRelu);
-        h = accum.Dense(hidden, RowDomain::kNodes, mlp2.value(),
-                        mlp2_b.value(), Activation::kRelu);
+        const int mixed =
+            accum.GinMix(agg, h, param(l, ParamRole::kOmega), layer_in);
+        const int hidden =
+            accum.Dense(mixed, RowDomain::kNodes, w, b, Activation::kRelu);
+        h = accum.Dense(hidden, RowDomain::kNodes,
+                        param(l, ParamRole::kMlp2Weight),
+                        param(l, ParamRole::kMlp2Bias), Activation::kRelu);
         break;
       }
 
       case GnnKind::kGat:
       case GnnKind::kGrat: {
-        Result<const Tensor*> w = Param(model, base, layer_in, hid);
-        if (!w.ok()) return w.status();
-        Result<const Tensor*> a_src = Param(model, base + 1, hid, 1);
-        if (!a_src.ok()) return a_src.status();
-        Result<const Tensor*> a_dst = Param(model, base + 2, hid, 1);
-        if (!a_dst.ok()) return a_dst.status();
-        Result<const Tensor*> b = Param(model, base + 3, 1, hid);
-        if (!b.ok()) return b.status();
-        const int t = accum.Dense(h, RowDomain::kNodes, w.value(), nullptr,
+        const int t = accum.Dense(h, RowDomain::kNodes, w, nullptr,
                                   Activation::kNone);
-        const int s_src = accum.Dense(t, RowDomain::kNodes, a_src.value(),
-                                      nullptr, Activation::kNone);
-        const int s_dst = accum.Dense(t, RowDomain::kNodes, a_dst.value(),
-                                      nullptr, Activation::kNone);
+        const int s_src =
+            accum.Dense(t, RowDomain::kNodes, param(l, ParamRole::kAttnSrc),
+                        nullptr, Activation::kNone);
+        const int s_dst =
+            accum.Dense(t, RowDomain::kNodes, param(l, ParamRole::kAttnDst),
+                        nullptr, Activation::kNone);
         // GRAT normalizes over a source's outgoing attention edges (Eq. 39),
         // GAT over a destination's incoming ones (Eq. 35).
         const int alpha = accum.AttnSoftmax(
             s_src, s_dst, cfg.leaky_slope,
             cfg.kind == GnnKind::kGrat ? Segments::kBySource
                                        : Segments::kByDestination);
-        const int agg = accum.EdgeAggregate(alpha, t, hid);
-        h = accum.BiasAct(agg, b.value(), Activation::kRelu, hid);
+        const int agg = accum.EdgeAggregate(alpha, t, cfg.hidden_dim);
+        h = accum.BiasAct(agg, b, Activation::kRelu, cfg.hidden_dim);
         break;
       }
     }
-    layer_in = hid;
+    layer_in = cfg.hidden_dim;
   }
 
-  const int out =
-      accum.Dense(h, RowDomain::kNodes, head_w.value(), head_b.value(),
-                  Activation::kSigmoid);
-  return accum.Finish(model, in_dim, out);
+  const int out = accum.Dense(
+      h, RowDomain::kNodes, param(ParamLayout::kHead, ParamRole::kWeight),
+      param(ParamLayout::kHead, ParamRole::kBias), Activation::kSigmoid);
+  return accum.Finish(model, cfg.input_dim, out);
 }
 
 }  // namespace infer

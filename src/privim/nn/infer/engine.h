@@ -1,21 +1,16 @@
-// The fused inference engine: the one no-grad forward over a whole graph.
+// The fused inference engine: what serving keeps of a compiled model.
 //
 // An InferEngine owns a compiled InferProgram plus a pool of Scratch
-// buffers: Create() compiles the model AND verifies it, Forward() runs one
-// prebuilt context, and ForwardGraph() runs one graph — a whole graph or a
-// served subgraph — building only the context operators the program reads.
-// ScoreGraph() is the one-shot form that the pipeline, the baselines, the
-// CLI and serving's memoized scores rank a graph with: its engine and
-// scratch die with the call, so no whole-graph buffer outlives it.
+// buffers: Forward() runs one prebuilt context, and ForwardGraph() runs one
+// graph — a served subgraph — building only the context operators the
+// program reads. ScoreGraph() is the one-shot form that the pipeline, the
+// baselines, the CLI and serving's memoized scores rank a whole graph
+// with: it compiles the model and runs the program on one scratch, and
+// nothing of it outlives the call.
 //
-// Verification: structural compilation (compile.h) checks parameter shapes
-// but cannot see an overridden Forward(). Create() therefore runs a fixed
-// probe graph through both the fused program and the model's own tape
-// forward and requires bit-exact agreement; a model that diverges is
-// rejected with FailedPrecondition. ScoreGraph() and TrainDpGnn (which
-// creates an engine once per call and differentiates through program())
-// return that error to their callers; the serving layer falls back to the
-// tape path instead (serve.infer.fallbacks counter).
+// Every GnnModel compiles (compile.h), so neither can fail on a model;
+// the program's bytes are pinned against the tape forward by
+// tests/nn/infer_checker_test.cpp, not checked at run time.
 
 #ifndef PRIVIM_NN_INFER_ENGINE_H_
 #define PRIVIM_NN_INFER_ENGINE_H_
@@ -35,10 +30,7 @@ namespace infer {
 
 class InferEngine {
  public:
-  /// Compiles `model` and verifies the program against the model's own
-  /// Forward on a probe graph (bit-exact). Unimplemented when the parameter
-  /// layout is not a known architecture; FailedPrecondition when the probe
-  /// diverges (e.g. a subclass overriding Forward). The engine shares
+  /// Compiles `model`; InvalidArgument when it is null. The engine shares
   /// ownership of the model — compiled instructions borrow its parameters.
   static Result<std::unique_ptr<InferEngine>> Create(
       std::shared_ptr<const GnnModel> model);
@@ -59,7 +51,7 @@ class InferEngine {
   /// copy of them. A pooled scratch keeps its arena's buffers after the
   /// call: the next graph of a similar size reuses them, and a whole-graph
   /// forward that runs once is better served by ScoreGraph(), whose
-  /// engine and scratch die with the call.
+  /// scratch dies with the call.
   Status ForwardGraph(const Graph& graph, Tensor* out,
                       const std::vector<NodeId>* global_ids = nullptr) const;
 
@@ -76,10 +68,6 @@ class InferEngine {
 
   class ScratchLease;
 
-  /// Runs the probe graph through Forward(), the path every call serves,
-  /// and compares the scores with the tape's.
-  Status VerifyAgainstTape() const;
-
   std::unique_ptr<Scratch> AcquireScratch() const;
   void ReleaseScratch(std::unique_ptr<Scratch> scratch) const;
 
@@ -92,10 +80,7 @@ class InferEngine {
 
 /// The (n x 1) scores of every node of `graph` under `model`, computed by
 /// the compiled program without a tape and bit-identical to
-/// model.Forward() on a full GraphContext. Unimplemented when the parameter
-/// layout is not a known architecture, FailedPrecondition when the probe
-/// diverges; there is no tape fallback. Every CreateGnnModel model
-/// compiles.
+/// model.Forward() on a full GraphContext.
 Result<Tensor> ScoreGraph(const GnnModel& model, const Graph& graph);
 
 }  // namespace infer

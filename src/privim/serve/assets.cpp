@@ -5,10 +5,7 @@
 #include <utility>
 
 #include "privim/ckpt/io.h"
-#include "privim/gnn/features.h"
-#include "privim/gnn/graph_context.h"
 #include "privim/gnn/serialization.h"
-#include "privim/nn/arena.h"
 #include "privim/obs/metrics.h"
 #include "privim/obs/trace.h"
 
@@ -30,23 +27,6 @@ void ServingAssets::CountFusedForward() const {
   FusedForwardCounter()->Increment();
 }
 
-Result<InferEngineKind> InferEngineKindFromString(const std::string& name) {
-  if (name == "fused") return InferEngineKind::kFused;
-  if (name == "tape") return InferEngineKind::kTape;
-  return Status::InvalidArgument("unknown inference engine \"" + name +
-                                 "\" (expected fused | tape)");
-}
-
-const char* InferEngineKindToString(InferEngineKind kind) {
-  switch (kind) {
-    case InferEngineKind::kFused:
-      return "fused";
-    case InferEngineKind::kTape:
-      return "tape";
-  }
-  return "?";
-}
-
 std::string FingerprintHex(uint64_t fingerprint) {
   char text[17];
   std::snprintf(text, sizeof(text), "%016llx",
@@ -56,14 +36,14 @@ std::string FingerprintHex(uint64_t fingerprint) {
 
 Result<std::shared_ptr<const ServingAssets>> ServingAssets::Build(
     Graph graph, std::shared_ptr<const GnnModel> model,
-    std::shared_ptr<const SketchIndex> sketch, InferEngineKind engine_kind) {
+    std::shared_ptr<const SketchIndex> sketch, InferEngineKind /*kind*/) {
   return Build(std::make_shared<const Graph>(std::move(graph)),
-               std::move(model), std::move(sketch), engine_kind);
+               std::move(model), std::move(sketch));
 }
 
 Result<std::shared_ptr<const ServingAssets>> ServingAssets::Build(
     std::shared_ptr<const Graph> graph, std::shared_ptr<const GnnModel> model,
-    std::shared_ptr<const SketchIndex> sketch, InferEngineKind engine_kind) {
+    std::shared_ptr<const SketchIndex> sketch, InferEngineKind /*kind*/) {
   if (graph == nullptr) {
     return Status::InvalidArgument("serving assets need a graph");
   }
@@ -73,7 +53,6 @@ Result<std::shared_ptr<const ServingAssets>> ServingAssets::Build(
   std::shared_ptr<ServingAssets> assets(new ServingAssets());
   assets->graph_ = std::move(graph);
   assets->model_ = std::move(model);
-  assets->engine_kind_ = engine_kind;
 
   // Bind cached responses to this exact (graph, model) pair: the graph's
   // structural fingerprint chained with the model's serialized bytes.
@@ -99,18 +78,11 @@ Result<std::shared_ptr<const ServingAssets>> ServingAssets::Build(
     assets->sketch_ = std::move(sketch);
   }
 
-  // The fused engine is strictly an execution strategy: responses are
-  // bit-identical to the tape, so the engine kind never enters the cache
-  // fingerprint, and a model the compiler or probe rejects silently serves
-  // on the tape path (visible only in stats/metrics).
-  if (assets->model_ != nullptr && engine_kind == InferEngineKind::kFused) {
+  if (assets->model_ != nullptr) {
     Result<std::unique_ptr<infer::InferEngine>> engine =
         infer::InferEngine::Create(assets->model_);
-    if (engine.ok()) {
-      assets->engine_ = std::move(engine).value();
-    } else {
-      assets->infer_fallback_reason_ = engine.status().message();
-    }
+    if (!engine.ok()) return engine.status();
+    assets->engine_ = std::move(engine).value();
   }
   return std::shared_ptr<const ServingAssets>(std::move(assets));
 }
@@ -123,36 +95,18 @@ Result<Tensor> ServingAssets::Scores() const {
       scores_status_ = Status::FailedPrecondition(
           "service was created without a model; influence scores and "
           "method=model top-k need --model");
-    } else if (engine_ != nullptr) {
+    } else {
       obs::TraceSpan span("serve.forward");
       // One whole-graph forward per snapshot. A scratch leased from
       // engine_ would go back to its pool with whole-graph buffers that the
       // subgraph requests it serves never use, for the snapshot's life;
-      // ScoreGraph's engine and scratch die with the call instead.
+      // ScoreGraph's scratch dies with the call instead.
       Result<Tensor> scores = infer::ScoreGraph(*model_, *graph_);
       if (scores.ok()) {
         scores_ = std::move(scores).value();
         CountFusedForward();
       } else {
         scores_status_ = scores.status();
-      }
-    } else {
-      obs::TraceSpan span("serve.forward");
-      // Arena-scope the one-shot forward so features, activations, and the
-      // dropped tape draw from (and return to) a local pool instead of the
-      // heap. scores_ safely outlives the pool: Acquire hands out
-      // self-owning storage, and release without an active arena is a
-      // normal free.
-      nn::MemoryPools pools;
-      nn::ArenaScope scope(&pools);
-      const GraphContext ctx = GraphContext::Build(*graph_);
-      const Tensor features =
-          BuildNodeFeatures(*graph_, model_->config().input_dim);
-      Result<Variable> out = model_->Run(ctx, features);
-      if (out.ok()) {
-        scores_ = out.value().value();
-      } else {
-        scores_status_ = out.status();
       }
     }
   }

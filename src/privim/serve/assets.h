@@ -1,7 +1,7 @@
 // Immutable serving-asset snapshots.
 //
 // A ServingAssets bundles everything a request executes against — the
-// evaluation graph, the released (privatized) model, the compiled fused
+// evaluation graph, the released (privatized) model, its compiled
 // inference engine, the precomputed RIS sketch index, and the fingerprints
 // that bind cached responses to this exact content. A snapshot is
 // immutable after Build(): the InfluenceService publishes the current one
@@ -40,20 +40,10 @@
 namespace privim {
 namespace serve {
 
-/// Which forward-pass implementation answers model-based requests.
-enum class InferEngineKind {
-  /// Compiled tape-free programs (nn/infer): the default. Bit-identical to
-  /// the tape by construction (shared kernels, probe-verified), so the
-  /// choice never appears in the cache fingerprint.
-  kFused,
-  /// The autograd tape forward — the reference path and the fallback when
-  /// a model cannot be compiled or fails probe verification.
-  kTape,
-};
-
-/// Parses "fused" | "tape".
-Result<InferEngineKind> InferEngineKindFromString(const std::string& name);
-const char* InferEngineKindToString(InferEngineKind kind);
+/// The one forward-pass implementation: compiled tape-free programs
+/// (nn/infer). The enum and Build()'s last parameter remain only because
+/// perfbench/serve_bench.cpp passes them; Build() ignores the value.
+enum class InferEngineKind { kFused };
 
 /// One immutable (graph, model, engine, sketch) snapshot. Thread-safe for
 /// concurrent readers; the only mutable state is the lazily memoized
@@ -64,46 +54,40 @@ class ServingAssets {
   /// (graph-only serving / no index). A sketch index whose graph
   /// fingerprint differs from `graph`'s is refused with FailedPrecondition
   /// — a snapshot can never pair a stale index with the serving graph.
-  /// With kFused and a model, the engine is compiled here; a model the
-  /// compiler or probe rejects falls back to the tape path (recorded in
-  /// infer_fallback_reason(), responses bit-identical either way).
+  /// With a model, the engine is compiled here; every model compiles.
   static Result<std::shared_ptr<const ServingAssets>> Build(
       std::shared_ptr<const Graph> graph,
       std::shared_ptr<const GnnModel> model,
-      std::shared_ptr<const SketchIndex> sketch, InferEngineKind engine_kind);
+      std::shared_ptr<const SketchIndex> sketch,
+      InferEngineKind engine_kind = InferEngineKind::kFused);
 
   /// Convenience overload taking the graph by value.
   static Result<std::shared_ptr<const ServingAssets>> Build(
       Graph graph, std::shared_ptr<const GnnModel> model,
-      std::shared_ptr<const SketchIndex> sketch, InferEngineKind engine_kind);
+      std::shared_ptr<const SketchIndex> sketch,
+      InferEngineKind engine_kind = InferEngineKind::kFused);
 
   const Graph& graph() const { return *graph_; }
   std::shared_ptr<const Graph> shared_graph() const { return graph_; }
   const GnnModel* model() const { return model_.get(); }
   bool has_model() const { return model_ != nullptr; }
-  /// Non-null when the fused engine serves this snapshot's model.
+  /// The engine serving this snapshot's model; null without a model.
   const infer::InferEngine* engine() const { return engine_.get(); }
   const SketchIndex* sketch() const { return sketch_.get(); }
-  InferEngineKind engine_kind() const { return engine_kind_; }
 
   /// FNV fingerprint binding cached responses to this exact model + graph.
   uint64_t fingerprint() const { return fingerprint_; }
   /// Structural fingerprint of the graph alone (what a sketch index pins).
   uint64_t graph_fingerprint() const { return graph_fingerprint_; }
-  /// Why the fused engine is not active ("" when it is, or when tape was
-  /// requested explicitly).
-  const std::string& infer_fallback_reason() const {
-    return infer_fallback_reason_;
-  }
 
   /// Model scores over the whole graph, computed once per snapshot and
   /// memoized — the forward pass is deterministic, so every
   /// influence/topk(model) request against this snapshot shares it. The
-  /// fused forward runs through infer::ScoreGraph, so its whole-graph
-  /// buffers are freed when it returns, not pooled in engine().
+  /// forward runs through infer::ScoreGraph, so its whole-graph buffers are
+  /// freed when it returns, not pooled in engine().
   Result<Tensor> Scores() const;
 
-  /// Forward passes served by the fused engine against this snapshot.
+  /// Forward passes run against this snapshot.
   uint64_t fused_forwards() const {
     return fused_forwards_.load(std::memory_order_relaxed);
   }
@@ -121,8 +105,6 @@ class ServingAssets {
   /// model_ (destroyed first).
   std::unique_ptr<infer::InferEngine> engine_;
   std::shared_ptr<const SketchIndex> sketch_;
-  InferEngineKind engine_kind_ = InferEngineKind::kFused;
-  std::string infer_fallback_reason_;
   uint64_t fingerprint_ = 0;
   uint64_t graph_fingerprint_ = 0;
 

@@ -3,9 +3,9 @@
 // Keys are 128 bits: (model/graph fingerprint, request digest). The shard
 // is picked from the key hash, so concurrent lookups on different shards
 // never contend on a lock; within a shard a mutex guards the classic
-// list + hash-map LRU. Values are the serialized response payloads —
-// inference on a released DP model is post-processing, so caching (like
-// serving itself) spends no additional privacy budget.
+// list + hash-map LRU. Values are the serialized response payloads. A
+// cached answer is whatever release the answer itself is (service.h):
+// caching adds no privacy cost, and removes none either.
 //
 // The cache is an observational layer: a hit returns exactly the bytes a
 // recomputation would produce (responses are deterministic per request),

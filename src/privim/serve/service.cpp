@@ -5,12 +5,9 @@
 
 #include "privim/common/thread_pool.h"
 #include "privim/diffusion/ic_model.h"
-#include "privim/gnn/features.h"
-#include "privim/gnn/graph_context.h"
 #include "privim/im/ris.h"
 #include "privim/im/seed_selection.h"
 #include "privim/im/spread_oracle.h"
-#include "privim/nn/arena.h"
 #include "privim/obs/metrics.h"
 #include "privim/obs/trace.h"
 
@@ -46,11 +43,6 @@ obs::Counter* CacheHitCounter() {
 obs::Counter* CacheMissCounter() {
   static obs::Counter* c =
       obs::GlobalMetrics().GetCounter("serve.cache.misses");
-  return c;
-}
-obs::Counter* InferFallbackCounter() {
-  static obs::Counter* c =
-      obs::GlobalMetrics().GetCounter("serve.infer.fallbacks");
   return c;
 }
 obs::Counter* SketchServeCounter() {
@@ -142,13 +134,8 @@ Result<std::unique_ptr<InfluenceService>> InfluenceService::Create(
   if (assets == nullptr) {
     return Status::InvalidArgument("service needs a non-null asset snapshot");
   }
-  std::unique_ptr<InfluenceService> service(
+  return std::unique_ptr<InfluenceService>(
       new InfluenceService(std::move(assets), options));
-  if (!service->assets()->infer_fallback_reason().empty()) {
-    service->infer_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    InferFallbackCounter()->Increment();
-  }
-  return service;
 }
 
 Result<std::unique_ptr<InfluenceService>> InfluenceService::Create(
@@ -156,8 +143,7 @@ Result<std::unique_ptr<InfluenceService>> InfluenceService::Create(
     const ServeOptions& options) {
   PRIVIM_RETURN_NOT_OK(options.Validate());
   Result<std::shared_ptr<const ServingAssets>> assets = ServingAssets::Build(
-      std::move(graph), std::move(model), /*sketch=*/nullptr,
-      options.infer_engine);
+      std::move(graph), std::move(model), /*sketch=*/nullptr);
   if (!assets.ok()) return assets.status();
   return Create(std::move(assets).value(), options);
 }
@@ -174,10 +160,6 @@ Status InfluenceService::SwapAssets(
     swap_errors_.fetch_add(1, std::memory_order_relaxed);
     SwapErrorCounter()->Increment();
     return Status::InvalidArgument("swap needs a non-null asset snapshot");
-  }
-  if (!assets->infer_fallback_reason().empty()) {
-    infer_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    InferFallbackCounter()->Increment();
   }
   const std::shared_ptr<const ServingAssets> retired =
       assets_.exchange(std::move(assets), std::memory_order_acq_rel);
@@ -476,21 +458,11 @@ Result<Tensor> InfluenceService::SubgraphScores(const ServingAssets& assets,
   // Features are salted by the nodes' global ids, so a node's feature row
   // — and therefore its score — does not depend on which other nodes the
   // request packed into the subgraph's id space.
-  if (assets.engine() != nullptr) {
-    Tensor out;
-    PRIVIM_RETURN_NOT_OK(
-        assets.engine()->ForwardGraph(sub.local, &out, &sub.global_ids));
-    assets.CountFusedForward();
-    return out;
-  }
-  const GraphContext ctx = GraphContext::Build(sub.local);
-  const Tensor features = BuildNodeFeatures(
-      sub.local, assets.model()->config().input_dim, &sub.global_ids);
-  nn::MemoryPools pools;
-  nn::ArenaScope scope(&pools);
-  Result<Variable> out = assets.model()->Run(ctx, features);
-  if (!out.ok()) return out.status();
-  return out.value().value();
+  Tensor out;
+  PRIVIM_RETURN_NOT_OK(
+      assets.engine()->ForwardGraph(sub.local, &out, &sub.global_ids));
+  assets.CountFusedForward();
+  return out;
 }
 
 Result<SeedSelectionResult> InfluenceService::CelfTopK(
@@ -561,9 +533,7 @@ ServeResponse InfluenceService::Compute(const ServingAssets& assets,
       response.payload.Set("model", JsonValue::Bool(assets.has_model()));
       response.payload.Set("sketch",
                            JsonValue::Bool(assets.sketch() != nullptr));
-      response.payload.Set(
-          "engine", JsonValue::Str(assets.engine() != nullptr ? "fused"
-                                                              : "tape"));
+      response.payload.Set("engine", JsonValue::Str("fused"));
       return response;
     }
 
@@ -746,8 +716,6 @@ ServiceStats InfluenceService::GetStats() const {
   stats.fused_forwards =
       fused_forwards_base_.load(std::memory_order_relaxed) +
       current->fused_forwards();
-  stats.infer_fallbacks = infer_fallbacks_.load(std::memory_order_relaxed);
-  stats.fused_active = current->engine() != nullptr;
   stats.sketch_hits = sketch_hits_.load(std::memory_order_relaxed);
   stats.sketch_fallbacks = sketch_fallbacks_.load(std::memory_order_relaxed);
   stats.sketch_active = current->sketch() != nullptr;

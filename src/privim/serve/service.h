@@ -4,10 +4,16 @@
 // influence scores, top-k seed selection (model scores, CELF, RIS or the
 // precomputed sketch index) and Monte-Carlo spread estimates — against an
 // immutable ServingAssets snapshot (assets.h: graph + released model +
-// fused engine + sketch index + fingerprints). Differential privacy is
-// spent entirely at training time — inference on the released model is
-// post-processing — so the serving path adds no privacy cost and can be
-// cached and replayed freely.
+// compiled engine + sketch index + fingerprints).
+//
+// Release boundary: the DP guarantee covers the released model, and what
+// is computed from it plus a graph that shares no node with the training
+// graph (the paper's SplitNodes protocol); on such a graph model answers
+// are post-processing and may be cached and replayed freely. Model
+// answers on the training graph itself, and every CELF, RIS, sketch and
+// spread answer (these read the served graph with no model at all), are
+// the data owner's own use, not a DP release: removing one node can change
+// them (docs/privacy_accounting.md section 8).
 //
 // Request flow:
 //
@@ -80,13 +86,6 @@ struct ServeOptions {
   int64_t cache_capacity = 1024;
   /// Cache shard count (clamped to cache_capacity when larger).
   int64_t cache_shards = 8;
-  /// Forward-pass implementation for model-based requests; forwarded to
-  /// ServingAssets::Build by the convenience Create overload and by asset
-  /// factories. kFused compiles the model; an uncompilable model silently
-  /// falls back to the tape (counted in ServiceStats::infer_fallbacks and
-  /// the serve.infer.fallbacks metric) because responses are identical
-  /// either way.
-  InferEngineKind infer_engine = InferEngineKind::kFused;
 
   Status Validate() const;
 };
@@ -103,9 +102,7 @@ struct ServiceStats {
   uint64_t batches = 0;         ///< scheduler dispatches
   uint64_t max_batch_size = 0;  ///< largest coalesced batch observed
   int64_t queue_depth = 0;      ///< requests currently waiting
-  uint64_t fused_forwards = 0;  ///< forward passes served by the fused engine
-  uint64_t infer_fallbacks = 0;  ///< snapshots that fell back to the tape path
-  bool fused_active = false;     ///< the current snapshot serves fused
+  uint64_t fused_forwards = 0;  ///< model forward passes run
   uint64_t sketch_hits = 0;       ///< topk answered from the sketch index
   uint64_t sketch_fallbacks = 0;  ///< method=sketch served by CELF instead
   bool sketch_active = false;     ///< the current snapshot has a sketch index
@@ -208,14 +205,6 @@ class InfluenceService {
   uint64_t fingerprint() const { return assets()->fingerprint(); }
   const Graph& graph() const { return assets()->graph(); }
   bool has_model() const { return assets()->has_model(); }
-  /// True when model requests run on the fused engine (options asked for
-  /// it and the model compiled + passed probe verification).
-  bool fused_active() const { return assets()->engine() != nullptr; }
-  /// Why the fused engine is not active ("" when it is, or when tape was
-  /// requested explicitly).
-  std::string infer_fallback_reason() const {
-    return assets()->infer_fallback_reason();
-  }
   /// True when method=sketch requests are served from the snapshot's index.
   bool sketch_active() const { return assets()->sketch() != nullptr; }
 
@@ -254,8 +243,7 @@ class InfluenceService {
   /// Monte-Carlo IC otherwise.
   Result<SeedSelectionResult> CelfTopK(const ServingAssets& assets,
                                        const ServeRequest& request);
-  /// Model scores over one induced subgraph (fused engine when active,
-  /// tape otherwise; bit-identical either way).
+  /// Model scores over one induced subgraph, from the snapshot's engine.
   Result<Tensor> SubgraphScores(const ServingAssets& assets,
                                 const Subgraph& sub);
 
@@ -283,7 +271,6 @@ class InfluenceService {
   /// Fused forwards accumulated by snapshots that have been retired by a
   /// swap; the live total adds the current snapshot's own count.
   std::atomic<uint64_t> fused_forwards_base_{0};
-  std::atomic<uint64_t> infer_fallbacks_{0};
   std::atomic<uint64_t> sketch_hits_{0};
   std::atomic<uint64_t> sketch_fallbacks_{0};
   std::atomic<uint64_t> swaps_{0};

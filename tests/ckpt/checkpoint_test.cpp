@@ -16,13 +16,14 @@
 #include "privim/nn/autograd.h"
 #include "privim/nn/optimizer.h"
 #include "testing/graph_fixtures.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace ckpt {
 namespace {
 
 std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = privim::testing::ProcessTempDir() + "/" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -138,33 +138,6 @@ TEST(RngTest, LaplaceSymmetricWithCorrectScale) {
   EXPECT_NEAR(abs_sum / n, 3.0, 0.1);
 }
 
-TEST(RngTest, BinomialSmallNExact) {
-  Rng rng(41);
-  const int n = 20000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += rng.NextBinomial(10, 0.3);
-  EXPECT_NEAR(sum / n, 3.0, 0.1);
-}
-
-TEST(RngTest, BinomialLargeNApproximation) {
-  Rng rng(43);
-  const int n = 20000;
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) {
-    const uint64_t x = rng.NextBinomial(10000, 0.25);
-    EXPECT_LE(x, 10000u);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / n, 2500.0, 10.0);
-}
-
-TEST(RngTest, BinomialEdgeCases) {
-  Rng rng(47);
-  EXPECT_EQ(rng.NextBinomial(0, 0.5), 0u);
-  EXPECT_EQ(rng.NextBinomial(10, 0.0), 0u);
-  EXPECT_EQ(rng.NextBinomial(10, 1.0), 10u);
-}
-
 TEST(RngTest, DiscreteProportionalToWeights) {
   Rng rng(53);
   const std::vector<double> weights = {1.0, 3.0, 6.0};

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "gtest/gtest.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -52,7 +53,8 @@ TEST(TablePrinterTest, CsvEscapesSpecialCharacters) {
 TEST(TablePrinterTest, WriteCsvRoundTrip) {
   TablePrinter table({"k", "v"});
   table.AddRow({"eps", "4"});
-  const std::string path = ::testing::TempDir() + "/privim_table_test.csv";
+  const std::string path =
+      privim::testing::ProcessTempDir() + "/privim_table_test.csv";
   ASSERT_TRUE(table.WriteCsv(path).ok());
   std::ifstream file(path);
   std::stringstream content;

@@ -439,63 +439,5 @@ TEST(TrainDpGnnTest, ObjectiveIgnoringTheScoresGivesZeroGradients) {
   EXPECT_TRUE(SameParameterBytes(*fixture.model, *before));
 }
 
-/// A GCN's parameter layout with a tanh head: it compiles, but its Forward
-/// is not the compiled program, which only the probe forward can see.
-class TanhHeadGcn : public GnnModel {
- public:
-  explicit TanhHeadGcn(const GnnModel& base) : GnnModel(base.config()) {
-    for (const Variable& parameter : base.parameters()) {
-      params_.push_back(Variable(parameter.value(), /*requires_grad=*/true));
-    }
-  }
-
-  Variable Forward(const GraphContext& ctx,
-                   const Variable& features) const override {
-    Variable h = features;
-    for (int64_t l = 0; l < config_.num_layers; ++l) {
-      h = Relu(AddRowBroadcast(
-          MatMul(SpMM(ctx.gcn_adj, h), params_[static_cast<size_t>(2 + 2 * l)]),
-          params_[static_cast<size_t>(3 + 2 * l)]));
-    }
-    return Tanh(AddRowBroadcast(MatMul(h, params_[0]), params_[1]));
-  }
-};
-
-/// One parameter more than any known architecture has.
-class ExtraParamGcn : public GnnModel {
- public:
-  explicit ExtraParamGcn(const GnnModel& base) : GnnModel(base.config()) {
-    for (const Variable& parameter : base.parameters()) {
-      params_.push_back(Variable(parameter.value(), /*requires_grad=*/true));
-    }
-    params_.push_back(Variable(Tensor::Ones(3, 3), /*requires_grad=*/true));
-  }
-
-  Variable Forward(const GraphContext& ctx,
-                   const Variable& features) const override {
-    return SpMM(ctx.gcn_adj, features);
-  }
-};
-
-TEST(TrainDpGnnTest, RejectsAModelWhoseForwardDivergesFromItsProgram) {
-  const TrainFixture fixture = MakeFixture(42, GnnKind::kGcn);
-  TanhHeadGcn exotic(*fixture.model);
-  Rng rng(43);
-  const Result<TrainStats> stats =
-      TrainDpGnn(&exotic, fixture.container, FastOptions(), &rng);
-  EXPECT_EQ(stats.status().code(), StatusCode::kFailedPrecondition)
-      << stats.status().ToString();
-}
-
-TEST(TrainDpGnnTest, RejectsAnUnknownParameterLayout) {
-  const TrainFixture fixture = MakeFixture(44, GnnKind::kGcn);
-  ExtraParamGcn exotic(*fixture.model);
-  Rng rng(45);
-  const Result<TrainStats> stats =
-      TrainDpGnn(&exotic, fixture.container, FastOptions(), &rng);
-  EXPECT_EQ(stats.status().code(), StatusCode::kUnimplemented)
-      << stats.status().ToString();
-}
-
 }  // namespace
 }  // namespace privim

@@ -13,6 +13,8 @@
 #include "privim/graph/graph_io.h"
 #include "privim/nn/ops.h"
 #include "testing/graph_fixtures.h"
+#include "testing/reference_oracles.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -123,7 +125,8 @@ TEST(GraphContextTest, AttentionListsAddOneSelfLoopPerNode) {
 TEST(GraphContextTest, AttentionListsWalkTheInCsrThenTheSelfLoops) {
   Rng rng(45);
   std::vector<Graph> graphs;
-  graphs.push_back(ErdosRenyi(30, 90, /*directed=*/true, &rng).value());
+  graphs.push_back(
+      testing::ErdosRenyi(30, 90, /*directed=*/true, &rng).value());
   graphs.push_back(BarabasiAlbert(30, 3, &rng).value());
   graphs.push_back(MakeGraph(6, {{4, 0}, {2, 0}, {0, 2}, {5, 2}}));
   for (const Graph& graph : graphs) {
@@ -160,7 +163,8 @@ TEST(GraphContextTest, GcnSelfLoopsSitAtTheirSortedPosition) {
   // Self-arcs in an edge list are dropped on load (no Graph holds one), so
   // the GCN self-loop stays the only diagonal entry. The other arcs give
   // nodes in-arcs from below, from above and from both sides of their id.
-  const std::string path = ::testing::TempDir() + "/gcn_self_arcs.txt";
+  const std::string path =
+      privim::testing::ProcessTempDir() + "/gcn_self_arcs.txt";
   {
     std::ofstream file(path);
     file << "0 0\n1 0\n3 0\n2 2\n4 2\n3 3\n0 3\n1 3\n2 1\n4 4\n";
@@ -180,7 +184,8 @@ TEST(GraphContextTest, GcnSelfLoopsSitAtTheirSortedPosition) {
     graphs.push_back(builder.Build().value());  // no arcs at all
   }
   Rng rng(41);
-  graphs.push_back(ErdosRenyi(60, 240, /*directed=*/true, &rng).value());
+  graphs.push_back(
+      testing::ErdosRenyi(60, 240, /*directed=*/true, &rng).value());
   graphs.push_back(BarabasiAlbert(80, 3, &rng).value());
 
   for (size_t i = 0; i < graphs.size(); ++i) {
@@ -192,7 +197,8 @@ TEST(GraphContextTest, GcnSelfLoopsSitAtTheirSortedPosition) {
 
 TEST(GraphContextTest, PartialBuildsMatchTheFullBuild) {
   Rng rng(43);
-  const Graph graph = ErdosRenyi(30, 90, /*directed=*/true, &rng).value();
+  const Graph graph =
+      testing::ErdosRenyi(30, 90, /*directed=*/true, &rng).value();
   const GraphContext full = GraphContext::Build(graph);
   EXPECT_EQ(full.parts, GraphContext::kAllParts);
 

@@ -9,12 +9,13 @@
 #include "privim/common/atomic_file.h"
 #include "privim/gnn/features.h"
 #include "privim/graph/generators.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return privim::testing::ProcessTempDir() + "/" + name;
 }
 
 GnnConfig SmallConfig(GnnKind kind) {

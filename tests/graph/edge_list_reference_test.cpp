@@ -24,6 +24,7 @@
 #include "privim/obs/metrics.h"
 #include "testing/reference_csr.h"
 #include "testing/reference_edge_list.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -31,7 +32,7 @@ namespace {
 using std::string_literals::operator""s;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return privim::testing::ProcessTempDir() + "/" + name;
 }
 
 void WriteFile(const std::string& path, const std::string& bytes) {

@@ -5,13 +5,14 @@
 
 #include "gtest/gtest.h"
 #include "privim/graph/traversal.h"
+#include "testing/reference_oracles.h"
 
 namespace privim {
 namespace {
 
 TEST(ErdosRenyiTest, ExactEdgeCount) {
   Rng rng(1);
-  Result<Graph> graph = ErdosRenyi(100, 400, /*directed=*/true, &rng);
+  Result<Graph> graph = testing::ErdosRenyi(100, 400, /*directed=*/true, &rng);
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph->num_nodes(), 100);
   EXPECT_EQ(graph->num_arcs(), 400);
@@ -19,7 +20,7 @@ TEST(ErdosRenyiTest, ExactEdgeCount) {
 
 TEST(ErdosRenyiTest, UndirectedDoublesArcs) {
   Rng rng(2);
-  Result<Graph> graph = ErdosRenyi(50, 100, /*directed=*/false, &rng);
+  Result<Graph> graph = testing::ErdosRenyi(50, 100, /*directed=*/false, &rng);
   ASSERT_TRUE(graph.ok());
   EXPECT_EQ(graph->num_arcs(), 200);
   // Symmetric.
@@ -30,8 +31,8 @@ TEST(ErdosRenyiTest, UndirectedDoublesArcs) {
 
 TEST(ErdosRenyiTest, RejectsImpossibleEdgeCount) {
   Rng rng(3);
-  EXPECT_FALSE(ErdosRenyi(4, 100, true, &rng).ok());
-  EXPECT_FALSE(ErdosRenyi(1, 0, true, &rng).ok());
+  EXPECT_FALSE(testing::ErdosRenyi(4, 100, true, &rng).ok());
+  EXPECT_FALSE(testing::ErdosRenyi(1, 0, true, &rng).ok());
 }
 
 TEST(BarabasiAlbertTest, SizeAndDegreeSkew) {
@@ -53,7 +54,8 @@ TEST(BarabasiAlbertTest, Connected) {
   Rng rng(5);
   Result<Graph> graph = BarabasiAlbert(500, 3, &rng);
   ASSERT_TRUE(graph.ok());
-  EXPECT_EQ(WeaklyConnectedComponents(graph.value()).num_components, 1);
+  EXPECT_EQ(testing::WeaklyConnectedComponents(graph.value()).num_components,
+            1);
 }
 
 TEST(BarabasiAlbertTest, InvalidParams) {

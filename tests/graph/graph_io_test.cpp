@@ -14,12 +14,13 @@
 
 #include "gtest/gtest.h"
 #include "testing/graph_fixtures.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
 
 std::string WriteTempFile(const std::string& name, const std::string& body) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = privim::testing::ProcessTempDir() + "/" + name;
   std::ofstream file(path);
   file << body;
   return path;
@@ -126,7 +127,7 @@ TEST(GraphIoTest, MissingFileFails) {
 // not an empty graph (nor, where its end offset reads as LLONG_MAX, an
 // abort in the edge vector's reserve).
 TEST(GraphIoTest, DirectoryPathFailsWithIOError) {
-  const std::string path = ::testing::TempDir() + "/edge_list_dir";
+  const std::string path = privim::testing::ProcessTempDir() + "/edge_list_dir";
   std::filesystem::create_directories(path);
   const Result<Graph> graph = LoadEdgeList(path, false);
   ASSERT_FALSE(graph.ok());
@@ -140,7 +141,8 @@ TEST(GraphIoTest, DirectoryPathFailsWithIOError) {
 // load from a regular file.
 TEST(GraphIoTest, FifoLoadsLikeARegularFile) {
   const std::string body = "0 1 0.5\n1 2\n2 0\n5 7 0.25\n";
-  const std::string fifo = ::testing::TempDir() + "/edge_list.fifo";
+  const std::string fifo =
+      privim::testing::ProcessTempDir() + "/edge_list.fifo";
   std::remove(fifo.c_str());
   ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
   std::thread writer([&] { std::ofstream(fifo) << body; });
@@ -273,7 +275,8 @@ TEST(GraphIoTest, SelfLoopOnlyFileLoadsNodesWithoutArcs) {
 TEST(GraphIoTest, SaveLoadRoundTripPreservesWeightsExactly) {
   const Graph original =
       testing::MakeGraph(4, {{0, 1, 0.25f}, {1, 2, 0.5f}, {3, 0, 1.0f}});
-  const std::string path = ::testing::TempDir() + "/roundtrip_weights.txt";
+  const std::string path =
+      privim::testing::ProcessTempDir() + "/roundtrip_weights.txt";
   ASSERT_TRUE(SaveEdgeList(original, path).ok());
   Result<Graph> loaded = LoadEdgeList(path, false);
   ASSERT_TRUE(loaded.ok());
@@ -321,7 +324,7 @@ TEST(GraphIoTest, SaveLoadRoundTripPreservesWeightsExactly) {
 TEST(GraphIoTest, SaveLoadRoundTrip) {
   const Graph original =
       testing::MakeGraph(4, {{0, 1, 0.25f}, {1, 2, 0.5f}, {3, 0, 1.0f}});
-  const std::string path = ::testing::TempDir() + "/roundtrip.txt";
+  const std::string path = privim::testing::ProcessTempDir() + "/roundtrip.txt";
   ASSERT_TRUE(SaveEdgeList(original, path).ok());
   Result<Graph> loaded = LoadEdgeList(path, false);
   ASSERT_TRUE(loaded.ok());

@@ -3,6 +3,7 @@
 #include "gtest/gtest.h"
 #include "privim/graph/generators.h"
 #include "testing/graph_fixtures.h"
+#include "testing/reference_oracles.h"
 
 namespace privim {
 namespace {
@@ -42,7 +43,7 @@ TEST(GraphStatsTest, ClusteringDisabled) {
 TEST(GraphStatsTest, WattsStrogatzHasHigherClusteringThanRandom) {
   Rng rng(5);
   Result<Graph> ws = WattsStrogatz(500, 8, 0.05, &rng);
-  Result<Graph> er = ErdosRenyi(500, 2000, false, &rng);
+  Result<Graph> er = testing::ErdosRenyi(500, 2000, false, &rng);
   ASSERT_TRUE(ws.ok());
   ASSERT_TRUE(er.ok());
   Rng stats_rng(6);

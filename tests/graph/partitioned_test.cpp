@@ -16,6 +16,8 @@
 #include "privim/graph/graph_io.h"
 #include "privim/graph/traversal.h"
 #include "testing/reference_csr.h"
+#include "testing/reference_extraction.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -276,7 +278,7 @@ std::vector<std::vector<Edge>> SplitIntoTasks(const std::vector<Edge>& edges,
 constexpr size_t kThreadCounts[] = {1, 4, 8};
 
 TEST(PartitionedBuildReferenceTest, BuilderMatchesSerialAssembly) {
-  // Sizes from the engine's probe graph to past the 64Ki arcs where Build
+  // Sizes from a 7-node graph to past the 64Ki arcs where Build
   // used to switch assemblies; graphs up to 4096 nodes are one shard, the
   // 30k-node ones eight.
   struct Size {
@@ -479,7 +481,8 @@ TEST(PartitionedBuildReferenceTest, UndirectedGraphsHoldOneCsr) {
   // file's lines are the reference's edges. Repeats of a pair in either
   // orientation carry other weights, which keep-first dedup drops.
   const std::vector<Edge> loaded_edges = ArcsWithDuplicates(40, 300, 23);
-  const std::string path = ::testing::TempDir() + "/one_csr_edges.txt";
+  const std::string path =
+      privim::testing::ProcessTempDir() + "/one_csr_edges.txt";
   {
     std::ofstream file(path);
     file << std::setprecision(9);  // every float weight round-trips
@@ -635,9 +638,12 @@ TEST(ShardedBallTest, MatchesDenseBallAcrossShardBoundaries) {
   // 4095/4096 in different shards; long-range arcs jump shards freely.
   const Graph graph = SmallWorldGraph(20000, 3);
   ShardedVisitMap visits(ShardLayout::For(graph.num_nodes()));
+  ShardedVisitMap reference_visits(ShardLayout::For(graph.num_nodes()));
   for (NodeId source : {NodeId{0}, NodeId{4095}, NodeId{4096}, NodeId{19999}}) {
     for (int r = 0; r <= 3; ++r) {
-      const std::vector<NodeId> dense = UndirectedRHopBall(graph, source, r);
+      const std::vector<NodeId> dense =
+          testing::reference_internal::UndirectedRHopBall(graph, source, r,
+                                                          &reference_visits);
       const std::vector<NodeId> sharded =
           UndirectedRHopBall(graph, source, r, &visits);
       ASSERT_EQ(dense, sharded) << "source " << source << " r " << r;

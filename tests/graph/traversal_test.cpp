@@ -5,6 +5,7 @@
 #include "gtest/gtest.h"
 #include "testing/graph_fixtures.h"
 #include "testing/reference_extraction.h"
+#include "testing/reference_oracles.h"
 
 namespace privim {
 namespace {
@@ -22,73 +23,15 @@ std::vector<NodeId> UndirectedNeighbors(const Graph& graph, NodeId v) {
   return neighbors;
 }
 
-TEST(RHopBallTest, PathGraph) {
-  const Graph path = MakePath(10);
-  const std::vector<NodeId> ball = RHopBall(path, 0, 3);
-  EXPECT_EQ(ball.size(), 4u);  // 0, 1, 2, 3
-  EXPECT_EQ(ball[0], 0);
-  EXPECT_EQ(ball[3], 3);
-}
-
-TEST(RHopBallTest, ZeroHopsIsJustSource) {
-  const Graph path = MakePath(5);
-  const std::vector<NodeId> ball = RHopBall(path, 2, 0);
-  ASSERT_EQ(ball.size(), 1u);
-  EXPECT_EQ(ball[0], 2);
-}
-
-TEST(RHopBallTest, StarCoversAllLeavesInOneHop) {
-  const Graph star = MakeStar(8);
-  EXPECT_EQ(RHopBall(star, 0, 1).size(), 8u);
-  // Leaves have no out-arcs.
-  EXPECT_EQ(RHopBall(star, 3, 5).size(), 1u);
-}
-
-TEST(RHopBallTest, InvalidSource) {
-  const Graph path = MakePath(5);
-  EXPECT_TRUE(RHopBall(path, -1, 2).empty());
-  EXPECT_TRUE(RHopBall(path, 99, 2).empty());
-  EXPECT_TRUE(RHopBall(path, 0, -1).empty());
-}
-
-TEST(BfsDistancesTest, PathDistances) {
-  const Graph path = MakePath(6);
-  const std::vector<int> dist = BfsDistances(path, 0);
-  for (int v = 0; v < 6; ++v) EXPECT_EQ(dist[v], v);
-}
-
-TEST(BfsDistancesTest, UnreachableIsMinusOne) {
-  const Graph graph = MakeGraph(4, {{0, 1}});
-  const std::vector<int> dist = BfsDistances(graph, 0);
-  EXPECT_EQ(dist[0], 0);
-  EXPECT_EQ(dist[1], 1);
-  EXPECT_EQ(dist[2], -1);
-  EXPECT_EQ(dist[3], -1);
-}
-
-TEST(BfsDistancesTest, DirectionalityMatters) {
-  const Graph path = MakePath(4);
-  const std::vector<int> dist = BfsDistances(path, 3);
-  EXPECT_EQ(dist[3], 0);
-  EXPECT_EQ(dist[0], -1);  // arcs point forward only
-}
-
-TEST(BfsDistancesTest, CycleWrapsAround) {
-  const Graph cycle = MakeCycle(5);
-  const std::vector<int> dist = BfsDistances(cycle, 0);
-  EXPECT_EQ(dist[4], 4);
-  EXPECT_EQ(dist[1], 1);
-}
-
 TEST(WeaklyConnectedComponentsTest, SingleComponent) {
   const Graph cycle = MakeCycle(7);
-  const ComponentInfo info = WeaklyConnectedComponents(cycle);
+  const testing::ComponentInfo info = testing::WeaklyConnectedComponents(cycle);
   EXPECT_EQ(info.num_components, 1);
 }
 
 TEST(WeaklyConnectedComponentsTest, MultipleComponents) {
   const Graph graph = MakeGraph(6, {{0, 1}, {2, 3}});
-  const ComponentInfo info = WeaklyConnectedComponents(graph);
+  const testing::ComponentInfo info = testing::WeaklyConnectedComponents(graph);
   EXPECT_EQ(info.num_components, 4);  // {0,1}, {2,3}, {4}, {5}
   EXPECT_EQ(info.label[0], info.label[1]);
   EXPECT_EQ(info.label[2], info.label[3]);
@@ -99,7 +42,7 @@ TEST(WeaklyConnectedComponentsTest, MultipleComponents) {
 TEST(WeaklyConnectedComponentsTest, DirectedArcsCountBothWays) {
   // 0 -> 1 and 2 -> 1: weakly connected through node 1.
   const Graph graph = MakeGraph(3, {{0, 1}, {2, 1}});
-  EXPECT_EQ(WeaklyConnectedComponents(graph).num_components, 1);
+  EXPECT_EQ(testing::WeaklyConnectedComponents(graph).num_components, 1);
 }
 
 TEST(UndirectedNeighborsTest, MergesBothDirectionsWithoutDuplicates) {
@@ -158,31 +101,39 @@ TEST(UndirectedNeighborsTest, UndirectedGraphYieldsTheOutList) {
   }
 }
 
+// The ball of `source` with a fresh visit map.
+std::vector<NodeId> Ball(const Graph& graph, NodeId source, int r) {
+  ShardedVisitMap visits(ShardLayout::For(graph.num_nodes()));
+  return UndirectedRHopBall(graph, source, r, &visits);
+}
+
 TEST(UndirectedRHopBallTest, IgnoresArcDirection) {
   // Directed path 0 -> 1 -> 2 -> 3: the undirected 2-ball of node 3
   // includes 1, 2, 3 even though no out-arcs leave node 3.
   const Graph path = MakePath(4);
-  const std::vector<NodeId> ball = UndirectedRHopBall(path, 3, 2);
-  EXPECT_EQ(ball.size(), 3u);
-  EXPECT_TRUE(RHopBall(path, 3, 2).size() == 1u);  // directed ball is tiny
+  EXPECT_EQ(Ball(path, 3, 2), (std::vector<NodeId>{3, 2, 1}));
 }
 
 TEST(UndirectedRHopBallTest, MatchesDirectedBallOnSymmetricGraphs) {
   const Graph cycle = MakeCycle(8);
-  // A directed cycle's 2-ball misses the predecessors; symmetrize first.
+  // On the symmetrized cycle the undirected ball is the directed one: two
+  // hops either way around.
   GraphBuilder builder(8, /*undirected=*/true);
   for (NodeId v = 0; v < 8; ++v) {
     ASSERT_TRUE(builder.AddEdge(v, static_cast<NodeId>((v + 1) % 8)).ok());
   }
   Result<Graph> sym = builder.Build();
   ASSERT_TRUE(sym.ok());
-  EXPECT_EQ(UndirectedRHopBall(cycle, 0, 2).size(),
-            RHopBall(sym.value(), 0, 2).size());
+  std::vector<NodeId> ball = Ball(cycle, 0, 2);
+  EXPECT_EQ(ball, Ball(sym.value(), 0, 2));
+  std::sort(ball.begin(), ball.end());
+  EXPECT_EQ(ball, (std::vector<NodeId>{0, 1, 2, 6, 7}));
 }
 
 TEST(UndirectedRHopBallTest, BothFormsMatchTheOutThenInBall) {
-  // The balls visit through ForEachUndirectedNeighbor; they must list the
-  // same nodes in the same order as a BFS over out-arcs then in-arcs.
+  // The ball visits through ForEachUndirectedNeighbor; it must list the
+  // same nodes in the same order as a BFS over out-arcs then in-arcs, with
+  // a visit map reused across calls as the RWR sampler reuses one.
   Rng rng(11);
   std::vector<Edge> edges;
   for (int i = 0; i < 400; ++i) {
@@ -198,7 +149,7 @@ TEST(UndirectedRHopBallTest, BothFormsMatchTheOutThenInBall) {
       const std::vector<NodeId> expected =
           testing::reference_internal::UndirectedRHopBall(graph, v, r,
                                                           &reference_visits);
-      EXPECT_EQ(UndirectedRHopBall(graph, v, r), expected);
+      EXPECT_EQ(Ball(graph, v, r), expected);
       EXPECT_EQ(UndirectedRHopBall(graph, v, r, &visits), expected);
     }
   }
@@ -206,8 +157,8 @@ TEST(UndirectedRHopBallTest, BothFormsMatchTheOutThenInBall) {
 
 TEST(UndirectedRHopBallTest, InvalidInputsEmpty) {
   const Graph path = MakePath(3);
-  EXPECT_TRUE(UndirectedRHopBall(path, -1, 2).empty());
-  EXPECT_TRUE(UndirectedRHopBall(path, 0, -1).empty());
+  EXPECT_TRUE(Ball(path, -1, 2).empty());
+  EXPECT_TRUE(Ball(path, 0, -1).empty());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "gtest/gtest.h"
 #include "privim/graph/generators.h"
 #include "testing/graph_fixtures.h"
+#include "testing/reference_oracles.h"
 
 namespace privim {
 namespace {
@@ -35,7 +36,7 @@ TEST(CelfGreedyTest, MatchesPlainGreedySpread) {
   const Graph graph = UnitBaGraph(1);
   DeterministicCoverageOracle oracle(graph, 1);
   Result<SeedSelectionResult> celf = CelfGreedy(oracle, 8);
-  Result<SeedSelectionResult> plain = PlainGreedy(oracle, 8);
+  Result<SeedSelectionResult> plain = testing::PlainGreedy(oracle, 8);
   ASSERT_TRUE(celf.ok());
   ASSERT_TRUE(plain.ok());
   // Greedy choices may tie-break differently but the achieved spread of
@@ -47,7 +48,7 @@ TEST(CelfGreedyTest, LazyEvaluationsAreFewer) {
   const Graph graph = UnitBaGraph(2, 300, 4);
   DeterministicCoverageOracle oracle(graph, 1);
   Result<SeedSelectionResult> celf = CelfGreedy(oracle, 10);
-  Result<SeedSelectionResult> plain = PlainGreedy(oracle, 10);
+  Result<SeedSelectionResult> plain = testing::PlainGreedy(oracle, 10);
   ASSERT_TRUE(celf.ok());
   ASSERT_TRUE(plain.ok());
   EXPECT_LT(celf->evaluations, plain->evaluations / 2);
@@ -82,7 +83,7 @@ TEST(CelfGreedyTest, RejectsNonPositiveK) {
   const Graph tiny = MakeStar(4);
   DeterministicCoverageOracle oracle(tiny, 1);
   EXPECT_FALSE(CelfGreedy(oracle, 0).ok());
-  EXPECT_FALSE(PlainGreedy(oracle, -1).ok());
+  EXPECT_FALSE(testing::PlainGreedy(oracle, -1).ok());
 }
 
 TEST(CelfGreedyTest, ApproximationBoundVersusBruteForceOptimum) {

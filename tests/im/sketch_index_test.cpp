@@ -15,6 +15,7 @@
 #include "privim/im/celf.h"
 #include "privim/im/spread_oracle.h"
 #include "testing/graph_fixtures.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -247,7 +248,8 @@ TEST(SketchIndexCodecTest, RoundTripRestoresEveryField) {
 }
 
 TEST(SketchIndexCodecTest, SaveThenLoadRoundTrips) {
-  const std::string path = ::testing::TempDir() + "/sketch_roundtrip.privimsx";
+  const std::string path =
+      privim::testing::ProcessTempDir() + "/sketch_roundtrip.privimsx";
   const Graph graph = MakeStar(9);
   std::unique_ptr<SketchIndex> index = BuildIndex(graph, SketchIndexOptions());
   ASSERT_TRUE(index->Save(path).ok());
@@ -257,7 +259,8 @@ TEST(SketchIndexCodecTest, SaveThenLoadRoundTrips) {
 }
 
 TEST(SketchIndexCodecTest, LoadRejectsMissingFileWithPathInError) {
-  const std::string path = ::testing::TempDir() + "/no_such_index.privimsx";
+  const std::string path =
+      privim::testing::ProcessTempDir() + "/no_such_index.privimsx";
   const Status status = SketchIndex::Load(path).status();
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find(path), std::string::npos);
@@ -334,7 +337,8 @@ TEST_F(SketchRejectionTest, TrailingGarbageFails) {
 }
 
 TEST_F(SketchRejectionTest, LoadSurfacesThePathOnCorruptFiles) {
-  const std::string path = ::testing::TempDir() + "/corrupt_index.privimsx";
+  const std::string path =
+      privim::testing::ProcessTempDir() + "/corrupt_index.privimsx";
   std::string corrupt = bytes_;
   corrupt[corrupt.size() / 2] ^= 0x01;
   ASSERT_TRUE(index_->Save(path).ok());  // prove Save works, then clobber

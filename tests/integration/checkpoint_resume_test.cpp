@@ -16,12 +16,13 @@
 #include "privim/core/pipeline.h"
 #include "privim/graph/generators.h"
 #include "privim/obs/metrics.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
 
 std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "/" + name;
+  const std::string dir = privim::testing::ProcessTempDir() + "/" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }

@@ -14,6 +14,7 @@
 #include "privim/common/atomic_file.h"
 #include "privim/common/fault_injection.h"
 #include "testing/fault_injection.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -30,7 +31,7 @@ class FaultInjectionCliTest : public ::testing::Test {
       GTEST_SKIP() << "privim_cli binary not available";
     }
     // Per-test directory: ctest -j runs these cases concurrently.
-    dir_ = ::testing::TempDir() + "/fault_cli_" +
+    dir_ = privim::testing::ProcessTempDir() + "/fault_cli_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);

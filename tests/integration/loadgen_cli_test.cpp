@@ -14,6 +14,7 @@
 #include "privim/serve/json.h"
 #include "testing/fault_injection.h"
 #include "testing/subprocess_server.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -53,7 +54,7 @@ class LoadgenCliTest : public ::testing::Test {
         !std::filesystem::exists(loadgen_)) {
       GTEST_SKIP() << "privim_serve / privim_loadgen not available";
     }
-    dir_ = ::testing::TempDir() + "/loadgen_cli_" +
+    dir_ = privim::testing::ProcessTempDir() + "/loadgen_cli_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);

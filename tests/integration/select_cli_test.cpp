@@ -14,6 +14,7 @@
 #include "gtest/gtest.h"
 #include "privim/common/atomic_file.h"
 #include "testing/fault_injection.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -30,7 +31,7 @@ class SelectCliTest : public ::testing::Test {
       GTEST_SKIP() << "privim_cli binary not available";
     }
     // Per-test directory: ctest -j runs these cases concurrently.
-    dir_ = ::testing::TempDir() + "/select_cli_" +
+    dir_ = privim::testing::ProcessTempDir() + "/select_cli_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
@@ -120,6 +121,29 @@ TEST_F(SelectCliTest, MisshapenModelFileFailsWithACleanError) {
     EXPECT_EQ(select.output.find("Assertion"), std::string::npos)
         << select.output;
   }
+}
+
+// A 143-byte model file whose header declares hidden_dim 4e9 used to abort
+// `select` with std::bad_alloc under a 4 GB address-space limit: the reader
+// built every declared shape before it read a value. It must fail with an
+// IOError line instead. Sanitizer runtimes reserve more address space than
+// the limit allows, so those builds run without it.
+TEST_F(SelectCliTest, HostileModelHeaderFailsWithIOError) {
+  const std::string path = dir_ + "/hostile.model";
+  ASSERT_TRUE(AtomicWriteFile(
+                  path,
+                  "privim-model v1\nkind grat\ninput_dim 8\n"
+                  "hidden_dim 4000000000\nnum_layers 3\n"
+                  "leaky_slope 0x1.99999ap-3\nparams 14\n"
+                  "4000000000 1\n0x1p-1 0x1p-2 0x1p-3\n")
+                  .ok());
+  const SubprocessResult select =
+      RunSubprocess(testing::AddressSpaceLimitPrefix() + cli_ +
+                    " select --graph " + graph_path_ + " --model " + path +
+                    " --k 5");
+  EXPECT_FALSE(select.signalled) << select.output;
+  EXPECT_EQ(select.exit_code, 1) << select.output;
+  EXPECT_EQ(select.output.rfind("error: IOError", 0), 0u) << select.output;
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // baselines'.
 
 #include <cstring>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "privim/baselines/egn.h"
@@ -16,7 +18,10 @@
 #include "privim/datasets/split.h"
 #include "privim/gnn/features.h"
 #include "privim/gnn/graph_context.h"
+#include "privim/graph/generators.h"
+#include "privim/im/celf.h"
 #include "privim/im/seed_selection.h"
+#include "privim/nn/infer/engine.h"
 
 namespace privim {
 namespace {
@@ -119,6 +124,54 @@ TEST(SelectionScoringTest, HpMatchesTapeForwardWithEitherBackbone) {
     ExpectScoresMatchTape(result.value(), split.eval, options.seed_set_size,
                           use_grat ? "HP (GRAT)" : "HP (GCN)");
   }
+}
+
+// --- The release boundary --------------------------------------------------
+//
+// Post-processing covers the model and what is computed from the model plus
+// data that shares no node with the training graph. Seeds selected on the
+// graph itself read that graph's structure too: with the model held fixed,
+// removing one node's arcs (ids kept) moves the seed set, so a seed set
+// selected on the training graph is not a DP release.
+
+/// `graph` rebuilt without any arc that touches `removed` (-1 keeps all).
+Graph WithoutNode(const Graph& graph, NodeId removed) {
+  GraphBuilder builder(graph.num_nodes(), /*undirected=*/true);
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    for (const NodeId w : graph.OutNeighbors(u)) {
+      if (u < w && u != removed && w != removed) {
+        EXPECT_TRUE(builder.AddEdge(u, w).ok());
+      }
+    }
+  }
+  return builder.Build().value();
+}
+
+std::vector<NodeId> SelectSeeds(const GnnModel& model, const Graph& graph,
+                                int64_t k) {
+  const Result<Tensor> scores = infer::ScoreGraph(model, graph);
+  EXPECT_TRUE(scores.ok()) << scores.status().ToString();
+  return TopKSeeds(scores.value(), k);
+}
+
+TEST(ReleaseBoundaryTest, SeedsSelectedOnAGraphChangeWhenOneNodeIsRemoved) {
+  Rng rng(2024);
+  const Graph graph = BarabasiAlbert(3000, 4, &rng).value();
+  GnnConfig config;  // GRAT, the paper's defaults
+  const std::unique_ptr<GnnModel> model = CreateGnnModel(config, &rng).value();
+  constexpr int64_t k = 10;
+  const std::vector<NodeId> seeds = SelectSeeds(*model, graph, k);
+  // The rebuild alone moves nothing.
+  ASSERT_EQ(SelectSeeds(*model, WithoutNode(graph, -1), k), seeds);
+
+  std::vector<NodeId> sweep = seeds;
+  for (const NodeId v : TopDegreeSeeds(graph, k)) sweep.push_back(v);
+  int changed = 0;
+  for (const NodeId v : sweep) {
+    if (SelectSeeds(*model, WithoutNode(graph, v), k) != seeds) ++changed;
+  }
+  EXPECT_GT(changed, 0) << "no removal among " << sweep.size()
+                        << " seeds and hubs moved the seed set";
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "privim/gnn/models.h"
 #include "privim/gnn/serialization.h"
 #include "testing/fault_injection.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -42,7 +43,7 @@ class ServeCliTest : public ::testing::Test {
     // One directory per test: ctest -j runs these cases as separate
     // processes concurrently, so a shared directory would be wiped from
     // under a sibling's live server.
-    dir_ = ::testing::TempDir() + "/serve_cli_" +
+    dir_ = privim::testing::ProcessTempDir() + "/serve_cli_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);

@@ -24,6 +24,7 @@
 #include "testing/fault_injection.h"
 #include "testing/http_client.h"
 #include "testing/subprocess_server.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -59,7 +60,7 @@ class ServeNetCliTest : public ::testing::Test {
     // One directory per test: ctest -j runs these cases as separate
     // processes concurrently, so a shared directory would be wiped from
     // under a sibling's live server.
-    dir_ = ::testing::TempDir() + "/serve_net_cli_" +
+    dir_ = privim::testing::ProcessTempDir() + "/serve_net_cli_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);

@@ -24,6 +24,7 @@
 #include "testing/fault_injection.h"
 #include "testing/http_client.h"
 #include "testing/subprocess_server.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace {
@@ -64,7 +65,7 @@ class SwapCliTest : public ::testing::Test {
         !std::filesystem::exists(loadgen_)) {
       GTEST_SKIP() << "privim_serve / privim_loadgen not available";
     }
-    dir_ = ::testing::TempDir() + "/swap_cli_" +
+    dir_ = privim::testing::ProcessTempDir() + "/swap_cli_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
@@ -258,6 +259,59 @@ TEST_F(SwapCliTest, SwapToAMissingFileIsRefusedAndKeepsServing) {
   EXPECT_NE(Exchange(&probe, R"({"id":"q","op":"topk","k":2})")
                 .find("\"ok\":true"),
             std::string::npos);
+
+  probe.Close();
+  SignalServer(server, SIGTERM);
+  EXPECT_EQ(WaitServer(&server), 0) << ReadServerLog(server);
+  EXPECT_NE(ReadServerLog(server).find("swaps: 0 applied, 1 refused"),
+            std::string::npos)
+      << ReadServerLog(server);
+}
+
+// A model file whose header declares hidden_dim 4e9 used to abort the
+// server with std::bad_alloc under a 4 GB address-space limit when an
+// admin swap named it. The swap must be refused with an IOError while the
+// old snapshot keeps serving.
+TEST_F(SwapCliTest, SwapToAHostileModelIsRefusedAndKeepsServing) {
+  const std::string hostile = dir_ + "/hostile.model";
+  {
+    std::ofstream file(hostile);
+    file << "privim-model v1\nkind grat\ninput_dim 8\n"
+            "hidden_dim 4000000000\nnum_layers 3\n"
+            "leaky_slope 0x1.99999ap-3\nparams 14\n"
+            "4000000000 1\n0x1p-1 0x1p-2 0x1p-3\n";
+  }
+  const std::string port_file = dir_ + "/port.txt";
+  ServerProcess server = SpawnServer(
+      testing::AddressSpaceLimitPrefix() + serve_ + " --graph " +
+          graph_path_ + " --model " + model_a_ +
+          " --listen 127.0.0.1:0 --port-file " + port_file + " --threads 2",
+      dir_ + "/server.log");
+  ASSERT_GT(server.pid, 0);
+  const std::string address = WaitForPortFile(port_file);
+  ASSERT_NE(address, "") << ReadServerLog(server);
+  const serve::net::HostPort bound =
+      serve::net::ParseHostPort(address).value();
+
+  serve::net::BlockingClient probe;
+  ASSERT_TRUE(probe.Connect(bound).ok());
+  const std::string fp_before =
+      StringField(Exchange(&probe, R"({"id":"i0","op":"info"})"),
+                  "fingerprint");
+  const std::string topk_before =
+      Exchange(&probe, R"({"id":"q","op":"topk","k":2})");
+
+  const std::string refusal = Exchange(
+      &probe, R"({"id":"s1","op":"admin","action":"swap","model":")" +
+                  hostile + "\"}");
+  EXPECT_NE(refusal.find("\"ok\":false"), std::string::npos) << refusal;
+  EXPECT_NE(refusal.find("IOError"), std::string::npos) << refusal;
+
+  EXPECT_EQ(StringField(Exchange(&probe, R"({"id":"i1","op":"info"})"),
+                        "fingerprint"),
+            fp_before);
+  EXPECT_EQ(Exchange(&probe, R"({"id":"q","op":"topk","k":2})"),
+            topk_before);
 
   probe.Close();
   SignalServer(server, SIGTERM);

@@ -9,6 +9,7 @@
 
 #include "privim/obs/metrics.h"
 #include "privim/obs/trace.h"
+#include "testing/temp_dir.h"
 
 namespace privim {
 namespace obs {
@@ -54,7 +55,7 @@ TEST_F(ExportTest, CombinedJsonSplicesMetricsIntoTheTraceDocument) {
 
 TEST_F(ExportTest, WriteMetricsFileRoundTrips) {
   const std::string path =
-      ::testing::TempDir() + "/privim_export_test_metrics.json";
+      privim::testing::ProcessTempDir() + "/privim_export_test_metrics.json";
   GlobalMetrics().GetCounter("export.file.counter")->Increment();
   const std::string error = WriteMetricsFile(path);
   EXPECT_TRUE(error.empty()) << error;

@@ -82,8 +82,9 @@ TEST(RwrSamplerTest, NodesStayWithinHopBallOfStart) {
     const Subgraph& sub = container->at(i);
     // The walk starts at global_ids[0]; all members must lie in its 2-hop
     // undirected ball (the walk moves on the undirected structure).
-    const std::vector<NodeId> ball =
-        UndirectedRHopBall(graph.value(), sub.global_ids[0], options.hop_limit);
+    ShardedVisitMap visits(ShardLayout::For(graph->num_nodes()));
+    const std::vector<NodeId> ball = UndirectedRHopBall(
+        graph.value(), sub.global_ids[0], options.hop_limit, &visits);
     const std::unordered_set<NodeId> ball_set(ball.begin(), ball.end());
     for (NodeId v : sub.global_ids) EXPECT_TRUE(ball_set.count(v));
   }

@@ -13,11 +13,13 @@
 #include "gtest/gtest.h"
 #include "privim/common/rng.h"
 #include "privim/common/thread_pool.h"
+#include "privim/gnn/features.h"
+#include "privim/gnn/graph_context.h"
 #include "privim/gnn/models.h"
 #include "privim/graph/generators.h"
 #include "privim/graph/subgraph.h"
 #include "privim/nn/infer/engine.h"
-#include "privim/nn/ops.h"
+#include "privim/im/seed_selection.h"
 #include "privim/serve/assets.h"
 #include "privim/serve/request.h"
 
@@ -337,55 +339,86 @@ TEST(ServiceTest, ConcurrentProducersGetConsistentResponses) {
   EXPECT_EQ(stats.completed + stats.cache_hits, 1u + 6u * 20u);
 }
 
-// --- Inference engine selection, subgraph requests and fallback ----------
+// --- Model-driven requests against the tape oracle ------------------------
 
-std::unique_ptr<InfluenceService> MakeServiceWithEngine(
-    InferEngineKind kind) {
-  ServeOptions options;
-  options.infer_engine = kind;
-  return MakeService(options);
+/// The tape oracle: model->Run on `graph`, with node features salted by
+/// `global_ids` when it is a request's induced subgraph.
+Tensor TapeScores(const GnnModel& model, const Graph& graph,
+                  const std::vector<NodeId>* global_ids = nullptr) {
+  const Tensor features =
+      BuildNodeFeatures(graph, model.config().input_dim, global_ids);
+  return model.Run(GraphContext::Build(graph), features).value().value();
 }
 
-TEST(ServiceTest, InferEngineKindParsesAndPrints) {
-  EXPECT_EQ(InferEngineKindFromString("fused").value(),
-            InferEngineKind::kFused);
-  EXPECT_EQ(InferEngineKindFromString("tape").value(),
-            InferEngineKind::kTape);
-  EXPECT_EQ(InferEngineKindFromString("jit").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_STREQ(InferEngineKindToString(InferEngineKind::kFused), "fused");
-  EXPECT_STREQ(InferEngineKindToString(InferEngineKind::kTape), "tape");
+/// An influence response as the service renders one: node nodes[i] with
+/// the score in row rows[i] of `scores`.
+std::string InfluenceLine(const std::string& id,
+                          const std::vector<NodeId>& nodes,
+                          const std::vector<NodeId>& rows,
+                          const Tensor& scores) {
+  ServeResponse response;
+  response.id = id;
+  JsonValue ids = JsonValue::Array();
+  JsonValue values = JsonValue::Array();
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    ids.Append(JsonValue::Int(nodes[i]));
+    values.Append(
+        JsonValue::Number(static_cast<double>(scores.at(rows[i], 0))));
+  }
+  response.payload.Set("op", JsonValue::Str("influence"));
+  response.payload.Set("nodes", std::move(ids));
+  response.payload.Set("scores", std::move(values));
+  return response.ToJsonLine();
+}
+
+/// The tape oracle's line for the subgraph request over `nodes`.
+std::string SubgraphInfluenceLine(const std::string& id,
+                                  const GnnModel& model, const Graph& graph,
+                                  const std::vector<NodeId>& nodes) {
+  const Subgraph sub = InducedSubgraph(graph, nodes).value();
+  std::vector<NodeId> rows(sub.global_ids.size());
+  for (size_t v = 0; v < rows.size(); ++v) rows[v] = static_cast<NodeId>(v);
+  return InfluenceLine(id, sub.global_ids, rows,
+                       TapeScores(model, sub.local, &sub.global_ids));
 }
 
 TEST(ServiceTest, FusedAndTapeEnginesProduceByteIdenticalResponses) {
-  auto fused = MakeServiceWithEngine(InferEngineKind::kFused);
-  auto tape = MakeServiceWithEngine(InferEngineKind::kTape);
-  ASSERT_TRUE(fused->fused_active());
-  ASSERT_FALSE(tape->fused_active());
+  const std::shared_ptr<const GnnModel> model = TestModel();
+  const Graph graph = TestGraph();
+  auto service = InfluenceService::Create(TestGraph(), model, ServeOptions())
+                     .value();
+  const Tensor scores = TapeScores(*model, graph);
+  const std::vector<NodeId> all = {0, 1, 2, 3, 4, 5, 6, 7};
+  ServeResponse topk;
+  topk.id = "e3";
+  topk.payload.Set("op", JsonValue::Str("topk"));
+  topk.payload.Set("method", JsonValue::Str("model"));
+  JsonValue seeds = JsonValue::Array();
+  for (const NodeId v : TopKSeeds(scores, 3)) seeds.Append(JsonValue::Int(v));
+  topk.payload.Set("seeds", std::move(seeds));
   // Every model-driven request shape: whole-graph influence, filtered
   // influence, subgraph influence, model top-k.
-  const char* requests[] = {
-      R"({"id":"e0","op":"influence"})",
-      R"({"id":"e1","op":"influence","nodes":[7,1]})",
-      R"({"id":"e2","op":"influence","subgraph":[4,5,6,4]})",
-      R"({"id":"e3","op":"topk","k":3,"method":"model"})",
+  const std::pair<const char*, std::string> cases[] = {
+      {R"({"id":"e0","op":"influence"})",
+       InfluenceLine("e0", all, all, scores)},
+      {R"({"id":"e1","op":"influence","nodes":[7,1]})",
+       InfluenceLine("e1", {7, 1}, {7, 1}, scores)},
+      {R"({"id":"e2","op":"influence","subgraph":[4,5,6,4]})",
+       SubgraphInfluenceLine("e2", *model, graph, {4, 5, 6, 4})},
+      {R"({"id":"e3","op":"topk","k":3,"method":"model"})",
+       topk.ToJsonLine()},
   };
-  for (const char* request : requests) {
-    const ServeResponse from_fused = fused->Execute(Request(request));
-    const ServeResponse from_tape = tape->Execute(Request(request));
-    ASSERT_TRUE(from_fused.status.ok()) << request << ": "
-                                        << from_fused.status.message();
-    EXPECT_EQ(from_fused.ToJsonLine(), from_tape.ToJsonLine()) << request;
+  for (const auto& [request, want] : cases) {
+    const ServeResponse served = service->Execute(Request(request));
+    ASSERT_TRUE(served.status.ok()) << request << ": "
+                                    << served.status.message();
+    EXPECT_EQ(served.ToJsonLine(), want) << request;
   }
-  EXPECT_GT(fused->GetStats().fused_forwards, 0u);
-  EXPECT_EQ(fused->GetStats().infer_fallbacks, 0u);
-  EXPECT_EQ(tape->GetStats().fused_forwards, 0u);
-  EXPECT_TRUE(fused->GetStats().fused_active);
-  EXPECT_FALSE(tape->GetStats().fused_active);
+  EXPECT_GT(service->GetStats().fused_forwards, 0u);
 }
 
 TEST(ServiceTest, SubgraphInfluenceReportsDedupedGlobalIds) {
-  auto service = MakeServiceWithEngine(InferEngineKind::kFused);
+  auto service = MakeService(ServeOptions());
   const ServeResponse response = service->Execute(
       Request(R"({"id":"s","op":"influence","subgraph":[5,2,5,7]})"));
   ASSERT_TRUE(response.status.ok()) << response.status.message();
@@ -402,25 +435,23 @@ TEST(ServiceTest, SubgraphInfluenceReportsDedupedGlobalIds) {
 TEST(ServiceTest, BatchedSubgraphResponsesMatchSoloExecution) {
   // Queue many subgraph requests before Start so the scheduler coalesces
   // them into batches, each request scored by its own fused forward; every
-  // response must match a tape-engine Execute byte-for-byte.
+  // response must match the tape oracle's byte-for-byte.
   ServeOptions options;
   options.queue_capacity = 64;
   options.max_batch = 16;
   options.cache_capacity = 0;
-  options.infer_engine = InferEngineKind::kFused;
-  auto service = MakeService(options);
-  auto reference = MakeServiceWithEngine(InferEngineKind::kTape);
+  const std::shared_ptr<const GnnModel> model = TestModel();
+  const Graph graph = TestGraph();
+  auto service = InfluenceService::Create(TestGraph(), model, options).value();
 
-  std::vector<std::string> requests;
-  for (int i = 0; i < 12; ++i) {
-    requests.push_back(R"({"id":"g","op":"influence","subgraph":[)" +
-                       std::to_string(i % 8) + "," +
-                       std::to_string((i + 3) % 8) + "," +
-                       std::to_string((i + 5) % 8) + "]}");
-  }
+  std::vector<std::vector<NodeId>> subgraphs;
   std::vector<std::future<ServeResponse>> futures;
-  for (const std::string& request : requests) {
-    auto submitted = service->Submit(Request(request));
+  for (int i = 0; i < 12; ++i) {
+    subgraphs.push_back({i % 8, (i + 3) % 8, (i + 5) % 8});
+    auto submitted = service->Submit(Request(
+        R"({"id":"g","op":"influence","subgraph":[)" +
+        std::to_string(i % 8) + "," + std::to_string((i + 3) % 8) + "," +
+        std::to_string((i + 5) % 8) + "]}"));
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(submitted.value()));
   }
@@ -429,60 +460,10 @@ TEST(ServiceTest, BatchedSubgraphResponsesMatchSoloExecution) {
     const ServeResponse batched = futures[i].get();
     ASSERT_TRUE(batched.status.ok()) << batched.status.message();
     EXPECT_EQ(batched.ToJsonLine(),
-              reference->Execute(Request(requests[i])).ToJsonLine())
-        << requests[i];
+              SubgraphInfluenceLine("g", *model, graph, subgraphs[i]))
+        << "request " << i;
   }
   EXPECT_GT(service->GetStats().fused_forwards, 0u);
-}
-
-/// GCN parameter layout with a tanh head: compiles structurally but the
-/// probe forward diverges, so the service must fall back to the tape.
-class TanhHeadGcn : public GnnModel {
- public:
-  explicit TanhHeadGcn(const GnnModel& base) : GnnModel(base.config()) {
-    for (const Variable& parameter : base.parameters()) {
-      params_.push_back(Variable(parameter.value()));
-    }
-  }
-
-  Variable Forward(const GraphContext& ctx,
-                   const Variable& features) const override {
-    Variable h = features;
-    for (int64_t l = 0; l < config_.num_layers; ++l) {
-      h = Relu(AddRowBroadcast(
-          MatMul(SpMM(ctx.gcn_adj, h), params_[2 + 2 * l]),
-          params_[2 + 2 * l + 1]));
-    }
-    return Tanh(AddRowBroadcast(MatMul(h, params_[0]), params_[1]));
-  }
-};
-
-TEST(ServiceTest, UnsupportedModelFallsBackToTapeWithCounter) {
-  const auto exotic = std::make_shared<const TanhHeadGcn>(*TestModel());
-  ServeOptions options;  // fused is the default
-  auto service =
-      InfluenceService::Create(TestGraph(), exotic, options).value();
-  EXPECT_FALSE(service->fused_active());
-  EXPECT_FALSE(service->infer_fallback_reason().empty());
-  const ServiceStats stats = service->GetStats();
-  EXPECT_EQ(stats.infer_fallbacks, 1u);
-  EXPECT_FALSE(stats.fused_active);
-
-  // The fallback still serves model requests — through the tape — and a
-  // service explicitly configured for tape agrees byte-for-byte.
-  options.infer_engine = InferEngineKind::kTape;
-  auto reference =
-      InfluenceService::Create(TestGraph(), exotic, options).value();
-  EXPECT_EQ(reference->GetStats().infer_fallbacks, 0u);
-  for (const char* request :
-       {R"({"id":"f0","op":"influence"})",
-        R"({"id":"f1","op":"influence","subgraph":[1,2,3]})"}) {
-    const ServeResponse fallback = service->Execute(Request(request));
-    ASSERT_TRUE(fallback.status.ok()) << fallback.status.message();
-    EXPECT_EQ(fallback.ToJsonLine(),
-              reference->Execute(Request(request)).ToJsonLine());
-  }
-  EXPECT_EQ(service->GetStats().fused_forwards, 0u);
 }
 
 // A snapshot's whole-graph scores run once, on a scratch that dies with
@@ -501,11 +482,9 @@ TEST(ServiceTest, WholeGraphScoresLeaveNoScratchInTheEnginePool) {
   const std::shared_ptr<const GnnModel> model(
       CreateGnnModel(config, &rng).value().release());
   const std::shared_ptr<const ServingAssets> assets =
-      ServingAssets::Build(graph, model, nullptr, InferEngineKind::kFused)
-          .value();
+      ServingAssets::Build(graph, model, nullptr).value();
   const infer::InferEngine* engine = assets->engine();
   ASSERT_NE(engine, nullptr);
-  // Create()'s probe forward leaves one probe-sized scratch in the pool.
   const uint64_t pooled = engine->pooled_arena_bytes();
 
   const Result<Tensor> scores = assets->Scores();
@@ -595,8 +574,7 @@ TEST(ServiceTest, OverloadTranslationIsIdenticalAcrossFrontEnds) {
 
 std::shared_ptr<const ServingAssets> Snapshot(bool with_model) {
   return ServingAssets::Build(TestGraph(),
-                              with_model ? TestModel() : nullptr, nullptr,
-                              InferEngineKind::kFused)
+                              with_model ? TestModel() : nullptr, nullptr)
       .value();
 }
 

@@ -42,8 +42,8 @@ std::shared_ptr<const SketchIndex> BuildIndex(const Graph& graph,
 
 std::shared_ptr<const ServingAssets> RingAssets(
     std::shared_ptr<const SketchIndex> sketch) {
-  Result<std::shared_ptr<const ServingAssets>> assets = ServingAssets::Build(
-      RingGraph(), nullptr, std::move(sketch), InferEngineKind::kFused);
+  Result<std::shared_ptr<const ServingAssets>> assets =
+      ServingAssets::Build(RingGraph(), nullptr, std::move(sketch));
   EXPECT_TRUE(assets.ok()) << assets.status().ToString();
   return std::move(assets).value();
 }
@@ -68,8 +68,7 @@ TEST(SketchServeTest, BuildRejectsForeignIndexByFingerprint) {
   // describe.
   const Graph other = privim::testing::MakeStar(8);
   Result<std::shared_ptr<const ServingAssets>> mismatch =
-      ServingAssets::Build(RingGraph(), nullptr, BuildIndex(other),
-                           InferEngineKind::kFused);
+      ServingAssets::Build(RingGraph(), nullptr, BuildIndex(other));
   ASSERT_FALSE(mismatch.ok());
   EXPECT_EQ(mismatch.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(mismatch.status().message().find("different graph"),

@@ -198,14 +198,11 @@ inline Tensor TapeReference(const infer::Instr& in,
 /// Compiles `model`, runs `graph` down both paths, and reports per-op and
 /// end-to-end agreement. `policy` is the compiled forward's slot policy;
 /// the observer runs before a step's inputs are released, so the per-op
-/// checks are the same under both. Errors from compilation or execution
-/// propagate.
+/// checks are the same under both. Errors from execution propagate.
 inline Result<DualPathReport> RunDualPath(
     const GnnModel& model, const Graph& graph,
     infer::SlotPolicy policy = infer::SlotPolicy::kRetain) {
-  Result<infer::InferProgram> program = infer::CompileForInference(model);
-  if (!program.ok()) return program.status();
-
+  const infer::InferProgram program = infer::CompileForInference(model);
   const GraphContext ctx = GraphContext::Build(graph);
   const Tensor features =
       BuildNodeFeatures(graph, model.config().input_dim);
@@ -227,8 +224,8 @@ inline Result<DualPathReport> RunDualPath(
                                  &check.exact);
         report.ops.push_back(std::move(check));
       };
-  PRIVIM_RETURN_NOT_OK(program.value().Execute(ctx, features, &scratch,
-                                               &fused, observer, policy));
+  PRIVIM_RETURN_NOT_OK(
+      program.Execute(ctx, features, &scratch, &fused, observer, policy));
 
   Result<Variable> tape = model.Run(ctx, features);
   if (!tape.ok()) return tape.status();
@@ -261,15 +258,22 @@ struct GradientReport {
   }
 };
 
+/// The tape side of a gradient check: scores over (ctx, features) that
+/// Backward() reaches the model's parameters through.
+using TapeForward = std::function<Result<Variable>(const GraphContext& ctx,
+                                                   const Tensor& features)>;
+
 /// Differentiates `objective` over `model` on `graph` down both paths and
 /// compares the flat parameter gradients and the losses bitwise. The
-/// program runs in `scratch` when given (a fresh one otherwise). Errors
-/// from compilation, execution or the objective propagate.
+/// program runs in `scratch` when given (a fresh one otherwise). The tape
+/// side is `tape_forward` when given, the model's own Run() otherwise; a
+/// different forward over the same parameters shows what the report says
+/// when the paths part. Errors from execution or the objective propagate.
 inline Result<GradientReport> RunGradientDualPath(
     const GnnModel& model, const Graph& graph,
-    const ScoreObjective& objective, infer::Scratch* scratch = nullptr) {
-  Result<infer::InferProgram> program = infer::CompileForInference(model);
-  if (!program.ok()) return program.status();
+    const ScoreObjective& objective, infer::Scratch* scratch = nullptr,
+    const TapeForward& tape_forward = nullptr) {
+  const infer::InferProgram program = infer::CompileForInference(model);
   const GraphContext ctx = GraphContext::Build(graph);
   const Tensor features = BuildNodeFeatures(graph, model.config().input_dim);
   const std::vector<Variable>& params = model.parameters();
@@ -282,7 +286,8 @@ inline Result<GradientReport> RunGradientDualPath(
   float tape_loss = 0.0f;
   {
     zero_grads();
-    Result<Variable> scores = model.Run(ctx, features);
+    Result<Variable> scores = tape_forward ? tape_forward(ctx, features)
+                                           : model.Run(ctx, features);
     if (!scores.ok()) return scores.status();
     Result<Variable> loss = objective(scores.value(), ctx);
     if (!loss.ok()) return loss.status();
@@ -300,16 +305,15 @@ inline Result<GradientReport> RunGradientDualPath(
     infer::Scratch fresh;
     if (scratch == nullptr) scratch = &fresh;
     Tensor out;
-    PRIVIM_RETURN_NOT_OK(
-        program.value().Execute(ctx, features, scratch, &out));
+    PRIVIM_RETURN_NOT_OK(program.Execute(ctx, features, scratch, &out));
     const Variable leaf(out, /*requires_grad=*/true);
     Result<Variable> loss = objective(leaf, ctx);
     if (!loss.ok()) return loss.status();
     program_loss = loss.value().value().at(0, 0);
     loss.value().Backward();
     if (leaf.node()->grad_initialized) {
-      PRIVIM_RETURN_NOT_OK(program.value().Backward(
-          ctx, leaf.node()->grad, scratch, &got));
+      PRIVIM_RETURN_NOT_OK(
+          program.Backward(ctx, leaf.node()->grad, scratch, &got));
     } else {
       got.assign(want.size(), 0.0f);
     }

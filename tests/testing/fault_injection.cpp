@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 
 namespace privim {
 namespace testing {
@@ -57,6 +58,21 @@ std::string PrivimCliBinary() {
   return PRIVIM_CLI_BINARY;
 #else
   return "";
+#endif
+}
+
+std::string AddressSpaceLimitPrefix() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return "";
+#else
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return "";
+#endif
+#endif
+  static const bool available =
+      std::system("prlimit --version > /dev/null 2>&1") == 0;
+  return available ? "prlimit --as=4096000000 -- " : "";
 #endif
 }
 

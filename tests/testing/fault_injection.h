@@ -29,6 +29,13 @@ SubprocessResult RunSubprocess(
 /// test target was built without one (callers should GTEST_SKIP).
 std::string PrivimCliBinary();
 
+/// A command prefix that runs the command under a 4 GB address-space limit
+/// (util-linux prlimit, which execs the command, so the pid stays the
+/// command's): an allocation that a hostile input claims then fails at once
+/// instead of paging the machine. Empty where prlimit is missing and in
+/// sanitizer builds, whose runtimes reserve more address space than that.
+std::string AddressSpaceLimitPrefix();
+
 }  // namespace testing
 }  // namespace privim
 

@@ -133,10 +133,6 @@ FlagRegistry ServeCliFlags() {
       .AddInt("cache-capacity", 1024,
               "response cache entries; 0 disables caching")
       .AddInt("cache-shards", 8, "response cache shard count")
-      .AddString("infer-engine", "fused",
-                 "forward-pass implementation for model requests: fused "
-                 "(compiled tape-free programs, default) | tape (autograd "
-                 "reference path); responses are bit-identical either way")
       .AddInt("threads", 0,
               "global worker pool size; 0 = hardware concurrency, 1 = "
               "serial (PRIVIM_THREADS env fallback)")
@@ -312,11 +308,6 @@ int Serve(const Flags& flags) {
   options.max_batch = flags.GetInt("max-batch", 16);
   options.cache_capacity = flags.GetInt("cache-capacity", 1024);
   options.cache_shards = flags.GetInt("cache-shards", 8);
-  Result<serve::InferEngineKind> engine_kind =
-      serve::InferEngineKindFromString(
-          flags.GetString("infer-engine", "fused"));
-  if (!engine_kind.ok()) return Fail(engine_kind.status());
-  options.infer_engine = engine_kind.value();
 
   Result<std::shared_ptr<const SketchIndex>> sketch =
       LoadSketchIndex(flags, graph.value());
@@ -324,8 +315,7 @@ int Serve(const Flags& flags) {
 
   Result<std::shared_ptr<const serve::ServingAssets>> assets =
       serve::ServingAssets::Build(std::move(graph).value(), std::move(model),
-                                  std::move(sketch).value(),
-                                  options.infer_engine);
+                                  std::move(sketch).value());
   if (!assets.ok()) return Fail(assets.status());
 
   Result<std::unique_ptr<serve::InfluenceService>> service =
@@ -338,9 +328,8 @@ int Serve(const Flags& flags) {
   // Keeping file I/O here — not in the engine — means the service stays a
   // pure request processor.
   serve::InfluenceService* service_ptr = service.value().get();
-  const serve::InferEngineKind swap_engine = options.infer_engine;
   Status factory_installed = service_ptr->SetAssetsFactory(
-      [service_ptr, swap_engine, undirected](const serve::ServeRequest& req)
+      [service_ptr, undirected](const serve::ServeRequest& req)
           -> Result<std::shared_ptr<const serve::ServingAssets>> {
         std::shared_ptr<const Graph> swap_graph;
         if (req.swap_graph.empty()) {
@@ -368,8 +357,7 @@ int Serve(const Flags& flags) {
         }
         return serve::ServingAssets::Build(std::move(swap_graph),
                                            std::move(swap_model),
-                                           std::move(swap_sketch),
-                                           swap_engine);
+                                           std::move(swap_sketch));
       });
   if (!factory_installed.ok()) return Fail(factory_installed);
 
